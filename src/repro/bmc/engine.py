@@ -591,12 +591,14 @@ def verify_many(design: Design, property_names=None,
       and shared by every engine (``_begin_run``'s ``forward_memo``).
       The memo is local to this call: single-engine :meth:`BmcEngine.run`
       stays bit-identical to its historical behaviour.
-    * **Assumption-trail reuse** — because no clauses are added between
-      sibling checks at one depth, the fast solver back-end keeps the
+    * **Assumption-trail reuse** — the fast solver back-end keeps the
       propagated ``[a_init, a_meminit]`` assumption prefix (the whole
       initial-state cone) assigned across consecutive falsification
       checks instead of re-propagating it per property
-      (``SolverStats.trail_saved_levels``).
+      (``SolverStats.trail_saved_levels``).  Without proof logging the
+      prefix also survives the next depth's clause additions, which are
+      attached against it, so the cone is propagated once per session
+      rather than once per depth.
 
     Verdicts are identical to per-property :func:`verify` runs — checks
     are assumption sets, invisible to each other, and each engine still
@@ -625,8 +627,8 @@ def verify_many(design: Design, property_names=None,
             session.extend_to(i, opts.clause_var_quota)
             for name in live:
                 # Emit every live property's cone up front: later checks
-                # at this depth then add no clauses, so the solver's
-                # saved assumption trail survives from check to check.
+                # at this depth then add no clauses, so they only extend
+                # the solver's saved assumption trail, never cut it back.
                 session.p_lits(name, i)
         except QuotaExceededError as exc:
             # The shared encoding hit its watermark: every live property

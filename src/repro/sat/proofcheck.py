@@ -15,9 +15,10 @@ Checker*, DATE 2003).  This module provides that validation leg:
   core (plus the failed assumptions, if any) is itself unsatisfiable,
   by re-solving it from scratch in a fresh solver.
 
-Both checks are *per-solve* diagnostics; production runs skip them, the
-test-suite and the ``--check-proofs`` CLI flag use them to keep the PBA
-machinery honest.
+Both checks are *per-solve* diagnostics that production runs skip.  The
+test-suite calls them (directly and through :func:`certify_unsat`) to
+keep the solver's proof log and the PBA machinery honest; no CLI flag
+exposes them.
 """
 
 from __future__ import annotations

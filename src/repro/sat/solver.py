@@ -21,6 +21,16 @@ Two propagation back-ends share the search loop:
   against permanent level-0 units, and assumption-trail reuse — a solve
   whose assumption list shares a prefix with the previous solve keeps
   the propagated prefix assigned instead of cancelling to level 0.
+  The kept trail also survives clause additions: ``add_clause`` drops
+  only the free search levels and attaches the new clause against the
+  assumption levels (watching it, asserting its last open literal, or
+  backtracking first when it is false there).  Root facts — added or
+  learned units — are asserted at level 0 without cancelling the
+  levels above (chronological backtracking for level-0 literals only,
+  after Nadel & Ryvchin, SAT 2018), so an incremental BMC session does
+  not re-propagate its initial-state cone at every depth.  Proof-logging
+  solvers still cancel to level 0 on ``add_clause``: their cores depend
+  on which clause became each literal's reason.
 * **baseline** (``fast=False``) — the historical single-watch-scheme
   implementation, kept bit-for-bit as the differential oracle
   (``BmcOptions.solver_baseline`` / CLI ``--solver-baseline``).
@@ -185,7 +195,8 @@ class SolveResult:
 
     def __bool__(self) -> bool:  # allows ``if solver.solve(...):``
         if self.unknown:
-            raise RuntimeError("solve aborted on conflict budget (unknown result)")
+            raise RuntimeError(
+                f"solve aborted on {self.limit} limit (unknown result)")
         return self.sat
 
 
@@ -328,33 +339,66 @@ class Solver:
         absorbed (tautology or already satisfied at level 0).  Adding the
         empty clause (or one that closes a level-0 conflict) renders the
         solver permanently unsatisfiable.
+
+        The fast back-end without proof logging keeps the leading
+        assumption levels of the last solve (see :meth:`solve`); a
+        clause satisfied only above level 0 is therefore stored, not
+        absorbed.
         """
         if self._broken:
             return -1
         ilits = [_to_internal(lt) for lt in lits]
+        nvars = self.num_vars
         for lt in ilits:
-            if not 1 <= (lt >> 1) <= self.num_vars:
+            if not 1 <= (lt >> 1) <= nvars:
                 raise ValueError(f"literal {_to_external(lt)} references unknown variable")
         if self._trail_lim:
-            self._cancel_until(0)
+            if self._fast and not self.proof_logging:
+                # Keep the leading assumption levels (and everything they
+                # propagated); only free search levels are dropped.
+                al = self._assump_levels
+                if al[-1] == 0:
+                    self._cancel_until(al.index(0))
+            else:
+                # Proof logging: cores depend on which clause is each
+                # literal's reason, so clauses arrive at level 0.
+                self._cancel_until(0)
+        if not self._trail_lim and self._qhead < len(self._trail):
+            # Root units kept by the last backtrack are still queued:
+            # propagate them so simplification sees the level-0 closure.
+            confl = self._propagate()
+            if confl != -1:
+                self._mark_broken(self._conflict_core_at_level0(confl))
+                return -1
         # Simplify against level-0 assignments and duplicates.  The ids of
         # the unit chains that falsified removed literals become part of
-        # this clause's "derivation" so cores stay sufficient.
+        # this clause's "derivation" so cores stay sufficient.  Literals
+        # false above level 0 (a kept trail) stay in the clause, after
+        # the ones that are not false, so those come first as watches.
+        levels = self._levels
         out: list[int] = []
+        late: list[int] = []
         seen: set[int] = set()
         simplify_deps: list[int] = []
         for lt in ilits:
-            v = self._lit_value(lt)
-            if v == _TRUE or (lt ^ 1) in seen:
-                return -1  # clause already satisfied / tautology
+            if (lt ^ 1) in seen:
+                return -1  # tautology
             if lt in seen:
                 continue
-            if v == _FALSE:
+            v = self._lit_value(lt)
+            if v != UNASSIGNED and levels[lt >> 1] == 0:
+                if v == _TRUE:
+                    return -1  # clause already satisfied at level 0
                 if self.proof_logging:
                     simplify_deps.extend(self._explain_level0(lt >> 1))
                 continue
             seen.add(lt)
-            out.append(lt)
+            if v == _FALSE:
+                late.append(lt)
+            else:
+                out.append(lt)
+        open_lits = len(out)
+        out.extend(late)
         cid = len(self._clauses)
         self._clauses.append(out if out else list(ilits))
         self._labels[cid] = label
@@ -371,6 +415,8 @@ class Solver:
             # remember those ids so cores that use this clause stay
             # self-contained.
             self._simplify_deps[cid] = tuple(set(simplify_deps))
+        if self._trail_lim and open_lits < 2 and self._place_under_trail(cid):
+            return cid
         if len(out) == 1:
             if not self._enqueue(out[0], cid):
                 raise AssertionError("unit enqueue cannot conflict after simplification")
@@ -414,12 +460,19 @@ class Solver:
 
         In fast mode, a solve whose assumption list shares a prefix with
         the previous solve's keeps the matching decision levels (and
-        their propagations) assigned instead of cancelling to level 0 —
-        sound because :meth:`add_clause` cancels to level 0, so a kept
-        prefix is always at propagation fixpoint for the full clause set.
+        their propagations) assigned instead of cancelling to level 0.
+        That is sound because :meth:`add_clause` attaches every new
+        clause against the kept trail: it is watched on two literals that
+        are not false, or its implied literal is queued, or the trail is
+        cut back below its falsified literals.  Whatever the new clauses
+        imply is propagated here; a conflict that leaves no literal at
+        the current level backtracks to the conflict's highest level and
+        is analyzed like any other (level 0: the CNF is unsatisfiable).
         """
         self.stats.solves += 1
         if self._broken:
+            # UNSAT without assumptions: no assumption failed.
+            self._last_failed = ()
             return self._result(False)
         if deadline is not None and time.monotonic() >= deadline:
             return SolveResult(sat=False, unknown=True, limit="deadline",
@@ -450,17 +503,13 @@ class Solver:
         confl = self._propagate()
         if prof:
             st.time_propagate_s += time.perf_counter() - t0
-        if confl != -1:
-            if self._decision_level() > 0:
-                # A retained prefix can only hold a pending conflict if
-                # clauses arrived since the last solve; add_clause cancels
-                # to level 0 so this is defensive — re-run from scratch.
-                self._cancel_until(0)
-                confl = self._propagate()
-            if confl != -1:
-                self._mark_broken(self._conflict_core_at_level0(confl))
-                return self._result(False)
-        if self._fast and self._decision_level() == 0:
+        if confl != -1 and self._decision_level() == 0:
+            self._mark_broken(self._conflict_core_at_level0(confl))
+            return self._result(False)
+        # A conflict under the kept prefix (clauses or root units arrived
+        # since the last solve) is analyzed by the loop below like any
+        # other, after backtracking to the conflict's highest level.
+        if confl == -1 and self._fast and self._decision_level() == 0:
             if prof:
                 t0 = time.perf_counter()
             self._simplify_learned()
@@ -472,14 +521,22 @@ class Solver:
         conflicts_here = 0
         decisions_here = 0
         while True:
-            if prof:
-                t0 = time.perf_counter()
-            confl = self._propagate()
-            if prof:
-                st.time_propagate_s += time.perf_counter() - t0
+            if confl == -1:
+                if prof:
+                    t0 = time.perf_counter()
+                confl = self._propagate()
+                if prof:
+                    st.time_propagate_s += time.perf_counter() - t0
             if confl != -1:
                 self.stats.conflicts += 1
                 conflicts_here += 1
+                if self._fast:
+                    # A root literal propagated above its level can leave
+                    # no literal of the conflict at the current level.
+                    levels = self._levels
+                    clvl = max(levels[q >> 1] for q in self._clauses[confl])
+                    if clvl < self._decision_level():
+                        self._cancel_until(clvl)
                 if self._decision_level() == 0:
                     self._mark_broken(self._conflict_core_at_level0(confl))
                     return self._result(False)
@@ -507,6 +564,7 @@ class Solver:
                 if prof:
                     st.time_analyze_s += time.perf_counter() - t0
                 self._decay_activities()
+                confl = -1
                 continue
             # No conflict: restart / reduce / decide.
             if conflicts_here >= conflicts_budget:
@@ -749,6 +807,80 @@ class Solver:
         self._trail.append(ilit)
         return True
 
+    def _enqueue_root(self, ilit: int, reason: int) -> None:
+        """Assert an unassigned literal as a permanent level-0 fact.
+
+        Above decision level 0 the literal lands above ``trail_lim[0]``
+        (chronological backtracking for root literals only): the current
+        levels stay, and :meth:`_cancel_until` keeps the literal and
+        re-queues it for propagation at whatever level remains.
+        """
+        var = ilit >> 1
+        self._assigns[var] = (ilit & 1) ^ 1
+        self._levels[var] = 0
+        self._reasons[var] = reason
+        self._trail.append(ilit)
+
+    def _place_under_trail(self, cid: int) -> bool:
+        """Attach a new clause against a kept trail (decision level > 0).
+
+        For a clause with fewer than two literals that are not false
+        (:meth:`add_clause` watches the others directly).  Exactly one:
+        assert it with ``cid`` as its reason at the level the clause
+        implies it.  None: backtrack to the clause's second-highest level
+        first.  A lone literal is a root fact.  Leaves the new
+        assignments queued for the next solve's propagation.  Returns
+        False when placement had to cancel to level 0, where the
+        caller's level-0 path takes over.
+        """
+        lits = self._clauses[cid]
+        assigns = self._assigns
+        levels = self._levels
+        if len(lits) == 1:
+            u = lits[0]
+            v = self._lit_value(u)
+            if v == _TRUE:
+                # Promote in place: the literal becomes a root fact.
+                levels[u >> 1] = 0
+                self._reasons[u >> 1] = cid
+                return True
+            if v == _FALSE:
+                self._cancel_until(levels[u >> 1] - 1)
+                if not self._trail_lim:
+                    return False
+            self._enqueue_root(u, cid)
+            return True
+        # At most one literal is not false: order it first, then the
+        # false ones by decreasing level.
+        top = len(self._trail_lim) + 1
+
+        def rank(lt: int) -> int:
+            a = assigns[lt >> 1]
+            if a == UNASSIGNED or (a ^ (lt & 1)) == _TRUE:
+                return top
+            return levels[lt >> 1]
+
+        lits.sort(key=rank, reverse=True)
+        r0 = rank(lits[0])
+        r1 = rank(lits[1])
+        if r0 != top:
+            # All false: free the highest level (two literals if tied).
+            self._cancel_until(r0 - 1 if r0 == r1 else r1)
+            if not self._trail_lim:
+                return False
+            if r0 == r1:
+                self._attach(cid)
+                return True
+        # lits[0] is the only literal not false; the rest imply it at r1.
+        u = lits[0]
+        if self._lit_value(u) == _TRUE and levels[u >> 1] <= r1:
+            self._attach(cid)
+            return True
+        self._cancel_until(r1)
+        self._attach(cid)
+        self._enqueue(u, cid)
+        return True
+
     def _propagate(self) -> int:
         """Unit propagation; returns conflicting clause id or -1."""
         if self._fast:
@@ -977,7 +1109,9 @@ class Solver:
             levels = self._levels
             lbd = len({levels[q >> 1] for q in learnt})
         if len(learnt) == 1:
-            bt = 0
+            # Fast mode asserts the unit at the root without cancelling
+            # the levels below the conflict (see _enqueue_root).
+            bt = level - 1 if self._fast else 0
         else:
             max_i = 1
             for i in range(2, len(learnt)):
@@ -1035,8 +1169,9 @@ class Solver:
         if self.proof_logging:
             self._derivations[cid] = tuple(set(used))
         if len(learnt) == 1:
-            if not self._enqueue(learnt[0], cid):
+            if self._lit_value(learnt[0]) != UNASSIGNED:
                 raise AssertionError("asserting unit conflicts after backtrack")
+            self._enqueue_root(learnt[0], cid)
         else:
             self._learned_ids.append(cid)
             self._clause_act[cid] = self._cla_inc
@@ -1146,24 +1281,39 @@ class Solver:
             self._unsat_core_cids = core
 
     def _cancel_until(self, level: int) -> None:
+        """Backtrack to ``level``.
+
+        Root literals asserted above ``trail_lim[0]`` survive: they are
+        moved down to the end of the kept trail and re-queued, since the
+        implications they had at the cancelled levels are gone.
+        """
         if self._decision_level() <= level:
             return
         bound = self._trail_lim[level]
+        trail = self._trail
         assigns = self._assigns
         saved = self._saved_phase
         reasons = self._reasons
         insert = self._order.insert
-        for i in range(len(self._trail) - 1, bound - 1, -1):
-            ilit = self._trail[i]
+        levels = self._levels
+        kept: list[int] = []
+        for i in range(len(trail) - 1, bound - 1, -1):
+            ilit = trail[i]
             var = ilit >> 1
+            if levels[var] == 0:
+                kept.append(ilit)
+                continue
             saved[var] = assigns[var]
             assigns[var] = UNASSIGNED
             reasons[var] = -1
             insert(var)
-        del self._trail[bound:]
+        del trail[bound:]
+        kept.reverse()
+        trail.extend(kept)
         del self._trail_lim[level:]
         del self._assump_levels[level:]
-        self._qhead = len(self._trail)
+        if self._qhead > bound:
+            self._qhead = bound
 
     def _simplify_learned(self) -> None:
         """Shrink learned clauses against permanent level-0 assignments.

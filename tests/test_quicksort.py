@@ -115,3 +115,21 @@ class TestVerification:
         assert "stack" in res.memories
         kept_bits = sum(design.latches[n].width for n in res.latches)
         assert kept_bits < design.num_latch_bits()
+
+    def test_default_p2_pba_phase_pinned(self):
+        """The CLI's default quicksort P2 abstraction phase, pinned.
+
+        Unsat cores are not unique, so solver changes can move these
+        figures (a kept trail across clause additions abstracted ``arr``
+        at depth 5 with 9 latch reasons); this pin makes such drift a
+        test failure instead of a surprise in the benchmark table.
+        """
+        design = build_quicksort(QuicksortParams(
+            n=3, addr_width=3, data_width=4, stack_addr_width=3))
+        phase = run_pba_phase(design, "P2", stability_depth=3, max_depth=10)
+        assert phase.stable
+        assert phase.stable_depth == 6
+        assert len(phase.latch_reasons) == 12
+        assert (phase.kept_latch_bits, phase.orig_latch_bits) == (39, 62)
+        assert phase.kept_memories == {"arr", "stack"}
+        assert not phase.abstracted_memories

@@ -111,8 +111,9 @@ def test_assumption_trail_reuse_keeps_verdicts_and_saves_levels():
 
 
 def test_clause_addition_invalidates_saved_trail():
-    """add_clause cancels to level 0; a later solve must re-propagate
-    the (possibly changed) implications rather than trust stale ones."""
+    """add_clause keeps the assumption levels but attaches the new clause
+    against them; a later solve must see the conflict the clause closes
+    rather than trust the implications saved before it arrived."""
     s = Solver(proof=False, fast=True)
     for _ in range(4):
         s.new_var()
@@ -200,6 +201,31 @@ def test_deadline_polled_on_decisions_without_conflicts(monkeypatch, fast):
     r = s.solve(deadline=0.3)
     assert r.unknown, "conflict-free search ran straight through the deadline"
     assert r.limit == "deadline"
+
+
+def _unknown_result(limit):
+    s = Solver(proof=False)
+    for _ in range(12):
+        s.new_var()
+    # Pigeonhole 4 -> 3 needs conflicts to refute.
+    pig = [[h * 4 + p + 1 for h in range(3)] for p in range(4)]
+    for holes in pig:
+        s.add_clause(holes)
+    for h in range(3):
+        for p in range(4):
+            for q in range(p + 1, 4):
+                s.add_clause([-pig[p][h], -pig[q][h]])
+    if limit == "conflicts":
+        return s.solve(max_conflicts=0)
+    return s.solve(deadline=0.0)
+
+
+@pytest.mark.parametrize("limit", ["conflicts", "deadline"])
+def test_unknown_result_truthiness_names_its_limit(limit):
+    r = _unknown_result(limit)
+    assert r.unknown and r.limit == limit
+    with pytest.raises(RuntimeError, match=f"aborted on {limit} limit"):
+        bool(r)
 
 
 # ---------------------------------------------------------------------------
