@@ -134,13 +134,6 @@ class BmcOptions:
     mem_quota_mb: Optional[float] = None
     clause_var_quota: Optional[int] = None
     wall_quota_s: Optional[float] = None
-    #: Run the session's solver with its historical baseline CDCL loop
-    #: instead of the fast back-end (blocker literals, dedicated binary
-    #: watch lists, LBD clause tiers, root-level clause shrinking,
-    #: assumption-trail reuse).  The baseline is the differential oracle
-    #: for the fast machinery — verdicts, models, failed-assumption sets
-    #: and core labels must agree (``tests/test_solver_fast.py``).
-    solver_baseline: bool = False
     #: Collect wall-clock phase breakdowns into
     #: :attr:`repro.bmc.results.BmcRunStats.profile`: scheduler-level
     #: encode vs solve, plus the solver's internal
@@ -157,9 +150,7 @@ class BmcOptions:
         per-run knobs (``max_depth``, ``timeout_s``,
         ``max_conflicts_per_check``, ``validate_cex``, ``profile`` and
         the ``mem_quota_mb``/``clause_var_quota``/``wall_quota_s``
-        quotas) are excluded.  ``solver_baseline`` is *included*: it selects the
-        solver back-end the session is built on, and fast and baseline
-        sessions must never be cache-aliased.
+        quotas) are excluded.
         """
         ports = self.kept_read_ports
         ports_key = (None if ports is None else
@@ -172,8 +163,7 @@ class BmcOptions:
                 self.emm_addr_dedup, self.strash, self.emm_chain_share,
                 self.emm_hybrid_strash, self.emm_cross_mem_share,
                 self.kept_latches,
-                self.kept_memories, ports_key, groups_key,
-                self.solver_baseline)
+                self.kept_memories, ports_key, groups_key)
 
 
 def bmc1(**kw) -> BmcOptions:
@@ -591,10 +581,10 @@ def verify_many(design: Design, property_names=None,
       and shared by every engine (``_begin_run``'s ``forward_memo``).
       The memo is local to this call: single-engine :meth:`BmcEngine.run`
       stays bit-identical to its historical behaviour.
-    * **Assumption-trail reuse** — the fast solver back-end keeps the
-      propagated ``[a_init, a_meminit]`` assumption prefix (the whole
-      initial-state cone) assigned across consecutive falsification
-      checks instead of re-propagating it per property
+    * **Assumption-trail reuse** — the solver keeps the propagated
+      ``[a_init, a_meminit]`` assumption prefix (the whole initial-state
+      cone) assigned across consecutive falsification checks instead of
+      re-propagating it per property
       (``SolverStats.trail_saved_levels``).  Without proof logging the
       prefix also survives the next depth's clause additions, which are
       attached against it, so the cone is propagated once per session

@@ -85,8 +85,7 @@ class EncodingSession:
             raise ValueError(
                 "design has memories but use_emm=False; expand them first "
                 "(repro.design.expand_memories) for the explicit baseline")
-        self.solver = Solver(proof=options.pba,
-                             fast=not options.solver_baseline)
+        self.solver = Solver(proof=options.pba)
         self.aig = Aig(strash=options.strash)
         # PBA sessions keep the plain AND-triple lowering: the ITE form
         # is function-equivalent but collapses each mux's two inner AND

@@ -147,7 +147,6 @@ def _verify_options(args) -> BmcOptions:
                           max_depth=args.max_depth,
                           strash=not args.no_strash,
                           timeout_s=args.timeout,
-                          solver_baseline=args.solver_baseline,
                           profile=args.profile, **quotas)
     return BmcOptions(use_emm=True,
                       find_proof=(args.engine != "bmc2") and not args.no_proof,
@@ -160,7 +159,6 @@ def _verify_options(args) -> BmcOptions:
                       emm_hybrid_strash=not args.no_hybrid_strash,
                       emm_cross_mem_share=not args.no_cross_mem_share,
                       timeout_s=args.timeout,
-                      solver_baseline=args.solver_baseline,
                       profile=args.profile, **quotas)
 
 
@@ -363,12 +361,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--show-trace", action="store_true")
     p_verify.add_argument("--shrink", action="store_true",
                           help="minimize counterexample traces")
-    p_verify.add_argument("--solver-baseline", action="store_true",
-                          help="run the historical baseline CDCL loop "
-                               "instead of the fast solver back-end "
-                               "(blocker literals, binary watchers, LBD "
-                               "tiers, assumption-trail reuse) — the "
-                               "differential oracle for A/B timing")
     p_verify.add_argument("--profile", action="store_true",
                           help="measure wall-clock phases (encode vs "
                                "solve, and the solver's propagate/"

@@ -10,6 +10,8 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
 
     Tolerates missing/inconsistent ``p cnf`` headers (the variable count is
     widened to the maximum literal seen) and comment lines anywhere.
+    A line starting with ``%`` ends the formula: SATLIB benchmark files
+    (``uf*``/``uuf*``) close with a ``%`` line and a stray ``0``.
     """
     num_vars = 0
     clauses: list[list[int]] = []
@@ -18,6 +20,8 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             parts = line.split()
             if len(parts) >= 4 and parts[1] == "cnf":

@@ -10,34 +10,29 @@ original clauses sufficient for unsatisfiability — the paper's
 ``SAT_Get_Refutation`` step (Figure 1, line 10) that feeds proof-based
 abstraction.
 
-Two propagation back-ends share the search loop:
+The propagation machinery is MiniSat-2.2/Glucose-class: a dedicated
+binary-implication watch list that propagates 2-literal clauses (the
+EMM-dominant shape) without touching clause objects, ``(cid, blocker)``
+pairs in the long-clause watch lists so satisfied clauses are skipped on
+the blocker alone, LBD (glue) scoring with a tiered clause-database
+reduction (glue <= 2 pinned), root-level shrinking of learned clauses
+against permanent level-0 units, and assumption-trail reuse — a solve
+whose assumption list shares a prefix with the previous solve keeps the
+propagated prefix assigned instead of cancelling to level 0.  The kept
+trail also survives clause additions: ``add_clause`` drops only the free
+search levels and attaches the new clause against the assumption levels
+(watching it, asserting its last open literal, or backtracking first
+when it is false there).  Root facts — added or learned units — are
+asserted at level 0 without cancelling the levels above (chronological
+backtracking for level-0 literals only, after Nadel & Ryvchin, SAT
+2018), so an incremental BMC session does not re-propagate its
+initial-state cone at every depth.  Proof-logging solvers still cancel
+to level 0 on ``add_clause``: their cores depend on which clause became
+each literal's reason.
 
-* **fast** (default) — MiniSat-2.2/Glucose-class machinery: a dedicated
-  binary-implication watch list that propagates 2-literal clauses (the
-  EMM-dominant shape) without touching clause objects, ``(cid, blocker)``
-  pairs in the long-clause watch lists so satisfied clauses are skipped
-  on the blocker alone, LBD (glue) scoring with a tiered clause-database
-  reduction (glue <= 2 pinned), root-level shrinking of learned clauses
-  against permanent level-0 units, and assumption-trail reuse — a solve
-  whose assumption list shares a prefix with the previous solve keeps
-  the propagated prefix assigned instead of cancelling to level 0.
-  The kept trail also survives clause additions: ``add_clause`` drops
-  only the free search levels and attaches the new clause against the
-  assumption levels (watching it, asserting its last open literal, or
-  backtracking first when it is false there).  Root facts — added or
-  learned units — are asserted at level 0 without cancelling the
-  levels above (chronological backtracking for level-0 literals only,
-  after Nadel & Ryvchin, SAT 2018), so an incremental BMC session does
-  not re-propagate its initial-state cone at every depth.  Proof-logging
-  solvers still cancel to level 0 on ``add_clause``: their cores depend
-  on which clause became each literal's reason.
-* **baseline** (``fast=False``) — the historical single-watch-scheme
-  implementation, kept bit-for-bit as the differential oracle
-  (``BmcOptions.solver_baseline`` / CLI ``--solver-baseline``).
-
-Both back-ends produce identical verdicts, models satisfying the CNF,
-sound failed-assumption sets and proof-checkable cores; search order
-(and therefore the exact learned clauses and cores) may differ.
+Answers are checkable independently of the search: models against the
+clauses, UNSAT answers by RUP over the learned clauses plus a re-solve
+of the core (:mod:`repro.sat.proofcheck`).
 """
 
 from __future__ import annotations
@@ -158,12 +153,12 @@ class SolverStats:
     learned: int = 0
     deleted: int = 0
     solves: int = 0
-    #: Decision levels retained by assumption-trail reuse (fast mode):
+    #: Decision levels retained by assumption-trail reuse:
     #: summed over solves, each counting the prefix of assumption levels
     #: kept assigned instead of being cancelled and re-propagated.
     trail_saved_levels: int = 0
     #: Learned clauses shrunk / literals removed by root-level
-    #: simplification against permanent level-0 units (fast mode).
+    #: simplification against permanent level-0 units.
     shrunk_clauses: int = 0
     shrunk_lits: int = 0
     #: Wall-clock phase breakdown, populated only while
@@ -210,23 +205,17 @@ class Solver:
         in its derivation so unsat cores can be extracted.  BMC with PBA
         requires this; plain falsification runs may disable it to save
         memory.
-    fast:
-        Select the modern propagation back-end (binary watchers, blocker
-        literals, LBD-tiered reduction, assumption-trail reuse — see the
-        module docstring).  ``False`` runs the historical baseline, kept
-        as the differential oracle.
     """
 
-    #: Tier bounds for the fast reduce: learned clauses with glue (LBD)
+    #: Tier bounds for the reduction: learned clauses with glue (LBD)
     #: <= LBD_CORE are never deleted; glue <= LBD_TIER2 clauses survive a
     #: reduction round when they were used in an analysis since the last
     #: one; the rest ("local" tier) compete on activity.
     LBD_CORE = 2
     LBD_TIER2 = 6
 
-    def __init__(self, proof: bool = True, fast: bool = True) -> None:
+    def __init__(self, proof: bool = True) -> None:
         self.proof_logging = proof
-        self._fast = fast
         #: When True, the search loop records phase wall times into
         #: :class:`SolverStats` (``time_*_s`` fields).  Off by default —
         #: flipped by the engine under ``BmcOptions.profile``.
@@ -237,18 +226,18 @@ class Solver:
         self._reasons: list[int] = [-1]
         self._activity: list[float] = [0.0]
         self._saved_phase: list[int] = [_FALSE]
-        # Watches indexed by internal literal.  Baseline entries are bare
-        # clause ids; fast entries are ``(cid, blocker)`` pairs.
-        self._watches: list[list] = [[], []]
-        # Fast mode: 2-literal clauses live here as ``(cid, other_lit)``
-        # and are propagated without touching the clause object.
+        # Watches indexed by internal literal: ``(cid, blocker)`` pairs of
+        # the clauses (3+ literals) watching it.
+        self._watches: list[list[tuple[int, int]]] = [[], []]
+        # 2-literal clauses live here as ``(cid, other_lit)`` and are
+        # propagated without touching the clause object.
         self._bin_watches: list[list[tuple[int, int]]] = [[], []]
         # Clause database: list of literal-lists (None when deleted).
         self._clauses: list[Optional[list[int]]] = []
         self._learned_ids: list[int] = []
         self._clause_act: dict[int, float] = {}
         #: Learned cid -> glue (LBD) at learn time, lowered dynamically
-        #: when the clause is used in an analysis (fast mode only).
+        #: when the clause is used in an analysis.
         self._clause_lbd: dict[int, int] = {}
         #: Learned cids used in an analysis since the last _reduce_db.
         self._clause_used: set[int] = set()
@@ -290,11 +279,6 @@ class Solver:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-
-    @property
-    def fast(self) -> bool:
-        """Whether the modern (non-baseline) back-end is active."""
-        return self._fast
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable (positive integer)."""
@@ -340,7 +324,7 @@ class Solver:
         empty clause (or one that closes a level-0 conflict) renders the
         solver permanently unsatisfiable.
 
-        The fast back-end without proof logging keeps the leading
+        Without proof logging the solver keeps the leading
         assumption levels of the last solve (see :meth:`solve`); a
         clause satisfied only above level 0 is therefore stored, not
         absorbed.
@@ -353,7 +337,7 @@ class Solver:
             if not 1 <= (lt >> 1) <= nvars:
                 raise ValueError(f"literal {_to_external(lt)} references unknown variable")
         if self._trail_lim:
-            if self._fast and not self.proof_logging:
+            if not self.proof_logging:
                 # Keep the leading assumption levels (and everything they
                 # propagated); only free search levels are dropped.
                 al = self._assump_levels
@@ -458,7 +442,7 @@ class Solver:
         wall budget.  A conflict at decision level 0 still returns the
         definitive UNSAT answer regardless of either limit.
 
-        In fast mode, a solve whose assumption list shares a prefix with
+        A solve whose assumption list shares a prefix with
         the previous solve's keeps the matching decision levels (and
         their propagations) assigned instead of cancelling to level 0.
         That is sound because :meth:`add_clause` attaches every new
@@ -484,18 +468,15 @@ class Solver:
         for lt in iassumps:
             if not 1 <= (lt >> 1) <= self.num_vars:
                 raise ValueError(f"assumption {_to_external(lt)} references unknown variable")
-        if self._fast:
-            # Assumption-trail reuse: keep the longest decision-level
-            # prefix whose assumption literals match this call's.
-            al = self._assump_levels
-            keep = 0
-            limit = min(len(al), len(iassumps))
-            while keep < limit and al[keep] == iassumps[keep]:
-                keep += 1
-            self._cancel_until(keep)
-            self.stats.trail_saved_levels += keep
-        else:
-            self._cancel_until(0)
+        # Assumption-trail reuse: keep the longest decision-level prefix
+        # whose assumption literals match this call's.
+        al = self._assump_levels
+        keep = 0
+        limit = min(len(al), len(iassumps))
+        while keep < limit and al[keep] == iassumps[keep]:
+            keep += 1
+        self._cancel_until(keep)
+        self.stats.trail_saved_levels += keep
         prof = self.profile
         st = self.stats
         if prof:
@@ -509,7 +490,7 @@ class Solver:
         # A conflict under the kept prefix (clauses or root units arrived
         # since the last solve) is analyzed by the loop below like any
         # other, after backtracking to the conflict's highest level.
-        if confl == -1 and self._fast and self._decision_level() == 0:
+        if confl == -1 and self._decision_level() == 0:
             if prof:
                 t0 = time.perf_counter()
             self._simplify_learned()
@@ -530,13 +511,12 @@ class Solver:
             if confl != -1:
                 self.stats.conflicts += 1
                 conflicts_here += 1
-                if self._fast:
-                    # A root literal propagated above its level can leave
-                    # no literal of the conflict at the current level.
-                    levels = self._levels
-                    clvl = max(levels[q >> 1] for q in self._clauses[confl])
-                    if clvl < self._decision_level():
-                        self._cancel_until(clvl)
+                # A root literal propagated above its level can leave no
+                # literal of the conflict at the current level.
+                levels = self._levels
+                clvl = max(levels[q >> 1] for q in self._clauses[confl])
+                if clvl < self._decision_level():
+                    self._cancel_until(clvl)
                 if self._decision_level() == 0:
                     self._mark_broken(self._conflict_core_at_level0(confl))
                     return self._result(False)
@@ -573,12 +553,11 @@ class Solver:
                 conflicts_here = 0
                 self.stats.restarts += 1
                 self._cancel_until(0)
-                if self._fast:
-                    if prof:
-                        t0 = time.perf_counter()
-                    self._simplify_learned()
-                    if prof:
-                        st.time_simplify_s += time.perf_counter() - t0
+                if prof:
+                    t0 = time.perf_counter()
+                self._simplify_learned()
+                if prof:
+                    st.time_simplify_s += time.perf_counter() - t0
                 continue
             if len(self._learned_ids) > self._max_learnts + len(self._trail):
                 if prof:
@@ -780,21 +759,17 @@ class Solver:
 
     def _attach(self, cid: int) -> None:
         # watches[L] holds the clauses currently watching literal L; they
-        # are revisited when L becomes false.  Fast mode: 2-literal
-        # clauses go to the binary implication lists, longer clauses
-        # carry a blocker literal in the watch entry.
+        # are revisited when L becomes false.  2-literal clauses go to the
+        # binary implication lists, longer clauses carry a blocker literal
+        # in the watch entry.
         lits = self._clauses[cid]
         assert lits is not None and len(lits) >= 2
-        if self._fast:
-            if len(lits) == 2:
-                self._bin_watches[lits[0]].append((cid, lits[1]))
-                self._bin_watches[lits[1]].append((cid, lits[0]))
-            else:
-                self._watches[lits[0]].append((cid, lits[1]))
-                self._watches[lits[1]].append((cid, lits[0]))
+        if len(lits) == 2:
+            self._bin_watches[lits[0]].append((cid, lits[1]))
+            self._bin_watches[lits[1]].append((cid, lits[0]))
         else:
-            self._watches[lits[0]].append(cid)
-            self._watches[lits[1]].append(cid)
+            self._watches[lits[0]].append((cid, lits[1]))
+            self._watches[lits[1]].append((cid, lits[0]))
 
     def _enqueue(self, ilit: int, reason: int) -> bool:
         v = self._lit_value(ilit)
@@ -882,13 +857,10 @@ class Solver:
         return True
 
     def _propagate(self) -> int:
-        """Unit propagation; returns conflicting clause id or -1."""
-        if self._fast:
-            return self._propagate_fast()
-        return self._propagate_base()
+        """Unit propagation; returns conflicting clause id or -1.
 
-    def _propagate_fast(self) -> int:
-        """Fast unit propagation: binary lists first, blockers on long."""
+        Binary implication lists first, then blocker-checked long clauses.
+        """
         trail = self._trail
         clauses = self._clauses
         assigns = self._assigns
@@ -975,69 +947,6 @@ class Solver:
         self.stats.propagations += nprops
         return -1
 
-    def _propagate_base(self) -> int:
-        """Baseline unit propagation (the historical single-scheme path)."""
-        trail = self._trail
-        clauses = self._clauses
-        assigns = self._assigns
-        watches = self._watches
-        levels = self._levels
-        reasons = self._reasons
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            false_lit = p ^ 1
-            wl = watches[false_lit]
-            i = 0
-            j = 0
-            n = len(wl)
-            lvl = len(self._trail_lim)
-            while i < n:
-                cid = wl[i]
-                i += 1
-                lits = clauses[cid]
-                if lits is None:
-                    continue  # deleted clause; watcher dropped
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                a0 = assigns[first >> 1]
-                if a0 != UNASSIGNED and (a0 ^ (first & 1)) == _TRUE:
-                    wl[j] = cid
-                    j += 1
-                    continue
-                moved = False
-                for k in range(2, len(lits)):
-                    lk = lits[k]
-                    ak = assigns[lk >> 1]
-                    if ak == UNASSIGNED or (ak ^ (lk & 1)) == _TRUE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watches[lits[1]].append(cid)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                wl[j] = cid
-                j += 1
-                if a0 == UNASSIGNED:
-                    var = first >> 1
-                    assigns[var] = (first & 1) ^ 1
-                    levels[var] = lvl
-                    reasons[var] = cid
-                    trail.append(first)
-                else:
-                    # Conflict: keep remaining watchers, stop.
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    del wl[j:]
-                    self._qhead = len(trail)
-                    return cid
-            del wl[j:]
-        return -1
-
     def _analyze(self, confl: int) -> tuple[list[int], int, list[int], int]:
         """First-UIP conflict analysis.
 
@@ -1046,7 +955,7 @@ class Solver:
         behind eliminated literals so that the recorded derivation is
         self-contained.  Glue (LBD — the number of distinct decision
         levels in the learned clause) is computed here, while every
-        literal is still assigned; 0 in baseline mode.
+        literal is still assigned.
         """
         seen = self._seen
         learnt: list[int] = [0]  # slot 0 reserved for the asserting literal
@@ -1105,13 +1014,13 @@ class Solver:
         for v in cleanup:
             seen[v] = False
         lbd = 0
-        if self._fast and len(learnt) > 1:
+        if len(learnt) > 1:
             levels = self._levels
             lbd = len({levels[q >> 1] for q in learnt})
         if len(learnt) == 1:
-            # Fast mode asserts the unit at the root without cancelling
-            # the levels below the conflict (see _enqueue_root).
-            bt = level - 1 if self._fast else 0
+            # The unit is asserted at the root without cancelling the
+            # levels below the conflict (see _enqueue_root).
+            bt = level - 1
         else:
             max_i = 1
             for i in range(2, len(learnt)):
@@ -1162,7 +1071,7 @@ class Solver:
         return True
 
     def _record_learnt(self, learnt: list[int], used: list[int],
-                       lbd: int = 0) -> None:
+                       lbd: int) -> None:
         cid = len(self._clauses)
         self._clauses.append(list(learnt))
         self.stats.learned += 1
@@ -1175,8 +1084,7 @@ class Solver:
         else:
             self._learned_ids.append(cid)
             self._clause_act[cid] = self._cla_inc
-            if self._fast:
-                self._clause_lbd[cid] = lbd
+            self._clause_lbd[cid] = lbd
             self._attach(cid)
             self._enqueue(learnt[0], cid)
 
@@ -1319,7 +1227,7 @@ class Solver:
         """Shrink learned clauses against permanent level-0 assignments.
 
         Runs only at decision level 0 with propagation at fixpoint (solve
-        entry and restarts, fast mode).  Learned clauses satisfied at the
+        entry and restarts).  Learned clauses satisfied at the
         root are deleted (unless they are the reason of a level-0 literal
         — their unit chains stay valid); false-at-root literals are
         removed, with the removed literals' level-0 unit chains appended
@@ -1405,19 +1313,18 @@ class Solver:
             for c in self._clause_act:
                 self._clause_act[c] *= 1e-20
             self._cla_inc *= 1e-20
-        if self._fast:
-            # Glucose-style dynamic glue: a clause used in analysis has
-            # all literals assigned, so its current LBD is well defined —
-            # keep the minimum seen.  Also marks the clause "used" for
-            # the tier-2 protection window in _reduce_db.
-            self._clause_used.add(cid)
-            old = self._clause_lbd.get(cid)
-            if old is not None and old > self.LBD_CORE:
-                lits = self._clauses[cid]
-                levels = self._levels
-                nl = len({levels[q >> 1] for q in lits})
-                if nl < old:
-                    self._clause_lbd[cid] = nl
+        # Glucose-style dynamic glue: a clause used in analysis has all
+        # literals assigned, so its current LBD is well defined — keep
+        # the minimum seen.  Also marks the clause "used" for the tier-2
+        # protection window in _reduce_db.
+        self._clause_used.add(cid)
+        old = self._clause_lbd.get(cid)
+        if old is not None and old > self.LBD_CORE:
+            lits = self._clauses[cid]
+            levels = self._levels
+            nl = len({levels[q >> 1] for q in lits})
+            if nl < old:
+                self._clause_lbd[cid] = nl
 
     def _decay_activities(self) -> None:
         self._var_inc *= self._var_decay
@@ -1433,44 +1340,22 @@ class Solver:
         return -1
 
     def _reduce_db(self) -> None:
-        """Trim the learned-clause database.
+        """Trim the learned-clause database, tiered by glue.
 
-        Baseline: remove the lower-activity half of non-reason learned
-        clauses.  Fast: tiered — "core" clauses (glue <= LBD_CORE) and
-        binaries are pinned forever, "tier2" clauses (glue <= LBD_TIER2)
-        survive the round when used in an analysis since the last
-        reduction, and the remaining "local" tier is halved worst-first
-        (highest glue, then lowest activity).
+        "Core" clauses (glue <= LBD_CORE) and binaries are pinned
+        forever, "tier2" clauses (glue <= LBD_TIER2) survive the round
+        when used in an analysis since the last reduction, and the
+        remaining "local" tier is halved worst-first (highest glue, then
+        lowest activity).  In proof mode the deleted clauses' literals
+        are kept for the proof checker: later derivations may cite them.
         """
         self._max_learnts *= self._learnt_growth
         locked = {self._reasons[lt >> 1] for lt in self._trail}
-        if not self._fast:
-            ids = sorted(self._learned_ids, key=lambda c: self._clause_act.get(c, 0.0))
-            keep: list[int] = []
-            to_delete = len(ids) // 2
-            deleted = 0
-            for cid in ids:
-                lits = self._clauses[cid]
-                if lits is None:
-                    continue
-                if deleted < to_delete and cid not in locked and len(lits) > 2:
-                    if self.proof_logging:
-                        # Later derivations may cite this clause; keep its
-                        # literals for the proof checker.
-                        self._proof_lits[cid] = tuple(lits)
-                    self._clauses[cid] = None  # watcher entries dropped lazily
-                    self._clause_act.pop(cid, None)
-                    deleted += 1
-                    self.stats.deleted += 1
-                else:
-                    keep.append(cid)
-            self._learned_ids = keep
-            return
         lbd = self._clause_lbd
         used = self._clause_used
         act = self._clause_act
         worst = 1 << 30
-        keep = []
+        keep: list[int] = []
         cands: list[int] = []
         for cid in self._learned_ids:
             lits = self._clauses[cid]

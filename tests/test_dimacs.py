@@ -31,6 +31,12 @@ class TestParse:
         nv, clauses = parse_dimacs("p cnf 3 1\n1\n2\n3 0\n")
         assert clauses == [[1, 2, 3]]
 
+    def test_satlib_percent_trailer(self):
+        # SATLIB uf*/uuf* files end with a "%" line and a lone "0".
+        nv, clauses = parse_dimacs("p cnf 2 2\n1 -2 0\n2 0\n%\n0\n")
+        assert nv == 2
+        assert clauses == [[1, -2], [2]]
+
 
 class TestWrite:
     def test_roundtrip(self):

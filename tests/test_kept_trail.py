@@ -1,13 +1,13 @@
 """Randomized differential tests for clause additions under a kept trail.
 
-The fast back-end keeps its assumption levels across ``add_clause`` and
-asserts root units (added or learned) at level 0 without cancelling the
+Without proof logging the solver keeps its assumption levels across
+``add_clause`` and asserts root units (added or learned) at level 0 without cancelling the
 levels above.  Each new clause is attached against the current trail: it
 may already be satisfied there, be unit (its last literal is asserted
 with the clause as reason) or be false (the solver backtracks first).
 These tests interleave exactly those clause shapes with assumption
-solves on small CNFs and check every answer against a fresh solver that
-sees the whole formula at once.
+solves on small CNFs and check every answer against the truth table of
+the whole formula.
 """
 
 import random
@@ -15,17 +15,13 @@ import random
 import pytest
 
 from repro.sat import Solver, check_all_learned, check_core
+from tests.sat_oracle import brute_force_sat
 
 NVARS = 14
 
 
 def _fresh_verdict(clauses, assumptions):
-    s = Solver(proof=False, fast=False)
-    for _ in range(NVARS):
-        s.new_var()
-    for c in clauses:
-        s.add_clause(c)
-    return s.solve(list(assumptions)).sat
+    return brute_force_sat(NVARS, clauses, assumptions)
 
 
 def _random_clause(rng):
@@ -85,7 +81,7 @@ def _check_answer(s, clauses, assumps, res, proof):
 
 def _run_session(seed, proof):
     rng = random.Random(seed)
-    s = Solver(proof=proof, fast=True)
+    s = Solver(proof=proof)
     for _ in range(NVARS):
         s.new_var()
     clauses = []
@@ -127,8 +123,8 @@ def test_kept_trail_with_proof_logging_certifies(seed):
     _run_session(7000 + seed, proof=True)
 
 
-def _prefixed_solver(proof, fast):
-    s = Solver(proof=proof, fast=fast)
+def _prefixed_solver(proof):
+    s = Solver(proof=proof)
     for _ in range(8):
         s.new_var()
     s.add_clause([-1, 4])
@@ -137,9 +133,9 @@ def _prefixed_solver(proof, fast):
     return s
 
 
-def _saved_levels_across_add(proof, fast):
+def _saved_levels_across_add(proof):
     """Levels kept by the solve right after an ``add_clause``."""
-    s = _prefixed_solver(proof, fast)
+    s = _prefixed_solver(proof)
     assert s.solve([1, 2, 3]).sat
     s.add_clause([-7, 8])
     before = s.stats.trail_saved_levels
@@ -148,19 +144,17 @@ def _saved_levels_across_add(proof, fast):
 
 
 def test_fast_solver_keeps_trail_across_add_clause():
-    assert _saved_levels_across_add(proof=False, fast=True) == 3
+    assert _saved_levels_across_add(proof=False) == 3
 
 
-@pytest.mark.parametrize("proof,fast", [(True, True), (True, False),
-                                        (False, False)])
-def test_proof_and_baseline_solvers_cancel_on_add_clause(proof, fast):
-    assert _saved_levels_across_add(proof=proof, fast=fast) == 0
+def test_proof_solver_cancels_on_add_clause():
+    assert _saved_levels_across_add(proof=True) == 0
 
 
 def test_root_unit_under_kept_trail_survives_backtrack():
     """A unit added under kept levels is a root fact: it must hold in the
     model even after later solves drop the levels it arrived under."""
-    s = _prefixed_solver(proof=False, fast=True)
+    s = _prefixed_solver(proof=False)
     assert s.solve([1, 2]).sat
     s.add_clause([8])
     s.add_clause([-8, -6])
@@ -171,7 +165,7 @@ def test_root_unit_under_kept_trail_survives_backtrack():
 
 
 def test_clause_false_under_kept_trail_backtracks():
-    s = _prefixed_solver(proof=False, fast=True)
+    s = _prefixed_solver(proof=False)
     assert s.solve([1, 2, 3]).sat
     s.add_clause([-1, -2])  # false under the kept assumption levels
     r = s.solve([1, 2, 3])
@@ -184,7 +178,7 @@ def test_queued_root_units_conflict_below_current_level():
     """Two root units queued under three kept assumption levels falsify
     a clause whose other literal sits at level 2: the solver must back
     up to level 2 and analyze there, then blame assumption 2 alone."""
-    s = _prefixed_solver(proof=False, fast=True)
+    s = _prefixed_solver(proof=False)
     assert s.solve([1, 2, 3]).sat
     s.add_clause([-6, -8, -2])
     s.add_clause([6])

@@ -1,24 +1,9 @@
 """Property-based tests: solver vs brute force, core sufficiency."""
 
-import itertools
-
 from hypothesis import given, settings, strategies as st
 
 from repro.sat import Solver
-
-
-def brute_force_sat(num_vars, clauses, extra_units=()):
-    all_clauses = [list(c) for c in clauses] + [[u] for u in extra_units]
-    for bits in itertools.product([False, True], repeat=num_vars):
-        ok = True
-        for clause in all_clauses:
-            if not any((bits[abs(lit) - 1] if lit > 0 else not bits[abs(lit) - 1])
-                       for lit in clause):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+from tests.sat_oracle import brute_force_sat
 
 
 @st.composite

@@ -161,8 +161,7 @@ def test_encoding_key_ignores_run_knobs_only():
     diff = [BmcOptions(find_proof=False), BmcOptions(pba=True),
             BmcOptions(emm_encoding="gates"), BmcOptions(strash=False),
             BmcOptions(kept_latches=frozenset({"x"})),
-            BmcOptions(kept_read_ports={"m": frozenset({0})}),
-            BmcOptions(solver_baseline=True)]
+            BmcOptions(kept_read_ports={"m": frozenset({0})})]
     for opt in diff:
         assert opt.encoding_key() != base.encoding_key(), opt
 

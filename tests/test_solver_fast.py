@@ -1,31 +1,36 @@
-"""Differential and regression tests for the fast solver back-end.
+"""Oracle and regression tests for the CDCL solver's search machinery.
 
-The fast CDCL loop (blocker literals, dedicated binary watch lists,
-LBD clause tiers, root-level clause shrinking, assumption-trail reuse)
-must be *observationally identical* to the historical baseline loop:
-same verdicts, sound models, sound failed-assumption sets, checkable
-proofs.  The baseline (``Solver(fast=False)`` /
-``BmcOptions(solver_baseline=True)``) is kept precisely to be the
-differential oracle here and in ``benchmarks/bench_solver_wall.py``.
+The solver's blocker literals, dedicated binary watch lists, LBD clause
+tiers, root-level clause shrinking and assumption-trail reuse are
+checked against oracles independent of the search: every SAT answer's
+model must satisfy each clause and assumption, every UNSAT answer must
+pass :func:`repro.sat.certify_unsat` (RUP over the learned clauses plus
+a re-solve of the core and failed assumptions), and small CNFs are
+decided by the truth table in ``tests/sat_oracle.py``.  Full BMC runs
+are checked against BDD reachability and the explicit-memory expansion.
 """
 
+import functools
 import random
 
 import pytest
 
+from repro.bdd import bdd_model_check
 from repro.bmc import BmcOptions, verify, verify_many
+from repro.design import expand_memories
 from repro.sat import Solver, certify_unsat
 from repro.sim.fuzzfarm import build_fuzz_netlist
+from tests.sat_oracle import brute_force_sat
 
 
 # ---------------------------------------------------------------------------
-# Random-CNF differential: fast vs baseline on the same formula.
+# Random CNFs: models and proof certificates.
 # ---------------------------------------------------------------------------
 
 
 def random_cnf(seed, nvars=30, nclauses=None):
     """Random CNF near the SAT/UNSAT boundary, rich in binary clauses
-    (the fast back-end's dedicated watch list must earn its keep)."""
+    (the dedicated binary watch list must earn its keep)."""
     rng = random.Random(seed)
     nclauses = nclauses or int(nvars * rng.uniform(3.0, 4.6))
     clauses = []
@@ -36,8 +41,8 @@ def random_cnf(seed, nvars=30, nclauses=None):
     return clauses
 
 
-def build(clauses, fast, proof=True):
-    s = Solver(proof=proof, fast=fast)
+def build(clauses, proof=True):
+    s = Solver(proof=proof)
     nvars = max(abs(l) for c in clauses for l in c)
     for _ in range(nvars):
         s.new_var()
@@ -46,75 +51,89 @@ def build(clauses, fast, proof=True):
     return s
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_fast_matches_baseline_on_random_cnf(seed):
-    clauses = random_cnf(seed)
-    fast = build(clauses, fast=True)
-    base = build(clauses, fast=False)
-    rf = fast.solve()
-    rb = base.solve()
-    assert rf.sat == rb.sat, seed
-    if rf.sat:
-        # The model must actually satisfy the formula, clause by clause.
+def hard_3sat(seed, nvars=60, ratio=4.3):
+    """Uniform 3-SAT at the hardness ratio — enough conflicts to learn a
+    populated, tiered clause database."""
+    rng = random.Random(seed)
+    return [[v if rng.random() < 0.5 else -v
+             for v in rng.sample(range(1, nvars + 1), 3)]
+            for _ in range(int(nvars * ratio))]
+
+
+def assert_certified(s, r, clauses, assumps=(), ctx=None):
+    """Check one answer of proof-logging solver ``s`` independently.
+
+    SAT: the model satisfies every clause and assumption.  UNSAT: the
+    failed assumptions are a subset of ``assumps``, every learned clause
+    is RUP-implied by its antecedents, and the core plus the failed
+    assumptions re-solves UNSAT.
+    """
+    if r.sat:
         for c in clauses:
-            assert any(fast.model_value(l) for l in c), (seed, c)
+            assert any(s.model_value(lt) for lt in c), (ctx, c)
+        for a in assumps:
+            assert s.model_value(a), (ctx, a)
     else:
-        # The fast proof trace must survive independent RUP checking.
-        assert certify_unsat(fast).ok, seed
+        assert set(r.failed_assumptions) <= set(assumps), ctx
+        assert certify_unsat(s, assumps).ok, ctx
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_cnf_answers_are_certified(seed):
+    clauses = random_cnf(seed)
+    s = build(clauses)
+    assert_certified(s, s.solve(), clauses, ctx=seed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hard_3sat_answers_are_certified(seed):
+    """Dozens to hundreds of conflicts per instance, so learned clauses,
+    minimization and reductions all feed the certificate."""
+    clauses = hard_3sat(seed)
+    s = build(clauses)
+    s._max_learnts = 15.0  # reduce the database during the search
+    r = s.solve()
+    assert s.stats.conflicts > 10, seed
+    assert_certified(s, r, clauses, ctx=seed)
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_fast_matches_baseline_under_assumption_sequences(seed):
-    """Incremental differential: the same solver objects answer a
-    sequence of assumption queries (shared prefixes included, so the
-    fast side's trail reuse is live) and must agree round for round."""
+def test_assumption_sequence_answers_are_certified(seed):
+    """One solver answers a sequence of assumption queries (shared
+    prefixes included, so trail reuse is live); every answer is checked
+    on its own — models against clauses and assumptions, UNSAT by
+    certificate over the failed assumptions."""
     rng = random.Random(1000 + seed)
     clauses = random_cnf(seed, nvars=24)
-    fast = build(clauses, fast=True)
-    base = build(clauses, fast=False)
+    s = build(clauses)
     prefix = [1 if rng.random() < 0.5 else -1,
               2 if rng.random() < 0.5 else -2]
     for rnd in range(8):
         extra = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(3, 25), rng.randrange(0, 4))]
         assumps = (prefix if rnd % 2 else []) + extra
-        rf = fast.solve(assumps)
-        rb = base.solve(assumps)
-        ctx = (seed, rnd, assumps)
-        assert rf.sat == rb.sat, ctx
-        if rf.sat:
-            for c in clauses:
-                assert any(fast.model_value(l) for l in c), ctx
-            for a in assumps:
-                assert fast.model_value(a), ctx
-        else:
-            for r in (rf, rb):
-                assert set(r.failed_assumptions) <= set(assumps), ctx
-            # The failed-assumption set must itself be UNSAT — re-verify
-            # it on a fresh baseline solver.
-            chk = build(clauses, fast=False, proof=False)
-            assert not chk.solve(list(rf.failed_assumptions)).sat, ctx
+        assert_certified(s, s.solve(assumps), clauses, assumps,
+                         ctx=(seed, rnd, assumps))
 
 
 def test_assumption_trail_reuse_keeps_verdicts_and_saves_levels():
     clauses = random_cnf(18, nvars=20)  # seed chosen SAT under the prefix
-    fast = build(clauses, fast=True, proof=False)
+    s = build(clauses, proof=False)
     prefix = [1, -2, 3]
     queries = [prefix + [4], prefix + [-4], prefix + [5, 6], prefix]
-    verdicts = [fast.solve(q).sat for q in queries]
+    verdicts = [s.solve(q).sat for q in queries]
     # The shared 3-assumption prefix must have been kept assigned at
     # least once instead of being cancelled and re-propagated.
-    assert fast.stats.trail_saved_levels > 0
+    assert s.stats.trail_saved_levels > 0
     for q, got in zip(queries, verdicts):
-        chk = build(clauses, fast=False, proof=False)
-        assert chk.solve(q).sat == got, q
+        assert brute_force_sat(20, clauses, q) == got, q
 
 
 def test_clause_addition_invalidates_saved_trail():
     """add_clause keeps the assumption levels but attaches the new clause
     against them; a later solve must see the conflict the clause closes
     rather than trust the implications saved before it arrived."""
-    s = Solver(proof=False, fast=True)
+    s = Solver(proof=False)
     for _ in range(4):
         s.new_var()
     s.add_clause([1, 2])
@@ -130,18 +149,9 @@ def test_clause_addition_invalidates_saved_trail():
 # ---------------------------------------------------------------------------
 
 
-def hard_3sat(seed, nvars=60, ratio=4.3):
-    """Uniform 3-SAT at the hardness ratio — enough conflicts to learn a
-    populated, tiered clause database."""
-    rng = random.Random(seed)
-    return [[v if rng.random() < 0.5 else -v
-             for v in rng.sample(range(1, nvars + 1), 3)]
-            for _ in range(int(nvars * ratio))]
-
-
 def test_reduce_db_pins_core_glue_clauses():
     clauses = hard_3sat(0)
-    s = build(clauses, fast=True, proof=False)
+    s = build(clauses, proof=False)
     s._max_learnts = 15.0  # force frequent reductions during search
     s.solve()
     assert s.stats.deleted > 0, "workload never triggered a reduction"
@@ -160,7 +170,7 @@ def test_reduce_db_pins_core_glue_clauses():
 
 def test_reduce_db_tier2_survives_when_used():
     clauses = hard_3sat(1)
-    s = build(clauses, fast=True, proof=False)
+    s = build(clauses, proof=False)
     s._max_learnts = 15.0
     s.solve()
     tier2 = [cid for cid in s._learned_ids
@@ -181,11 +191,11 @@ def test_reduce_db_tier2_survives_when_used():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_deadline_polled_on_decisions_without_conflicts(monkeypatch, fast):
+@pytest.mark.parametrize("proof", [True, False])
+def test_deadline_polled_on_decisions_without_conflicts(monkeypatch, proof):
     import repro.sat.solver as solver_mod
 
-    s = Solver(proof=False, fast=fast)
+    s = Solver(proof=proof)
     n = 400
     for _ in range(n):
         s.new_var()
@@ -229,46 +239,71 @@ def test_unknown_result_truthiness_names_its_limit(limit):
 
 
 # ---------------------------------------------------------------------------
-# BMC-level differential: full engine runs, fast vs solver_baseline.
+# BMC-level oracles: full engine runs against engines independent of the
+# EMM encoding and of the solver's search.
 # ---------------------------------------------------------------------------
 
 
-FAST_OPTS = dict(find_proof=True, pba=True, max_depth=4)
+BMC_OPTS = dict(find_proof=True, pba=True, max_depth=4)
+
+#: Fuzz netlists whose expanded model BDD reachability decides within its
+#: default node limit; on the others it hits the limit, so their oracle
+#: is explicit-memory BMC falsification.
+BDD_SEEDS = (1, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(seed):
+    """``{prop: (status, cex depth)}`` from an independent engine.
+
+    BDD seeds give "proof" or "cex"; the others give "cex" or "bounded"
+    (no counterexample up to ``max_depth``).
+    """
+    design = build_fuzz_netlist(seed)
+    out = {}
+    for prop in sorted(design.properties):
+        if seed in BDD_SEEDS:
+            b = bdd_model_check(expand_memories(build_fuzz_netlist(seed)),
+                                prop)
+            # A limit here would turn the oracle off without a failure.
+            assert b.status in ("proof", "cex"), (seed, prop, b.status)
+            out[prop] = (b.status, b.cex_depth)
+        else:
+            e = verify(expand_memories(build_fuzz_netlist(seed)), prop,
+                       BmcOptions(find_proof=False, use_emm=False,
+                                  max_depth=BMC_OPTS["max_depth"]))
+            out[prop] = (e.status, e.depth if e.status == "cex" else None)
+    return out
+
+
+def _assert_oracle_parity(result, oracle, ctx):
+    status, cex_depth = oracle
+    if status == "cex" and cex_depth <= BMC_OPTS["max_depth"]:
+        assert (result.status, result.depth) == ("cex", cex_depth), ctx
+        assert result.trace_validated is True, ctx
+        assert len(result.trace.cycles) == cex_depth + 1, ctx
+    else:
+        assert result.status in ("proof", "bounded"), ctx
+        if result.status == "proof":
+            assert status in ("proof", "bounded"), ctx
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_bmc_fast_vs_baseline_verdicts(seed):
-    design = build_fuzz_netlist(seed)
-    for prop in sorted(design.properties):
-        rf = verify(build_fuzz_netlist(seed), prop, BmcOptions(**FAST_OPTS))
-        rb = verify(build_fuzz_netlist(seed), prop,
-                    BmcOptions(solver_baseline=True, **FAST_OPTS))
-        ctx = (seed, prop)
-        assert (rf.status, rf.depth, rf.method) == \
-            (rb.status, rb.depth, rb.method), ctx
-        assert rf.trace_validated == rb.trace_validated, ctx
-        if rf.trace is not None:
-            assert len(rf.trace.cycles) == len(rb.trace.cycles), ctx
-        # PBA core labels: cores are not unique, but both back-ends'
-        # accumulated reason sets must be sound, i.e. re-running the
-        # *same* back-end reproduces them (determinism) — cross-backend
-        # we require equal lengths (one entry per completed depth).
-        assert len(rf.latch_reasons) == len(rb.latch_reasons), ctx
-        assert len(rf.memory_reasons) == len(rb.memory_reasons), ctx
+def test_bmc_verify_matches_independent_oracle(seed):
+    oracle = _oracle(seed)
+    for prop in sorted(oracle):
+        r = verify(build_fuzz_netlist(seed), prop, BmcOptions(**BMC_OPTS))
+        _assert_oracle_parity(r, oracle[prop], (seed, prop))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_verify_many_fast_vs_baseline(seed):
-    design = build_fuzz_netlist(seed)
-    shared_f = verify_many(design, options=BmcOptions(**FAST_OPTS))
-    shared_b = verify_many(build_fuzz_netlist(seed),
-                           options=BmcOptions(solver_baseline=True,
-                                              **FAST_OPTS))
-    assert set(shared_f) == set(shared_b) == set(design.properties)
-    for name in shared_f:
-        rf, rb = shared_f[name], shared_b[name]
-        assert (rf.status, rf.depth, rf.method) == \
-            (rb.status, rb.depth, rb.method), (seed, name)
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_many_matches_independent_oracle(seed):
+    oracle = _oracle(seed)
+    shared = verify_many(build_fuzz_netlist(seed),
+                         options=BmcOptions(**BMC_OPTS))
+    assert set(shared) == set(oracle)
+    for prop, r in shared.items():
+        _assert_oracle_parity(r, oracle[prop], (seed, prop))
 
 
 def test_verify_many_shares_assumption_trail():
@@ -280,12 +315,3 @@ def test_verify_many_shares_assumption_trail():
     saved = max(r.stats.solver["trail_saved_levels"]
                 for r in results.values())
     assert saved > 0
-
-
-def test_baseline_engine_reports_zero_saved_levels():
-    design = build_fuzz_netlist(1)
-    results = verify_many(design,
-                          options=BmcOptions(find_proof=False, max_depth=4,
-                                             solver_baseline=True))
-    assert all(r.stats.solver["trail_saved_levels"] == 0
-               for r in results.values())
