@@ -12,7 +12,7 @@ from benchmarks import common
 from repro.aig import Aig, CnfEmitter
 from repro.bmc import BmcOptions, verify
 from repro.bmc.unroller import Unroller
-from repro.design import Design
+from repro.design import Design, expand_memories
 from repro.emm import EmmMemory, accounting
 from repro.emm.gates import GateEmmMemory
 from repro.sat import Solver
@@ -34,31 +34,31 @@ common.table(
 
 common.table(
     "C1c — comparator dedup on recurring/constant addresses",
-    ["AW", "DW", "depth", "clauses off", "clauses on", "vars off", "vars on",
-     "drop", "cache hits", "folds"],
-    note="emm_addr_dedup caches comparators per memory and folds constant "
-         "addresses; 'drop' is the clauses+vars saving vs the paper's "
-         "fresh-comparator encoding",
+    ["AW", "DW", "depth", "clauses", "vars", "paper comparator clauses",
+     "cache hits", "folds", "merged"],
+    note="the comparator cache and constant folding on the raw hybrid "
+         "back-end; 'paper comparator clauses' is the fresh 4m+1 "
+         "comparator per (read, write) pair the paper's encoding pays; "
+         "clauses+vars are pinned (CI-gated)",
 )
 
 common.table(
     "C2 — structural hashing on the gate EMM encoding",
-    ["AW", "DW", "depth", "cls+vars off", "cls+vars on", "drop",
-     "strash hits", "folds"],
-    note="strash hash-conses AIG nodes and dedups Tseitin gate triples; "
-         "'drop' is the SAT clauses+vars saving of the pure-gate EMM "
-         "encoding vs the unstrashed baseline on recurring addresses",
+    ["AW", "DW", "depth", "cls+vars", "strash hits", "folds"],
+    note="hash-consed AIG nodes plus the Tseitin gate-triple cache on the "
+         "pure-gate EMM encoding over recurring addresses; solver "
+         "clauses+vars are pinned (CI-gated)",
 )
 
 common.table(
     "C3 — cross-frame chain-suffix sharing (gate EMM totals)",
-    ["workload", "AW", "DW", "depth", "gates off", "gates on", "cls off",
-     "cls on", "gate drop", "suffix hits", "merged", "pruned"],
-    note="chain_share builds the priority chain oldest-write-first as a "
-         "mux chain, so recurring address cones make frame k's chain a "
-         "strash prefix of frame k+1's; eq-(6) pairs are pruned on "
-         "folded-FALSE comparators and fall-through reads merge on "
-         "fold-TRUE ('off' is the latest-first / all-pairs baseline)",
+    ["workload", "AW", "DW", "depth", "gates", "cls", "cls+vars",
+     "suffix hits", "merged", "pruned"],
+    note="the priority chain is built oldest-write-first as a mux chain, "
+         "so recurring address cones make frame k's chain a strash prefix "
+         "of frame k+1's; eq-(6) pairs are pruned on folded-FALSE "
+         "comparators and fall-through reads merge on fold-TRUE; solver "
+         "clauses+vars are pinned at every depth >= 8 (CI-gated)",
 )
 
 common.table(
@@ -76,13 +76,12 @@ common.table(
 )
 
 common.table(
-    "C4 — per-frame incremental growth (chain share A/B)",
-    ["workload", "AW", "DW", "frames", "new gates/frame on (first..last)",
-     "new gates/frame off (first..last)", "plateau"],
-    note="per-frame *new* AIG gates of the gate EMM encoding; with "
-         "chain_share on the constant-address workload plateaus to a "
-         "bounded constant after warmup while the latest-first baseline "
-         "grows linearly with depth",
+    "C4 — per-frame incremental growth (chain sharing)",
+    ["workload", "AW", "DW", "frames", "new gates/frame (first..last)",
+     "plateau"],
+    note="per-frame *new* AIG gates of the gate EMM encoding; the "
+         "constant-address workload plateaus to a bounded constant after "
+         "warmup",
 )
 
 
@@ -166,69 +165,68 @@ def build_recurring(aw, dw):
 
 DEDUP_CONFIGS = [(4, 4, 20), (6, 8, 20), (8, 8, 24)]
 
+#: EMM clauses+vars (``total_clauses + vars_added``) of the raw hybrid
+#: back-end per DEDUP_CONFIGS row at its depth.
+DEDUP_PINNED = {(4, 4, 20): 19004, (6, 8, 20): 30766, (8, 8, 24): 49574}
+
 
 @pytest.mark.parametrize("aw,dw,depth", DEDUP_CONFIGS,
                          ids=[f"m{c[0]}n{c[1]}k{c[2]}" for c in DEDUP_CONFIGS])
 def bench_addr_dedup(benchmark, aw, dw, depth):
-    """Acceptance check: dedup cuts clauses+vars >= 25% at depth >= 20.
+    """Acceptance check: the comparator layer's encoding size is pinned
+    and the cache fires; fold-TRUE eq-(6) comparisons of the constant
+    read address are answered upstream by record merging.
 
-    ``chain_share`` is pinned off: this experiment isolates the PR-1
-    comparator cache/folding layer, whose fold-TRUE eq-(6) comparisons
-    would otherwise be intercepted upstream by record merging (measured
-    separately in C3/C4).
+    ``hybrid_strash`` is pinned off: this experiment isolates the
+    comparator layer on the paper's raw CNF.
     """
 
-    def run_one(dedup):
+    def run():
         solver = Solver(proof=False)
         emitter = CnfEmitter(Aig(), solver)
         unroller = Unroller(build_recurring(aw, dw), emitter)
-        # chain_share and hybrid_strash pinned off: this experiment
-        # isolates the PR-1 comparator layer on the paper's raw CNF.
-        emm = EmmMemory(solver, unroller, "m", addr_dedup=dedup,
-                        chain_share=False, hybrid_strash=False)
+        emm = EmmMemory(solver, unroller, "m", hybrid_strash=False)
         for k in range(depth + 1):
             unroller.add_frame()
             emm.add_frame(k)
         return emm.counters
 
-    def run():
-        return run_one(False), run_one(True)
-
-    off, on = benchmark.pedantic(run, rounds=1, iterations=1)
-    size_off = off.total_clauses + off.vars_added
-    size_on = on.total_clauses + on.vars_added
-    drop = 1.0 - size_on / size_off
-    assert on.addr_eq_cache_hits > 0
-    assert on.addr_eq_folded > 0
-    assert drop >= 0.25, (
-        f"dedup saved only {drop:.1%} of clauses+vars "
-        f"({size_off} -> {size_on}) at depth {depth}")
+    c = benchmark.pedantic(run, rounds=1, iterations=1)
+    size = c.total_clauses + c.vars_added
+    assert size == DEDUP_PINNED[(aw, dw, depth)], (
+        f"comparator-layer encoding moved: {size} clauses+vars, pinned "
+        f"{DEDUP_PINNED[(aw, dw, depth)]} at depth {depth}")
+    assert c.addr_eq_cache_hits > 0
+    assert c.addr_eq_folded + c.init_records_merged > 0
+    # Three read ports against one write port, one pair per earlier frame.
+    paper = (3 * depth * (depth + 1) // 2
+             * accounting.addr_eq_clauses_full(aw))
+    benchmark.extra_info["clauses_vars"] = size
     common.add_row("C1c — comparator dedup on recurring/constant addresses",
-                   aw, dw, depth, off.total_clauses, on.total_clauses,
-                   off.vars_added, on.vars_added, f"{drop:.1%}",
-                   on.addr_eq_cache_hits, on.addr_eq_folded)
+                   aw, dw, depth, c.total_clauses, c.vars_added, paper,
+                   c.addr_eq_cache_hits, c.addr_eq_folded,
+                   c.init_records_merged)
 
 
 STRASH_CONFIGS = [(4, 4, 8), (4, 4, 20), (6, 8, 24)]
+
+#: Solver clauses+vars per STRASH_CONFIGS row at its depth.
+STRASH_PINNED = {(4, 4, 8): 8608, (4, 4, 20): 42844, (6, 8, 24): 108486}
 
 
 @pytest.mark.parametrize("aw,dw,depth", STRASH_CONFIGS,
                          ids=[f"m{c[0]}n{c[1]}k{c[2]}" for c in STRASH_CONFIGS])
 def bench_gate_strash(benchmark, aw, dw, depth):
-    """Acceptance check: the strashed gate encoding never emits more
-    clauses than the unstrashed baseline, and cuts clauses+vars >= 40%
-    at depth >= 20 on the recurring-address workload (CI's bench-smoke
-    job runs this at every push).
+    """Acceptance check: the strashed gate encoding's solver
+    clauses+vars are pinned on the recurring-address workload and the
+    strash layer fires (CI's bench-smoke job runs this at every push).
 
-    Native ITE lowering is pinned off on both sides: this experiment
-    isolates the strash layer against the paper's plain triple lowering,
-    and the ITE rewrite would otherwise compress the unstrashed baseline
-    (muxes cost 4 clauses instead of 3 triples) and blur the A/B."""
+    Native ITE lowering is pinned off: this experiment isolates the
+    strash layer under the paper's plain triple lowering."""
 
-    def run_one(strash):
+    def run():
         solver = Solver(proof=False)
-        emitter = CnfEmitter(Aig(strash=strash), solver, strash=strash,
-                             ite=False)
+        emitter = CnfEmitter(Aig(), solver, ite=False)
         unroller = Unroller(build_recurring(aw, dw), emitter)
         emm = GateEmmMemory(solver, unroller, "m", init_consistency=False)
         for k in range(depth + 1):
@@ -236,26 +234,15 @@ def bench_gate_strash(benchmark, aw, dw, depth):
             emm.add_frame(k)
         return solver, emm.counters
 
-    def run():
-        return run_one(False), run_one(True)
-
-    (s_off, c_off), (s_on, c_on) = benchmark.pedantic(run, rounds=1,
-                                                      iterations=1)
-    size_off = s_off.num_clauses + s_off.num_vars
-    size_on = s_on.num_clauses + s_on.num_vars
-    drop = 1.0 - size_on / size_off
-    assert s_on.num_clauses <= s_off.num_clauses, (
-        f"strash grew the CNF: {s_off.num_clauses} -> {s_on.num_clauses}")
-    assert s_on.num_vars <= s_off.num_vars
-    assert c_on.strash_hits > 0
-    assert c_off.strash_hits == 0 and c_off.strash_folds == 0
-    if depth >= 20:
-        assert drop >= 0.40, (
-            f"strash saved only {drop:.1%} of clauses+vars "
-            f"({size_off} -> {size_on}) at depth {depth}")
+    solver, c = benchmark.pedantic(run, rounds=1, iterations=1)
+    size = solver.num_clauses + solver.num_vars
+    assert size == STRASH_PINNED[(aw, dw, depth)], (
+        f"strashed gate encoding moved: {size} clauses+vars, pinned "
+        f"{STRASH_PINNED[(aw, dw, depth)]} at depth {depth}")
+    assert c.strash_hits > 0
+    benchmark.extra_info["clauses_vars"] = size
     common.add_row("C2 — structural hashing on the gate EMM encoding",
-                   aw, dw, depth, size_off, size_on, f"{drop:.1%}",
-                   c_on.strash_hits, c_on.strash_folds)
+                   aw, dw, depth, size, c.strash_hits, c.strash_folds)
 
 
 def build_const_recurring(aw, dw):
@@ -285,85 +272,93 @@ CHAIN_WORKLOADS = {"recurring": build_recurring,
 CHAIN_CONFIGS = [("recurring", 4, 4, 24), ("const", 4, 4, 24),
                  ("const", 6, 8, 24)]
 
+#: Gate-depth floor of the pinned series below.
+CHAIN_GATE_DEPTH = 8
+
+#: Cumulative solver clauses+vars of the gate EMM encoding per
+#: CHAIN_CONFIGS row at every depth from CHAIN_GATE_DEPTH on.
+CHAIN_PINNED = {
+    ("recurring", 4, 4, 24): [4674, 5649, 6714, 7869, 9114, 10449, 11874,
+                              13389, 14994, 16689, 18474, 20349, 22314,
+                              24369, 26514, 28749, 31074],
+    ("const", 4, 4, 24): [1312, 1468, 1624, 1780, 1936, 2092, 2248, 2404,
+                          2560, 2716, 2872, 3028, 3184, 3340, 3496, 3652,
+                          3808],
+    ("const", 6, 8, 24): [2320, 2594, 2868, 3142, 3416, 3690, 3964, 4238,
+                          4512, 4786, 5060, 5334, 5608, 5882, 6156, 6430,
+                          6704],
+}
+
 
 @pytest.mark.parametrize("workload,aw,dw,depth", CHAIN_CONFIGS,
                          ids=[f"{c[0]}-m{c[1]}n{c[2]}k{c[3]}"
                               for c in CHAIN_CONFIGS])
 def bench_chain_share(benchmark, workload, aw, dw, depth):
     """Acceptance checks for the suffix-shared gate encoding (CI runs
-    this): total AIG gates never exceed the latest-first baseline at any
-    measured depth >= 8, the constant-address variant's per-frame new
-    gates plateau to a bounded constant after warmup (instead of the
-    baseline's linear growth) with ``init_pairs_pruned > 0``, and the
-    A/B verdicts agree at every depth.  The per-frame growth series is
-    attached to the benchmark JSON (``extra_info``), which the CI
-    bench-smoke job uploads as BENCH_ci.json."""
+    this): solver clauses+vars match the pinned series at every measured
+    depth >= 8, the constant-address variant's per-frame new gates
+    plateau to a bounded constant after warmup with
+    ``init_pairs_pruned > 0``, and the hybrid and gate encodings agree
+    with the explicit-memory model on the verdict.  The per-frame growth
+    series is attached to the benchmark JSON (``extra_info``), which the
+    CI bench-smoke job uploads as BENCH_ci.json."""
 
-    def run_one(chain_share):
+    def run():
         solver = Solver(proof=False)
         emitter = CnfEmitter(Aig(), solver)
         unroller = Unroller(CHAIN_WORKLOADS[workload](aw, dw), emitter)
-        emm = GateEmmMemory(solver, unroller, "m", chain_share=chain_share)
+        emm = GateEmmMemory(solver, unroller, "m")
+        sizes = []
         for k in range(depth + 1):
             unroller.add_frame()
             emm.add_frame(k)
-        return solver, emm
+            sizes.append(solver.num_clauses + solver.num_vars)
+        return sizes, emm
 
-    def run():
-        return run_one(False), run_one(True)
-
-    (s_off, e_off), (s_on, e_on) = benchmark.pedantic(run, rounds=1,
-                                                      iterations=1)
-    gates_on = [f["gates"] for f in e_on.counters.per_frame]
-    gates_off = [f["gates"] for f in e_off.counters.per_frame]
-    cls_on = [f["clauses"] for f in e_on.counters.per_frame]
-    cls_off = [f["clauses"] for f in e_off.counters.per_frame]
-    benchmark.extra_info["per_frame_gates_on"] = gates_on
-    benchmark.extra_info["per_frame_gates_off"] = gates_off
-    benchmark.extra_info["per_frame_clauses_on"] = cls_on
-    benchmark.extra_info["per_frame_clauses_off"] = cls_off
-    # Totals: strictly below the baseline at *every* depth >= 8.
-    for d in range(8, depth + 1):
-        cum_on, cum_off = sum(gates_on[:d + 1]), sum(gates_off[:d + 1])
-        assert cum_on < cum_off, (
-            f"chain share grew the AIG at depth {d}: "
-            f"{cum_off} -> {cum_on} gates ({workload})")
-        assert sum(cls_on[:d + 1]) <= sum(cls_off[:d + 1])
-    assert e_on.counters.chain_suffix_hits > 0
-    assert e_off.counters.chain_suffix_hits == 0
+    sizes, emm = benchmark.pedantic(run, rounds=1, iterations=1)
+    c = emm.counters
+    gates = [f["gates"] for f in c.per_frame]
+    cls = [f["clauses"] for f in c.per_frame]
+    benchmark.extra_info["per_frame_gates"] = gates
+    benchmark.extra_info["per_frame_clauses"] = cls
+    benchmark.extra_info["clauses_vars"] = sizes
+    pinned = CHAIN_PINNED[(workload, aw, dw, depth)]
+    for d, size, want in zip(range(CHAIN_GATE_DEPTH, depth + 1),
+                             sizes[CHAIN_GATE_DEPTH:], pinned):
+        assert size == want, (
+            f"chain-shared encoding moved at depth {d}: {size} "
+            f"clauses+vars, pinned {want} ({workload})")
+    assert len(sizes) - CHAIN_GATE_DEPTH == len(pinned)
+    assert c.chain_suffix_hits > 0
     plateau = "-"
     if workload == "const":
-        # Bounded-constant per-frame growth after warmup vs linear off.
-        tail = gates_on[3:]
+        # Bounded-constant per-frame growth after warmup.
+        tail = gates[3:]
         assert max(tail) == min(tail), (
-            f"per-frame gates did not plateau: {gates_on}")
+            f"per-frame gates did not plateau: {gates}")
         plateau = str(tail[0])
-        assert all(b > a for a, b in zip(gates_off[3:], gates_off[4:])), (
-            f"baseline should grow linearly: {gates_off}")
-        assert e_on.counters.init_pairs_pruned > 0
-        assert e_on.counters.init_records_merged > 0
-    # A/B verdict parity at every depth on the full engine.
+        assert c.init_pairs_pruned > 0
+        assert c.init_records_merged > 0
+    # Verdict parity at depth 8: both encodings and the explicit model.
     design = CHAIN_WORKLOADS[workload](aw, dw)
-    results = {share: verify(design, "p",
-                             BmcOptions(find_proof=False, max_depth=8,
-                                        emm_encoding="gates",
-                                        emm_chain_share=share))
-               for share in (True, False)}
-    assert results[True].status == results[False].status == "bounded"
-    assert results[True].depth == results[False].depth == 8
-    gate_drop = 1.0 - sum(gates_on) / sum(gates_off)
+    results = [verify(design, "p",
+                      BmcOptions(find_proof=False, max_depth=8,
+                                 emm_encoding=encoding))
+               for encoding in ("gates", "hybrid")]
+    results.append(verify(expand_memories(design), "p",
+                          BmcOptions(find_proof=False, max_depth=8,
+                                     use_emm=False)))
+    assert [(r.status, r.depth) for r in results] == [("bounded", 8)] * 3
     common.add_row("C3 — cross-frame chain-suffix sharing (gate EMM totals)",
-                   workload, aw, dw, depth, sum(gates_off), sum(gates_on),
-                   sum(cls_off), sum(cls_on), f"{gate_drop:.1%}",
-                   e_on.counters.chain_suffix_hits,
-                   e_on.counters.init_records_merged,
-                   e_on.counters.init_pairs_pruned)
+                   workload, aw, dw, depth, sum(gates), sum(cls), sizes[-1],
+                   c.chain_suffix_hits, c.init_records_merged,
+                   c.init_pairs_pruned)
+
     def fmt(series):
         return f"{series[0]},{series[1]},{series[2]}..{series[-1]}"
 
-    common.add_row("C4 — per-frame incremental growth (chain share A/B)",
-                   workload, aw, dw, depth + 1, fmt(gates_on), fmt(gates_off),
-                   plateau)
+    common.add_row("C4 — per-frame incremental growth (chain sharing)",
+                   workload, aw, dw, depth + 1, fmt(gates), plateau)
 
 
 def build_const_multiwrite(aw, dw):

@@ -1,46 +1,44 @@
 """Experiment C10 — cross-memory comparator sharing on miters.
 
-The session-scoped comparator registry (``emm_cross_mem_share``,
-PR 10) answers one memory's address comparisons from another memory's
-cache entries whenever their cones lower to the same SAT literals.  The
-headline workload is the miter of two memory copies
-(``design/equiv.py``): both sides see identical input-driven address
-cones, so nearly every comparator of the ``b::`` copy is a cross-memory
-hit against the ``a::`` copy's entries.
+The session-scoped comparator registry answers one memory's address
+comparisons from another memory's cache entries whenever their cones
+lower to the same SAT literals.  The headline workload is the miter of
+two memory copies (``design/equiv.py``): both sides see identical
+input-driven address cones, so nearly every comparator of the ``b::``
+copy is a cross-memory hit against the ``a::`` copy's entries.
 
 * **C10** — per-depth encoding sweep on the two-copy miter.  The CI
-  gate asserts the shared registry's solver clauses+vars stay
-  *strictly below* the per-memory-cache baseline at every measured
-  depth >= 8, and that the miter actually shares
-  (``cross_mem_cmp_hits > 0`` — a zero means the registry went dead).
-* **C10b** — observable parity on the same miter: verdict, depth,
-  trace validity and PBA latch/memory reasons must be identical with
-  sharing on and off, and the PBA core must attribute the shared
+  gate pins the session's solver clauses+vars at every measured depth
+  and asserts that the miter actually shares (``cross_mem_cmp_hits >
+  0`` — a zero means the registry went dead).
+* **C10b** — observable parity on the same miter: verdict, depth and
+  PBA latch/memory reasons must match the gate encoding (whose AIG side
+  shares the cones structurally) and the verdict must match the
+  explicit-memory model, and the PBA core must attribute the shared
   comparator clauses to *both* memory copies (the multi-label story).
-* **C10c** — the single-memory ``multiport_soc`` case study,
-  report-only: with one memory there is nothing to share across, so
-  the registry must be a no-op (identical sizes, zero cross hits).
+* **C10c** — the single-memory ``multiport_soc`` case study: with one
+  memory there is nothing to share across, so the registry must be a
+  no-op (zero cross hits, pinned size).
 """
 
 from benchmarks import common
 from repro.bmc import BmcOptions, EncodingSession, verify
 from repro.casestudies.multiport_soc import (MultiportSocParams,
                                              build_multiport_soc)
-from repro.design import Design, build_miter
+from repro.design import Design, build_miter, expand_memories
 
 common.table(
     "C10 — cross-memory comparator sharing on the two-copy miter",
-    ["depth", "shared cls+vars", "per-mem cls+vars", "ratio", "x-hits"],
+    ["depth", "cls+vars", "x-hits"],
     note="one SharedComparatorTables registry across the miter's a::/b:: "
-         "memory copies vs the per-memory cache baseline; strictly-below "
-         "at every depth >= 8 is the CI gate",
+         "memory copies; the pinned clauses+vars at every depth and "
+         "x-hits > 0 are the CI gate",
 )
 
 common.table(
-    "C10c — single-memory SoC under the registry (report-only)",
-    ["share", "depth", "cls+vars", "x-hits", "statuses"],
-    note="one memory: the session registry has nothing to share across, "
-         "so sizes must not move",
+    "C10c — single-memory SoC under the registry",
+    ["depth", "cls+vars", "x-hits", "statuses"],
+    note="one memory: the session registry has nothing to share across",
 )
 
 
@@ -71,53 +69,43 @@ def build_miter_workload():
     return build_miter(a, b, [(oa, ob)])
 
 
-#: Gate depths: strictly-below must hold at every depth >= 8.
 DEPTHS = list(range(2, 25, 2)) if common.is_full() else list(range(2, 17, 2))
-GATE_DEPTH = 8
 
+#: Session solver clauses+vars of the miter at each even depth 2..24.
+MITER_PINNED = dict(zip(range(2, 25, 2),
+                        [1682, 4141, 7612, 12095, 17590, 24097, 31616,
+                         40147, 49690, 60245, 71812, 84391]))
 
-def opts(share, **kw):
-    return BmcOptions(emm_cross_mem_share=share, **kw)
+#: Solver clauses+vars of the single-memory SoC run below.
+SOC_PINNED = 6464
 
 
 def bench_cross_mem_miter_sizes(benchmark):
-    """CI gate: registry clauses+vars strictly below per-memory at d>=8."""
+    """CI gate: pinned clauses+vars at every depth, and the registry
+    actually shares across the two copies."""
 
     def run():
-        series = {}
-        for share in (True, False):
-            session = EncodingSession(build_miter_workload(), opts(share))
-            sizes = []
-            for depth in DEPTHS:
-                session.extend_to(depth)
-                sizes.append(session.clause_var_total())
-            hits = (session.cmp_registry.cross_mem_hits
-                    if session.cmp_registry is not None else 0)
-            series[share] = (sizes, hits)
-        return series
+        session = EncodingSession(build_miter_workload(), BmcOptions())
+        sizes = []
+        for depth in DEPTHS:
+            session.extend_to(depth)
+            sizes.append(session.clause_var_total())
+        return sizes, session.cmp_registry.cross_mem_hits
 
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
-    (shared_sizes, shared_hits), (base_sizes, base_hits) = \
-        series[True], series[False]
-    assert base_hits == 0
-    assert shared_hits > 0, (
+    sizes, hits = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert hits > 0, (
         "cross-memory sharing went dead on the miter workload: "
         "0 registry hits (every a::/b:: cone should coincide)")
-    for depth, on, off in zip(DEPTHS, shared_sizes, base_sizes):
-        if depth >= GATE_DEPTH:
-            assert on < off, (
-                f"cross-memory registry stopped paying at depth {depth}: "
-                f"{on} clauses+vars vs per-memory baseline {off}")
+    for depth, size in zip(DEPTHS, sizes):
+        assert size == MITER_PINNED[depth], (
+            f"miter encoding moved at depth {depth}: {size} clauses+vars, "
+            f"pinned {MITER_PINNED[depth]}")
         common.add_row(
             "C10 — cross-memory comparator sharing on the two-copy miter",
-            depth, on, off, f"{on / off:.1%}",
-            shared_hits if depth == DEPTHS[-1] else "")
+            depth, size, hits if depth == DEPTHS[-1] else "")
     benchmark.extra_info["depths"] = DEPTHS
-    benchmark.extra_info["shared_clauses_vars"] = shared_sizes
-    benchmark.extra_info["per_memory_clauses_vars"] = base_sizes
-    benchmark.extra_info["cross_mem_hits"] = shared_hits
-    benchmark.extra_info["final_ratio"] = round(
-        shared_sizes[-1] / base_sizes[-1], 4)
+    benchmark.extra_info["clauses_vars"] = sizes
+    benchmark.extra_info["cross_mem_hits"] = hits
 
 
 def bench_cross_mem_miter_verdicts(benchmark):
@@ -125,26 +113,30 @@ def bench_cross_mem_miter_verdicts(benchmark):
     the PBA core names both memory copies through shared clauses."""
 
     def run():
-        out = {}
-        for share in (True, False):
-            # Bounded falsification (no induction): the equiv proof
-            # closes at depth 1 by forward induction, before any core
-            # ever walks the forwarding clauses — the bounded run's
-            # UNSAT cores are the ones that must name both memories.
-            out[share] = verify(build_miter_workload(), "equiv",
-                                opts(share, find_proof=False, pba=True,
-                                     max_depth=10))
+        # Bounded falsification (no induction): the equiv proof closes
+        # at depth 1 by forward induction, before any core ever walks
+        # the forwarding clauses — the bounded run's UNSAT cores are the
+        # ones that must name both memories.
+        out = {encoding: verify(build_miter_workload(), "equiv",
+                                BmcOptions(find_proof=False, pba=True,
+                                           max_depth=10,
+                                           emm_encoding=encoding))
+               for encoding in ("hybrid", "gates")}
+        out["explicit"] = verify(expand_memories(build_miter_workload()),
+                                 "equiv",
+                                 BmcOptions(find_proof=False, use_emm=False,
+                                            max_depth=10))
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
-    on, off = out[True], out[False]
+    on, gates, explicit = out["hybrid"], out["gates"], out["explicit"]
     assert (on.status, on.depth, on.method) == \
-        (off.status, off.depth, off.method), (on.status, off.status)
-    assert on.trace_validated == off.trace_validated
-    assert on.latch_reasons == off.latch_reasons
-    assert on.memory_reasons == off.memory_reasons
+        (gates.status, gates.depth, gates.method), (on.status, gates.status)
+    assert (on.status, on.depth) == (explicit.status, explicit.depth)
+    assert on.trace_validated == gates.trace_validated
+    assert on.latch_reasons == gates.latch_reasons
+    assert on.memory_reasons == gates.memory_reasons
     assert on.stats.cross_mem_cmp_hits > 0
-    assert off.stats.cross_mem_cmp_hits == 0
     assert on.stats.core_unlabeled == 0
     # The multi-label regression: cores through shared comparators must
     # attribute them to both copies, never just the first emitter's.
@@ -155,29 +147,21 @@ def bench_cross_mem_miter_verdicts(benchmark):
 
 
 def bench_cross_mem_soc(benchmark):
-    """Report-only: a single-memory design must not move."""
+    """A single-memory design: zero cross hits and a pinned size."""
     soc = MultiportSocParams(addr_width=3, data_width=4, counter_width=3,
                              num_properties=2)
 
     def run():
-        out = {}
-        for share in (True, False):
-            design = build_multiport_soc(soc)
-            name = sorted(design.properties)[0]
-            out[share] = verify(design, name,
-                                opts(share, find_proof=False, max_depth=8))
-        return out
+        design = build_multiport_soc(soc)
+        name = sorted(design.properties)[0]
+        return verify(design, name, BmcOptions(find_proof=False,
+                                               max_depth=8))
 
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    on, off = out[True], out[False]
-    assert (on.status, on.depth) == (off.status, off.depth)
-    assert on.stats.cross_mem_cmp_hits == 0
-    assert on.stats.sat_clauses + on.stats.sat_vars \
-        == off.stats.sat_clauses + off.stats.sat_vars
-    for share, r in (("on", on), ("off", off)):
-        common.add_row(
-            "C10c — single-memory SoC under the registry (report-only)",
-            share, r.depth, r.stats.sat_clauses + r.stats.sat_vars,
-            r.stats.cross_mem_cmp_hits, r.status)
-    benchmark.extra_info["soc_clauses_vars"] = (on.stats.sat_clauses
-                                                + on.stats.sat_vars)
+    r = benchmark.pedantic(run, rounds=1, iterations=1)
+    size = r.stats.sat_clauses + r.stats.sat_vars
+    assert (r.status, r.depth) == ("bounded", 8)
+    assert r.stats.cross_mem_cmp_hits == 0
+    assert size == SOC_PINNED, (size, SOC_PINNED)
+    common.add_row("C10c — single-memory SoC under the registry",
+                   r.depth, size, r.stats.cross_mem_cmp_hits, r.status)
+    benchmark.extra_info["soc_clauses_vars"] = size

@@ -56,11 +56,10 @@ def fmt_mem(result) -> str:
 def fmt_dedup(result) -> str:
     """Comparator-dedup savings of a BMC run, as "<hits>h/<folds>f".
 
-    ``hits`` counts EMM address comparisons answered from the per-memory
-    comparator cache; ``folds`` counts comparisons that collapsed to a
-    constant without emitting any clauses (see repro.emm.addrcmp).  Both
-    are zero when the run used ``emm_addr_dedup=False`` or the workload
-    never repeats an address cone.
+    ``hits`` counts EMM address comparisons answered from the comparator
+    cache; ``folds`` counts comparisons that collapsed to a constant
+    without emitting any clauses (see repro.emm.addrcmp).  Both are zero
+    when the workload never repeats an address cone.
     """
     if result.status == "timeout":
         return "-"

@@ -7,13 +7,9 @@ equivalent two-level structures share nodes — this keeps the unrolled BMC
 formula compact, mirroring the simplified circuit representation the
 paper's platform uses.
 
-Structural hashing is an *option* (``Aig(strash=False)``): with it off,
-every :meth:`Aig.and_gate` call mints a fresh node with no folding at all,
-which is the paper's plain circuit representation and the A/B baseline the
-strash benchmarks and cross-check tests measure against.  The two modes
-are semantically identical — folding and hashing only merge nodes that
-compute the same function — and the ``strash_hits`` / ``strash_folds``
-counters record exactly how much merging happened.
+Hash-consing and folding are always on; the ``strash_hits`` /
+``strash_folds`` counters record how much merging happened, which is how
+the layer's win is measured.
 """
 
 from __future__ import annotations
@@ -30,39 +26,29 @@ def lit_not(lit: int) -> int:
 
 
 class Aig:
-    """A growing AIG with (optional) structural hashing.
+    """A growing AIG with structural hashing.
 
     The node table stores, per index, either ``None`` (constant / primary
     input) or a pair ``(a, b)`` of fanin literals for AND nodes.  Indices
     are topologically ordered by construction: an AND node's fanins always
     have smaller indices, which evaluation and CNF emission rely on.
 
-    Parameters
-    ----------
-    strash:
-        When True (the default), :meth:`and_gate` folds trivial requests
-        (``x∧x → x``, ``x∧¬x → 0``, ``x∧1 → x``, ``x∧0 → 0``) and returns
-        the existing node for a repeated ``(lhs, rhs)`` fanin pair after
-        canonical ordering.  When False every call creates a fresh node —
-        the unstrashed baseline for size comparisons.
+    :meth:`and_gate` folds trivial requests (``x∧x → x``, ``x∧¬x → 0``,
+    ``x∧1 → x``, ``x∧0 → 0``) and returns the existing node for a
+    repeated ``(lhs, rhs)`` fanin pair after canonical ordering.
     """
 
-    def __init__(self, strash: bool = True) -> None:
+    def __init__(self) -> None:
         self._fanins: list[Optional[tuple[int, int]]] = [None]
         self._input_names: dict[int, str] = {}
         self._num_ands = 0
-        self._strash: Optional[dict[tuple[int, int], int]] = {} if strash else None
+        self._strash: dict[tuple[int, int], int] = {}
         #: AND requests answered from the hash table (existing node reused).
         self.strash_hits = 0
         #: AND requests folded away (constant / idempotence / complement).
         self.strash_folds = 0
 
     # -- construction ---------------------------------------------------
-
-    @property
-    def strash(self) -> bool:
-        """Whether hash-consing and constant folding are enabled."""
-        return self._strash is not None
 
     def new_input(self, name: str = "") -> int:
         """Create a primary input; returns its (positive) literal."""
@@ -75,37 +61,32 @@ class Aig:
     def and_gate(self, a: int, b: int) -> int:
         """AND of two literals; the strashed node constructor.
 
-        With ``strash`` enabled, folds constants, idempotence and
-        complements, then consults the structural hash table so a repeated
-        fanin pair returns the existing node; ``strash_folds`` and
-        ``strash_hits`` count the merges.  With ``strash`` disabled the
-        call unconditionally appends a fresh node.
+        Folds constants, idempotence and complements, then consults the
+        structural hash table so a repeated fanin pair returns the
+        existing node; ``strash_folds`` and ``strash_hits`` count the
+        merges.
         """
-        table = self._strash
-        if table is not None:
-            if a == FALSE or b == FALSE or a == b ^ 1:
-                self.strash_folds += 1
-                return FALSE
-            if a == TRUE:
-                self.strash_folds += 1
-                return b
-            if b == TRUE or a == b:
-                self.strash_folds += 1
-                return a
+        if a == FALSE or b == FALSE or a == b ^ 1:
+            self.strash_folds += 1
+            return FALSE
+        if a == TRUE:
+            self.strash_folds += 1
+            return b
+        if b == TRUE or a == b:
+            self.strash_folds += 1
+            return a
         if a > b:
             a, b = b, a
         key = (a, b)
-        if table is not None:
-            hit = table.get(key)
-            if hit is not None:
-                self.strash_hits += 1
-                return hit
+        hit = self._strash.get(key)
+        if hit is not None:
+            self.strash_hits += 1
+            return hit
         idx = len(self._fanins)
         self._fanins.append(key)
         self._num_ands += 1
         lit = idx << 1
-        if table is not None:
-            table[key] = lit
+        self._strash[key] = lit
         return lit
 
     #: Historic name of the constructor, used throughout the code base.
@@ -124,9 +105,8 @@ class Aig:
         """``sel ? t : e`` (if-then-else over literals).
 
         The constant-selector and equal-branch shortcuts are semantic
-        identities of the ITE operator itself, so they apply in both
-        strash modes; the underlying AND gates go through
-        :meth:`and_gate` and follow the configured mode.
+        identities of the ITE operator itself; the underlying AND gates
+        go through :meth:`and_gate`.
         """
         if sel == TRUE:
             return t

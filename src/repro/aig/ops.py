@@ -6,7 +6,7 @@ expressions (adders, comparators, muxes) onto the bit-level AIG.
 
 Every helper routes through :meth:`repro.aig.aig.Aig.and_gate` (directly
 or via the or/xor/mux wrappers), so the whole word layer inherits the
-AIG's structural-hashing mode: with ``strash`` on, a recurring cone —
+AIG's structural hashing: a recurring cone —
 the ``eq_word`` comparators the gate-based EMM encoding builds per
 (read, write-pair), the mux/ITE chains of ROM initial words, ripple
 adders over shared operands — is constructed once and every repeat
@@ -61,16 +61,16 @@ def mux_word(aig: Aig, sel: int, t: Sequence[int], e: Sequence[int]) -> Word:
 ite_word = mux_word
 
 
-# -- EMM forwarding-chain builders (shared by both EMM encoders) ----------
+# -- EMM forwarding-chain builder (shared by both EMM encoders) -----------
 #
 # Both the pure-gate EMM encoding (:class:`repro.emm.gates.GateEmmMemory`)
 # and the AIG-routed hybrid encoding (:class:`repro.emm.forwarding.
 # EmmMemory` with ``hybrid_strash``) lower the paper's equation-(4)/(5)
-# forwarding semantics onto the AIG through these two constructions; only
-# the match-signal (``S``) construction differs per encoder — AIG
-# ``eq_word`` cones for the gate encoding, aliased CNF comparators for
-# the hybrid one.  Keeping the chain itself in one implementation is what
-# makes the cross-frame suffix sharing behave identically in both.
+# forwarding semantics onto the AIG through this construction; only the
+# match-signal (``S``) construction differs per encoder — AIG ``eq_word``
+# cones for the gate encoding, aliased CNF comparators for the hybrid
+# one.  Keeping the chain itself in one implementation is what makes the
+# cross-frame suffix sharing behave identically in both.
 
 
 def priority_mux_chain(aig: Aig, stages: Sequence[tuple[int, Sequence[int]]],
@@ -102,44 +102,6 @@ def priority_mux_chain(aig: Aig, stages: Sequence[tuple[int, Sequence[int]]],
         if aig.num_ands == ands_before and aig.strash_hits > hits_before:
             suffix_hits += 1
     return value, suffix_hits
-
-
-def exclusive_select_chain(aig: Aig, stages: Sequence[tuple[int, Sequence[int]]],
-                           enable: int) -> tuple[list[tuple[int, Word]], int]:
-    """Latest-write-first exclusive ``S``/``PS`` chain (equation (4)).
-
-    ``stages`` are ``(S, WD)`` pairs ordered **latest write first**, the
-    exact order of equation (4); ``enable`` seeds ``PS`` (the read
-    enable).  Returns ``(selected, ps)`` where ``selected`` pairs each
-    stage's exclusive select ``S ∧ PS`` with its data word and ``ps`` is
-    the final fall-through literal ("no write matched at all", the
-    paper's ``S_{-1}``).  Every node depends on the newest write, so
-    frames share nothing — this is the rebuilt-per-frame A/B baseline.
-    """
-    ps = enable
-    selected: list[tuple[int, Word]] = []
-    for s, word in stages:
-        s_excl = aig.and_gate(s, ps)
-        ps = aig.and_gate(lit_not(s), ps)
-        selected.append((s_excl, list(word)))
-    return selected, ps
-
-
-def onehot_select_word(aig: Aig, selected: Sequence[tuple[int, Sequence[int]]],
-                       n_lit: int, init_word: Sequence[int]) -> Word:
-    """OR-accumulate exclusively selected words plus the fall-through.
-
-    ``value = Σ (s_excl ∧ WD) + (n ∧ init)`` per bit — sound because the
-    selects of :func:`exclusive_select_chain` are one-hot by
-    construction.  The second half of the latest-first encoding.
-    """
-    value: Word = [FALSE] * len(init_word)
-    for s_excl, word in selected:
-        for b, bit in enumerate(word):
-            value[b] = aig.or_(value[b], aig.and_gate(s_excl, bit))
-    for b, bit in enumerate(init_word):
-        value[b] = aig.or_(value[b], aig.and_gate(n_lit, bit))
-    return value
 
 
 def eq_word(aig: Aig, a: Sequence[int], b: Sequence[int]) -> int:

@@ -7,14 +7,15 @@ engine switches the label as it emits transition logic, EMM constraints,
 initial-state units and loop-free-path constraints, and proof-based
 abstraction later reads those labels back out of unsat cores.
 
-Structural clause dedup (``strash=True``, the default) adds a second,
-CNF-level hash layer: the three-clause triple of an AND gate is keyed on
-the canonically ordered pair of its fanin *SAT literals*, so a re-emitted
+Structural clause dedup adds a second, CNF-level hash layer under the
+AIG's own: the three-clause triple of an AND gate is keyed on the
+canonically ordered pair of its fanin *SAT literals*, so a re-emitted
 cone whose AIG nodes are distinct but whose lowered structure repeats
 reuses the existing SAT variable instead of minting a new one and
-re-adding the clauses.  With AIG-level strashing on, node identity
-already dedups almost everything and this cache is a safety net; with the
-AIG unstrashed it is what keeps repeated cones from exploding the CNF.
+re-adding the clauses.  AIG node identity already dedups almost
+everything; the cache catches cones built over inputs aliased to
+existing SAT literals (:meth:`CnfEmitter.aig_lit_for`), whose AIG nodes
+differ from the cones that first produced those literals.
 
 Provenance under sharing is *first-emitter-wins*: the clause triple keeps
 the label that was current when it was first emitted, and a later cache
@@ -44,12 +45,12 @@ from repro.sat.solver import Solver
 class CnfEmitter:
     """Incrementally emits AIG cones as CNF into a :class:`Solver`.
 
+    ``strash_hits`` counts gate and ITE emissions answered from the
+    CNF-level caches described in the module docstring (no new
+    variable, no new clauses).
+
     Parameters
     ----------
-    strash:
-        Enable the CNF-level gate-triple cache described in the module
-        docstring.  ``strash_hits`` counts gate emissions answered from
-        the cache (no new variable, no new clauses).
     ite:
         Detect ``or(and(s, t), and(!s, e))`` shapes and emit the
         1-var/4-clause native ITE form instead of three AND triples.
@@ -57,8 +58,7 @@ class CnfEmitter:
         ablation the accounting closed forms were derived against).
     """
 
-    def __init__(self, aig: Aig, solver: Solver, strash: bool = True,
-                 ite: bool = True) -> None:
+    def __init__(self, aig: Aig, solver: Solver, ite: bool = True) -> None:
         self.aig = aig
         self.solver = solver
         self._var_of: dict[int, int] = {}  # AIG node index -> SAT var
@@ -66,11 +66,10 @@ class CnfEmitter:
         self._label: Hashable = None
         self._const_var: Optional[int] = None
         #: canonical (fanin SAT lit, fanin SAT lit) -> gate output var
-        self._gate_cache: Optional[dict[tuple[int, int], int]] = {} if strash else None
+        self._gate_cache: dict[tuple[int, int], int] = {}
         self._ite = ite
-        #: normalized (sel, t, e) SAT lits -> ITE output var (strash only)
-        self._ite_cache: Optional[dict[tuple[int, int, int], int]] = \
-            {} if (strash and ite) else None
+        #: normalized (sel, t, e) SAT lits -> ITE output var
+        self._ite_cache: dict[tuple[int, int, int], int] = {}
         #: Count of AND-gate clause triples emitted (for size accounting).
         self.gates_emitted = 0
         #: Count of mux/xor shapes lowered to the native 4-clause ITE
@@ -88,11 +87,6 @@ class CnfEmitter:
     @property
     def label(self) -> Hashable:
         return self._label
-
-    @property
-    def strash(self) -> bool:
-        """Whether the CNF-level gate-triple cache is enabled."""
-        return self._gate_cache is not None
 
     # -- lowering ---------------------------------------------------------
 
@@ -229,12 +223,11 @@ class CnfEmitter:
                     # positive selector so the cache is polarity-blind.
                     ls, lt, le = -ls, le, lt
                 ite_cache = self._ite_cache
-                if ite_cache is not None:
-                    hit = ite_cache.get((ls, lt, le))
-                    if hit is not None:
-                        var_of[idx] = hit
-                        self.strash_hits += 1
-                        continue
+                hit = ite_cache.get((ls, lt, le))
+                if hit is not None:
+                    var_of[idx] = hit
+                    self.strash_hits += 1
+                    continue
                 # The node is AND(!and(s,t), !and(!s,e)) == !ITE(s,t,e):
                 # v <-> !(s ? t : e) in four clauses, one variable.  The
                 # inner AND nodes never get CNF.
@@ -245,8 +238,7 @@ class CnfEmitter:
                 solver.add_clause([ls, -le, -v], label)
                 solver.add_clause([ls, le, v], label)
                 self.ites_emitted += 1
-                if ite_cache is not None:
-                    ite_cache[(ls, lt, le)] = v
+                ite_cache[(ls, lt, le)] = v
                 continue
             ai, bi = a >> 1, b >> 1
             missing = False
@@ -261,23 +253,21 @@ class CnfEmitter:
             stack.pop()
             la = self._existing_lit(a)
             lb = self._existing_lit(b)
-            if gate_cache is not None:
-                key = (la, lb) if la <= lb else (lb, la)
-                hit = gate_cache.get(key)
-                if hit is not None:
-                    # Same lowered structure: reuse the triple's output var.
-                    # Its clauses keep their original (first-emitter) label.
-                    var_of[idx] = hit
-                    self.strash_hits += 1
-                    continue
+            key = (la, lb) if la <= lb else (lb, la)
+            hit = gate_cache.get(key)
+            if hit is not None:
+                # Same lowered structure: reuse the triple's output var.
+                # Its clauses keep their original (first-emitter) label.
+                var_of[idx] = hit
+                self.strash_hits += 1
+                continue
             v = solver.new_var()
             var_of[idx] = v
             solver.add_clause([-v, la], label)
             solver.add_clause([-v, lb], label)
             solver.add_clause([v, -la, -lb], label)
             self.gates_emitted += 1
-            if gate_cache is not None:
-                gate_cache[key] = v
+            gate_cache[key] = v
 
     def _detect_ite(self, a: int, b: int) -> Optional[tuple[int, int, int]]:
         """Match ``AND(a, b) == !ITE(sel, t, e)`` against the mux shape.

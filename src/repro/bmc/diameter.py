@@ -15,16 +15,12 @@ a property at all.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
-from repro.aig.aig import Aig
-from repro.aig.tseitin import CnfEmitter
 from repro.bmc.engine import BmcOptions
-from repro.bmc.induction import LoopFreeConstraints
-from repro.bmc.unroller import Unroller
+from repro.bmc.session import EncodingSession
 from repro.design.netlist import Design
-from repro.emm.forwarding import EmmMemory
-from repro.sat.solver import Solver
 
 
 def forward_recurrence_diameter(design: Design, max_depth: int = 100,
@@ -35,57 +31,19 @@ def forward_recurrence_diameter(design: Design, max_depth: int = 100,
     Returns None when the bound is not reached within ``max_depth``.
     Loop-freedom is judged over the latch state (the paper's LFP), with
     memory reads constrained by EMM including the arbitrary-initial-state
-    machinery — matching exactly what the engine's forward termination
-    check sees.
+    machinery — the encoding comes from an :class:`EncodingSession`, so
+    each check is exactly the engine's forward termination check
+    ``[a_init, a_meminit] + LFP_i`` under the same options.
     """
-    design.validate()
-    opts = options or BmcOptions()
-    solver = Solver(proof=False)
-    emitter = CnfEmitter(Aig(strash=opts.strash), solver, strash=opts.strash)
-    unroller = Unroller(design, emitter, opts.kept_latches)
-    a_init = solver.new_var()
-    a_meminit = solver.new_var()
-    a_lfp = solver.new_var()
-    kept_mems = (frozenset(design.memories) if opts.kept_memories is None
-                 else frozenset(opts.kept_memories))
-    port_map = opts.kept_read_ports or {}
-    emms = [
-        EmmMemory(solver, unroller, name,
-                  exclusivity=opts.exclusivity,
-                  init_consistency=opts.init_consistency,
-                  symbolic_init=True, a_meminit=a_meminit,
-                  kept_read_ports=port_map.get(name),
-                  addr_dedup=opts.emm_addr_dedup,
-                  chain_share=opts.emm_chain_share,
-                  hybrid_strash=opts.emm_hybrid_strash)
-        for name in sorted(kept_mems)
-    ]
-    lfp = LoopFreeConstraints(unroller, a_lfp)
+    opts = replace(options or BmcOptions(), find_proof=True, pba=False)
+    session = EncodingSession(design, opts)
     for i in range(max_depth + 1):
-        unroller.add_frame()
-        if i == 0:
-            _add_init_clauses(design, unroller, emitter, a_init)
-        for emm in emms:
-            emm.add_frame(i)
-        lfp.add_frame(i)
-        result = solver.solve([a_init, a_meminit, a_lfp],
-                              opts.max_conflicts_per_check)
+        session.extend_to(i)
+        result = session.solver.solve(
+            [session.a_init, session.a_meminit] + session.lfp_assumptions(i),
+            opts.max_conflicts_per_check)
         if result.unknown:
             return None
         if not result.sat:
             return i
     return None
-
-
-def _add_init_clauses(design: Design, unroller: Unroller,
-                      emitter: CnfEmitter, a_init: int) -> None:
-    for name in sorted(unroller.kept_latches):
-        latch = design.latches[name]
-        if latch.init is None:
-            continue
-        word = unroller.latch_word(name, 0)
-        emitter.set_label(("init", name))
-        for b in range(latch.width):
-            lit = emitter.sat_lit(word[b])
-            bit = (latch.init >> b) & 1
-            emitter.add_clause([-a_init, lit if bit else -lit])

@@ -59,43 +59,16 @@ class BmcOptions:
     emm_encoding: str = "hybrid"
     #: Equation (6) arbitrary-initial-state consistency; False = ablation.
     init_consistency: bool = True
-    #: Deduplicate EMM address comparators (per-memory cache + constant
-    #: folding, :mod:`repro.emm.addrcmp`); False reproduces the paper's
-    #: fresh-comparator-per-pair encoding for A/B comparisons.
-    emm_addr_dedup: bool = True
-    #: Structural hashing of the AIG/CNF substrate: hash-consed
-    #: :meth:`repro.aig.aig.Aig.and_gate` nodes with constant folding,
-    #: plus the Tseitin emitter's CNF-level gate-triple cache
-    #: (:class:`repro.aig.tseitin.CnfEmitter`).  False builds every cone
-    #: fresh — the unstrashed baseline for A/B size comparisons.
-    strash: bool = True
-    #: Cross-frame chain-suffix sharing and incremental equation (6):
-    #: the gate EMM encoding builds its priority chain oldest-write-first
-    #: as a mux chain (recurring address cones make frame k's chain a
-    #: strash prefix of frame k+1's), and both encodings prune eq-(6)
-    #: pairs whose comparator folds FALSE and merge fall-through records
-    #: whose comparator folds TRUE.  False is the PR-2 latest-first /
-    #: all-pairs baseline for A/B comparisons.
-    emm_chain_share: bool = True
     #: AIG-routed hybrid chain back-end: the hybrid EMM encoder builds
     #: its equation-(4)/(5) forwarding chain and read-data muxes on the
     #: structurally hashed AIG over aliased comparator/port literals
-    #: (shared chain builders with the gate encoding), so recurring
+    #: (the chain builder shared with the gate encoding), so recurring
     #: address cones plateau instead of re-emitting raw CNF per frame.
     #: False is the paper's hand-written CNF emission — the closed-form
     #: baseline for the accounting tests and the C5 bench.  No effect on
     #: ``emm_encoding="gates"`` (always AIG) or ``exclusivity=False``
     #: (no chain to route).
     emm_hybrid_strash: bool = True
-    #: Share the comparator cache *across* memories through a
-    #: session-scoped registry (:class:`repro.emm.addrcmp.
-    #: SharedComparatorTables`): two memories whose address cones lower
-    #: to the same SAT-literal tuples — the miter/equivalence case —
-    #: share one comparator, with the clauses multi-labelled so PBA
-    #: cores attribute them to every memory served.  Requires
-    #: ``emm_addr_dedup`` (no per-memory cache, nothing to widen); off
-    #: restores the historical per-memory scope.
-    emm_cross_mem_share: bool = True
     #: Latch-based abstraction: latches to keep (None = all).
     kept_latches: Optional[frozenset[str]] = None
     #: Memory abstraction: memories to keep EMM constraints for (None = all).
@@ -160,9 +133,7 @@ class BmcOptions:
                                   for g in self.shared_init_memories))
         return (self.find_proof, self.pba, self.use_emm, self.exclusivity,
                 self.emm_encoding, self.init_consistency,
-                self.emm_addr_dedup, self.strash, self.emm_chain_share,
-                self.emm_hybrid_strash, self.emm_cross_mem_share,
-                self.kept_latches,
+                self.emm_hybrid_strash, self.kept_latches,
                 self.kept_memories, ports_key, groups_key)
 
 

@@ -37,24 +37,23 @@ class BmcRunStats:
     emm_clauses: int = 0
     emm_gates: int = 0
     emm_vars: int = 0
-    #: EMM address comparisons answered from the per-memory comparator
-    #: cache / folded to constants (summed over memories; see
+    #: EMM address comparisons answered from the comparator cache /
+    #: folded to constants (summed over memories; see
     #: :mod:`repro.emm.addrcmp`).
     emm_addr_eq_cache_hits: int = 0
     emm_addr_eq_folded: int = 0
     #: Comparator hits answered by a cache entry another memory encoded
-    #: (session-scoped registry, ``BmcOptions.emm_cross_mem_share``);
-    #: a subset of the cache-hit counters above.
+    #: (the session-scoped comparator registry); a subset of the
+    #: cache-hit counters above.
     cross_mem_cmp_hits: int = 0
     #: Unlabelled clauses seen across this run's PBA unsat cores; when
     #: nonzero the latch/memory reason lists are not exhaustive and the
     #: PBA minimizer refuses to shrink on them.
     core_unlabeled: int = 0
-    #: Cross-frame chain-suffix sharing (``BmcOptions.emm_chain_share``):
-    #: gate-EMM mux-chain stages answered entirely by the strash layer,
-    #: equation-(6) pairs pruned on a folded-FALSE comparator, and
-    #: fall-through reads merged into an existing record on fold-TRUE
-    #: (summed over memories).  All zero with ``emm_chain_share=False``.
+    #: Cross-frame chain-suffix sharing: EMM mux-chain stages answered
+    #: entirely by the strash layer, equation-(6) pairs pruned on a
+    #: folded-FALSE comparator, and fall-through reads merged into an
+    #: existing record on fold-TRUE (summed over memories).
     emm_chain_suffix_hits: int = 0
     emm_init_pairs_pruned: int = 0
     emm_init_records_merged: int = 0
@@ -70,10 +69,10 @@ class BmcRunStats:
     #: Structural-hashing savings of the whole run: AND requests answered
     #: from the AIG hash table plus gate triples reused by the Tseitin
     #: emitter's CNF-level cache, and AND requests folded to constants
-    #: (:mod:`repro.aig.aig`).  Zero when ``BmcOptions.strash`` is off.
+    #: (:mod:`repro.aig.aig`).
     strash_hits: int = 0
     strash_folds: int = 0
-    #: AND nodes in the final AIG (after strashing, when enabled).
+    #: AND nodes in the final AIG (after strashing).
     aig_nodes: int = 0
     #: Mux/xor shapes the Tseitin emitter lowered to the native
     #: 1-var/4-clause ITE form instead of three AND triples

@@ -86,7 +86,7 @@ class EncodingSession:
                 "design has memories but use_emm=False; expand them first "
                 "(repro.design.expand_memories) for the explicit baseline")
         self.solver = Solver(proof=options.pba)
-        self.aig = Aig(strash=options.strash)
+        self.aig = Aig()
         # PBA sessions keep the plain AND-triple lowering: the ITE form
         # is function-equivalent but collapses each mux's two inner AND
         # provenance points into one 4-clause emission, which yields
@@ -95,7 +95,6 @@ class EncodingSession:
         # P2 regression).  `pba` is part of encoding_key, so fast and
         # ITE-lowered sessions are never cache-aliased with these.
         self.emitter = CnfEmitter(self.aig, self.solver,
-                                  strash=options.strash,
                                   ite=not options.pba)
         self.unroller = Unroller(design, self.emitter, options.kept_latches)
         self.a_init = self.solver.new_var()
@@ -111,10 +110,8 @@ class EncodingSession:
         #: booking class, shared by every memory's comparators so
         #: structurally identical address comparisons encode once across
         #: memories (hits multi-label the clauses — see
-        #: :mod:`repro.emm.addrcmp`).  Needs the per-memory cache on.
-        self.cmp_registry = (SharedComparatorTables()
-                             if options.emm_cross_mem_share
-                             and options.emm_addr_dedup else None)
+        #: :mod:`repro.emm.addrcmp`).
+        self.cmp_registry = SharedComparatorTables()
         if options.emm_encoding == "hybrid":
             emm_class = EmmMemory
         elif options.emm_encoding == "gates":
@@ -132,8 +129,6 @@ class EncodingSession:
                             a_meminit=self.a_meminit,
                             kept_read_ports=port_map.get(name),
                             init_registry=registries.get(name),
-                            addr_dedup=options.emm_addr_dedup,
-                            chain_share=options.emm_chain_share,
                             hybrid_strash=options.emm_hybrid_strash,
                             cmp_registry=self.cmp_registry)
             for name in sorted(kept_mems)

@@ -145,7 +145,6 @@ def _verify_options(args) -> BmcOptions:
     if args.engine == "explicit":
         return BmcOptions(use_emm=False, find_proof=not args.no_proof,
                           max_depth=args.max_depth,
-                          strash=not args.no_strash,
                           timeout_s=args.timeout,
                           profile=args.profile, **quotas)
     return BmcOptions(use_emm=True,
@@ -153,11 +152,7 @@ def _verify_options(args) -> BmcOptions:
                       max_depth=args.max_depth,
                       exclusivity=not args.no_exclusivity,
                       init_consistency=not args.no_init_consistency,
-                      emm_addr_dedup=not args.no_addr_dedup,
-                      strash=not args.no_strash,
-                      emm_chain_share=not args.no_chain_share,
                       emm_hybrid_strash=not args.no_hybrid_strash,
-                      emm_cross_mem_share=not args.no_cross_mem_share,
                       timeout_s=args.timeout,
                       profile=args.profile, **quotas)
 
@@ -336,21 +331,6 @@ def main(argv=None) -> int:
                           help="skip induction termination checks")
     p_verify.add_argument("--no-exclusivity", action="store_true",
                           help="ablation: naive forwarding encoding")
-    p_verify.add_argument("--no-addr-dedup", action="store_true",
-                          help="disable the EMM address-comparator cache "
-                               "(paper's fresh-comparator encoding)")
-    p_verify.add_argument("--no-strash", action="store_true",
-                          help="disable AIG/CNF structural hashing "
-                               "(unstrashed baseline encoding)")
-    p_verify.add_argument("--no-chain-share", action="store_true",
-                          help="disable cross-frame chain-suffix sharing "
-                               "and incremental equation-(6) pruning "
-                               "(latest-first / all-pairs baseline)")
-    p_verify.add_argument("--no-cross-mem-share", action="store_true",
-                          help="scope the address-comparator cache per "
-                               "memory instead of sharing it across "
-                               "memories through the session registry "
-                               "(multi-label PBA provenance)")
     p_verify.add_argument("--no-hybrid-strash", action="store_true",
                           help="re-emit the hybrid EMM encoding as raw "
                                "CNF per frame instead of routing its "

@@ -143,8 +143,8 @@ def check_equivalence(a: Design, b: Design,
     reachable states.
 
     Miters are the headline workload for cross-memory comparator
-    sharing (``BmcOptions.emm_cross_mem_share``, flowing through
-    ``options``): the ``a::``/``b::`` memory copies see structurally
+    sharing (:class:`repro.emm.addrcmp.SharedComparatorTables`): the
+    ``a::``/``b::`` memory copies see structurally
     identical address cones, so the session registry answers the second
     copy's comparators from the first copy's cache entries (bench C10).
     """

@@ -24,13 +24,13 @@ cones), while ``hybrid_strash=False`` re-emits the paper's direct CNF
 above — the exact encoding the closed forms below count.
 
 :mod:`repro.emm.accounting` carries the paper's closed-form constraint
-counts; tests assert the implementation matches them clause for clause.
-:mod:`repro.emm.addrcmp` deduplicates the address comparators behind
-those counts (per-memory or session-shared cache + constant folding,
-multi-label PBA provenance) — the closed forms are upper bounds once
-dedup is on, and ``EmmCounters`` reports how much was saved
-(``addr_eq_cache_hits`` / ``addr_eq_folded`` /
-``cross_mem_cmp_hits``).
+counts; tests assert the implementation matches them clause for clause
+on fresh-address designs.  :mod:`repro.emm.addrcmp` deduplicates the
+address comparators behind those counts (a session-shared cache plus
+constant folding, with multi-label PBA provenance), so the closed forms
+are upper bounds wherever address cones recur, and ``EmmCounters``
+reports how much was saved (``addr_eq_cache_hits`` /
+``addr_eq_folded`` / ``cross_mem_cmp_hits``).
 """
 
 from repro.emm.addrcmp import AddrComparator, SharedComparatorTables

@@ -18,15 +18,15 @@ constraints; an all-pairs count over the kR fresh reads is
 why this reproduction constrains all pairs (same-port reads at different
 depths also need consistency for induction proofs to be sound).
 
-Comparator dedup (:mod:`repro.emm.addrcmp`, on by default): the closed
-forms above assume every comparison pays the full ``4m+1`` clauses and
-``m+1`` variables.  With the per-memory comparator cache and constant
-folding they become *upper bounds*: a structural repeat costs 0 (counted
+Comparator dedup (:mod:`repro.emm.addrcmp`): the closed forms above
+assume every comparison pays the full ``4m+1`` clauses and ``m+1``
+variables.  With the comparator cache and constant folding they are
+*upper bounds*: a structural repeat costs 0 (counted
 in ``EmmCounters.addr_eq_cache_hits``), a fully constant comparison
 costs 0 (``addr_eq_folded``), and a const-vs-symbolic comparison costs
 :func:`addr_eq_clauses_const` instead of :func:`addr_eq_clauses_full`.
 The exact-count tests therefore use workloads whose address cones are
-fresh symbolic inputs, where dedup finds nothing and the bounds are
+fresh symbolic inputs, where the cache finds nothing and the bounds are
 tight.
 """
 
@@ -106,8 +106,8 @@ def init_consistency_pairs_all(k: int, r_ports: int) -> int:
 
 # -- chain-share closed forms (reproduction extension, not in the paper) --
 #
-# ``BmcOptions.emm_chain_share`` (on by default) changes two growth
-# terms.  The gate EMM encoding's priority chain becomes an
+# Cross-frame chain sharing changes two growth terms of the default
+# encodings.  The gate EMM encoding's priority chain is an
 # oldest-write-first mux chain whose per-pair cost is bounded by
 # :func:`mux_chain_gates_per_read_port`; on recurring address cones the
 # strash layer answers whole repeated stages from its table

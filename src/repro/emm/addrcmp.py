@@ -31,15 +31,13 @@ has not seen yet *joins* that label onto the entry's clauses
 a shared comparator attributes it to **every** consumer it served —
 ``Solver.core_labels`` flattens the resulting multi-labels back into
 individual ``("emm", name, *)`` tuples.  That label joining is what
-makes a **cross-memory** cache sound: with
-``BmcOptions.emm_cross_mem_share`` (default on) the
-:class:`EncodingSession` owns one :class:`SharedComparatorTables`
-registry and every memory's comparator resolves against it, so two
-memories whose address cones lower to the same SAT-literal tuples — the
+makes a **cross-memory** cache sound: every comparator resolves against
+a :class:`SharedComparatorTables` registry, and the
+:class:`EncodingSession` owns one for all its memories, so two memories
+whose address cones lower to the same SAT-literal tuples — the
 miter/equivalence case, where both copies see identical cones — share
-one ``4m+1``-clause block and the core names *both* memories.  (The
-historical per-memory scoping survives as the ``registry=None``
-default and the ``--no-cross-mem-share`` baseline.)
+one ``4m+1``-clause block and the core names *both* memories.  An EMM
+encoder built without a session makes a registry of its own.
 
 The registry is still split by **consumer booking class** (keyed on the
 comparator's ``hit_counter`` name): the race monitor books into
@@ -84,7 +82,7 @@ class _CacheEntry:
 
 
 class SharedComparatorTables:
-    """Session-scoped comparator registry (``emm_cross_mem_share``).
+    """Comparator registry shared by every comparator of one encoding.
 
     Owned by :class:`repro.bmc.session.EncodingSession` and handed to
     every memory's :class:`AddrComparator`: comparators with the same
@@ -108,21 +106,18 @@ class SharedComparatorTables:
 
 
 class AddrComparator:
-    """Cache of address-equality indicator literals (one per memory,
-    optionally resolving against a session-shared registry).
+    """Cache of address-equality indicator literals for one consumer,
+    resolving against a shared registry.
 
     Parameters
     ----------
     solver, emitter:
         The run's solver and Tseitin emitter (the emitter owns the
         dedicated always-true constant variable used for folds).
-    cache:
-        Enable comparator reuse.  With ``cache=False`` every call
-        encodes afresh (the A/B baseline for the dedup cross-checks).
-    fold:
-        Enable constant detection.  With ``fold=False`` the encoding is
-        bit-for-bit the paper's ``4m+1``-clause form regardless of the
-        operands, which keeps the closed-form accounting tests exact.
+    registry:
+        The :class:`SharedComparatorTables` the cache table lives in:
+        comparators of the same booking class share one table (hits
+        join the caller's label, see the module docstring).
     hit_counter, fold_counter:
         Names of the counter attributes bumped on cache hits / folds.
         A consumer whose clause counters must stay independent of other
@@ -131,37 +126,29 @@ class AddrComparator:
         ``hit_counter`` name doubles as the registry booking class, so
         differently-booked consumers never share a table and neither
         can steal the clause booking from the other.
-    registry, owner:
-        With a :class:`SharedComparatorTables` registry the cache table
-        is shared across all comparators of the same booking class
-        (cross-memory sharing; hits join the caller's label, see the
-        module docstring); ``owner`` names this consumer (the memory)
-        for cross-memory hit attribution.  Without a registry the table
-        is private — the historical per-memory scope.
+    owner:
+        Names this consumer (the memory) for cross-memory hit
+        attribution.
     """
 
-    __slots__ = ("solver", "emitter", "cache", "fold", "hit_counter",
-                 "fold_counter", "owner", "_registry", "_table")
+    __slots__ = ("solver", "emitter", "hit_counter", "fold_counter",
+                 "owner", "_registry", "_table")
 
     def __init__(self, solver: Solver, emitter: CnfEmitter,
-                 cache: bool = True, fold: bool = True,
+                 registry: SharedComparatorTables,
                  hit_counter: str = "addr_eq_cache_hits",
                  fold_counter: str = "addr_eq_folded",
-                 registry: Optional[SharedComparatorTables] = None,
                  owner: Optional[str] = None) -> None:
         self.solver = solver
         self.emitter = emitter
-        self.cache = cache
-        self.fold = fold
         self.hit_counter = hit_counter
         self.fold_counter = fold_counter
         self.owner = owner
         self._registry = registry
-        #: canonical (tuple, tuple) key -> _CacheEntry; shared across
-        #: same-booking-class comparators when a registry is given.
+        #: canonical (tuple, tuple) key -> _CacheEntry, shared across
+        #: same-booking-class comparators of the registry.
         self._table: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                          _CacheEntry] = (registry.table(hit_counter)
-                                          if registry is not None else {})
+                          _CacheEntry] = registry.table(hit_counter)
 
     # -- public API -----------------------------------------------------
 
@@ -179,22 +166,20 @@ class AddrComparator:
             raise ValueError("address words differ in width")
         ta, tb = tuple(a_bits), tuple(b_bits)
         key = (ta, tb) if ta <= tb else (tb, ta)
-        if self.cache:
-            entry = self._table.get(key)
-            if entry is not None:
-                setattr(c, self.hit_counter, getattr(c, self.hit_counter) + 1)
-                if label not in entry.labels:
-                    for cid in entry.cids:
-                        self.solver.add_label(cid, label)
-                    entry.labels.add(label)
-                if self._registry is not None and entry.owner != self.owner:
-                    self._registry.cross_mem_hits += 1
-                    c.cross_mem_cmp_hits += 1
-                return entry.lit
+        entry = self._table.get(key)
+        if entry is not None:
+            setattr(c, self.hit_counter, getattr(c, self.hit_counter) + 1)
+            if label not in entry.labels:
+                for cid in entry.cids:
+                    self.solver.add_label(cid, label)
+                entry.labels.add(label)
+            if entry.owner != self.owner:
+                self._registry.cross_mem_hits += 1
+                c.cross_mem_cmp_hits += 1
+            return entry.lit
         cids: list[int] = []
         e = self._encode(ta, tb, label, c, counter, cids)
-        if self.cache:
-            self._table[key] = _CacheEntry(e, tuple(cids), label, self.owner)
+        self._table[key] = _CacheEntry(e, tuple(cids), label, self.owner)
         return e
 
     def eq_const(self, addr: list[int], value: int, label: Hashable,
@@ -204,21 +189,13 @@ class AddrComparator:
         The constant is lowered to literals of the emitter's always-true
         variable, so it shares the cache and folding rules of :meth:`eq`
         (a constant address cone against a constant value folds to
-        TRUE/FALSE with zero clauses).  With ``fold=False`` it emits the
-        legacy uncached ``m+1``-clause unit form instead.
+        TRUE/FALSE with zero clauses; against a symbolic cone it costs
+        the ``m+1``-clause unit form).
         """
-        if self.fold:
-            t = self.emitter.true_lit()
-            const_bits = [t if (value >> i) & 1 else -t
-                          for i in range(len(addr))]
-            return self.eq(addr, const_bits, label, c, counter)
-        e = self._new_var(c)
-        lits = [addr[i] if (value >> i) & 1 else -addr[i]
-                for i in range(len(addr))]
-        for lit in lits:
-            self._clause([-e, lit], label, c, counter)
-        self._clause([e] + [-lit for lit in lits], label, c, counter)
-        return e
+        t = self.emitter.true_lit()
+        const_bits = [t if (value >> i) & 1 else -t
+                      for i in range(len(addr))]
+        return self.eq(addr, const_bits, label, c, counter)
 
     @property
     def size(self) -> int:
@@ -244,35 +221,31 @@ class AddrComparator:
 
     def _encode(self, ta: tuple[int, ...], tb: tuple[int, ...],
                 label: Hashable, c, counter: str,
-                cids: Optional[list[int]] = None) -> int:
+                cids: list[int]) -> int:
         em = self.emitter
-        if self.fold:
-            sym_pairs: list[tuple[int, int]] = []  # both sides symbolic
-            units: list[int] = []  # literal equivalent to one bit's equality
-            for a, b in zip(ta, tb):
-                if a == b:
-                    continue  # identical literal: equal by construction
-                if a == -b:
-                    self._bump_fold(c)
-                    return -em.true_lit()  # complementary: never equal
-                va, vb = self._const_value(a), self._const_value(b)
-                if va is not None and vb is not None:
-                    if va != vb:
-                        self._bump_fold(c)
-                        return -em.true_lit()
-                    continue  # equal constants
-                if va is not None:
-                    units.append(b if va else -b)
-                elif vb is not None:
-                    units.append(a if vb else -a)
-                else:
-                    sym_pairs.append((a, b))
-            if not sym_pairs and not units:
+        sym_pairs: list[tuple[int, int]] = []  # both sides symbolic
+        units: list[int] = []  # literal equivalent to one bit's equality
+        for a, b in zip(ta, tb):
+            if a == b:
+                continue  # identical literal: equal by construction
+            if a == -b:
                 self._bump_fold(c)
-                return em.true_lit()  # structurally identical words
-        else:
-            sym_pairs = list(zip(ta, tb))
-            units = []
+                return -em.true_lit()  # complementary: never equal
+            va, vb = self._const_value(a), self._const_value(b)
+            if va is not None and vb is not None:
+                if va != vb:
+                    self._bump_fold(c)
+                    return -em.true_lit()
+                continue  # equal constants
+            if va is not None:
+                units.append(b if va else -b)
+            elif vb is not None:
+                units.append(a if vb else -a)
+            else:
+                sym_pairs.append((a, b))
+        if not sym_pairs and not units:
+            self._bump_fold(c)
+            return em.true_lit()  # structurally identical words
 
         e_total = self._new_var(c)
         closing = []
@@ -297,10 +270,10 @@ class AddrComparator:
         return self.solver.new_var()
 
     def _clause(self, lits: list[int], label: Hashable, c, counter: str,
-                cids: Optional[list[int]] = None) -> None:
+                cids: list[int]) -> None:
         setattr(c, counter, getattr(c, counter) + 1)
         cid = self.solver.add_clause(lits, label)
         if cid < 0:
             c.absorbed += 1
-        elif cids is not None:
+        else:
             cids.append(cid)

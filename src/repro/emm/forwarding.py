@@ -6,28 +6,30 @@ lifetime of a BMC run; :meth:`EmmMemory.add_frame` is the paper's
 unrolling.  All clauses carry labels ``("emm", memory, kind)`` so
 proof-based abstraction can tell which memories a proof actually used.
 
-Pair ordering follows equation (4): for a read at depth k, candidate
-writes are scanned latest-frame-first and, within a frame, highest
-write-port-first; ``PS(i,p)`` means "no match strictly after (i,p)",
-``S(i,p)`` means "(i,p) is the unique matching write".  ``PS`` at the
-very bottom of the chain is the paper's ``S_{-1}`` — the read falls
-through to the initial memory state.
+Write priority follows equation (4): the newest matching write (latest
+frame, then highest write port) wins, and a read no write matched —
+the paper's ``S_{-1}`` — falls through to the initial memory state.
+The default AIG-routed back-end builds the chain **oldest write
+first** as a mux chain, so a newer write is muxed in later and
+overrides every older one; the raw-CNF back-end scans latest-first
+with the paper's explicit ``PS(i,p)`` ("no match strictly after
+(i,p)") and ``S(i,p)`` ("(i,p) is the unique matching write") signals.
 
-Address comparators are produced by a per-memory
-:class:`repro.emm.addrcmp.AddrComparator` (``addr_dedup=True``, the
-default): structurally recurring (read, write-pair) address comparisons
-return the already-encoded ``E`` literal instead of a fresh ``4m+1``
-clause block, and constant address cones fold to TRUE/FALSE (zero
-clauses) or the ``m+1``-clause const form.  With a session-scoped
+Address comparators are produced by
+:class:`repro.emm.addrcmp.AddrComparator`: structurally recurring
+(read, write-pair) address comparisons return the already-encoded
+``E`` literal instead of a fresh ``4m+1`` clause block, and constant
+address cones fold to TRUE/FALSE (zero clauses) or the ``m+1``-clause
+const form.  The cache lives in a
 :class:`repro.emm.addrcmp.SharedComparatorTables` registry
-(``cmp_registry``, wired by the encoding session under
-``BmcOptions.emm_cross_mem_share``) the cache spans *all* memories:
-proof-based abstraction stays sound because a cache hit joins the
-calling memory's ``("emm", name, *)`` label onto the entry's clauses
-(per-clause multi-labels, ``Solver.add_label``), so unsat cores through
-a shared comparator attribute it to every memory it served.  Without a
-registry the cache is scoped to this one memory — the historical
-baseline.  Hits are counted in ``EmmCounters.addr_eq_cache_hits`` and
+(``cmp_registry``); the encoding session hands one registry to all its
+memories, so the cache spans *all* memories.  Proof-based abstraction
+stays sound because a cache hit joins the calling memory's
+``("emm", name, *)`` label onto the entry's clauses (per-clause
+multi-labels, ``Solver.add_label``), so unsat cores through a shared
+comparator attribute it to every memory it served.  An encoder built
+without a registry makes its own.  Hits are counted in
+``EmmCounters.addr_eq_cache_hits`` and
 folds in ``EmmCounters.addr_eq_folded`` (cross-memory hits additionally
 in ``EmmCounters.cross_mem_cmp_hits``); all are per-frame snapshotted
 and surfaced as ``BmcRunStats.emm_addr_eq_cache_hits`` /
@@ -45,10 +47,9 @@ Two chain back-ends (``hybrid_strash``):
   forwarding logic through the structurally hashed AIG: the comparator
   ``E`` literals stay CNF (the layer above) but enter the AIG as
   *aliased inputs* (:meth:`repro.aig.tseitin.CnfEmitter.aig_lit_for`),
-  and the ``s``/``PS`` chain plus the data-forwarding muxes are built
-  with the same shared chain builders the pure-gate encoding uses
-  (:func:`repro.aig.ops.priority_mux_chain` /
-  :func:`~repro.aig.ops.exclusive_select_chain`).  Because aliased
+  and the oldest-write-first mux chain is built with the same chain
+  builder the pure-gate encoding uses
+  (:func:`repro.aig.ops.priority_mux_chain`).  Because aliased
   inputs have stable identity and cached comparators return the same
   ``E`` across frames, a recurring read-address cone makes frame k's
   chain a strash prefix of frame k+1's — per-frame growth plateaus on
@@ -59,10 +60,10 @@ Two chain back-ends (``hybrid_strash``):
 * ``hybrid_strash=False`` re-emits the paper's hand-written CNF every
   frame — equation (5)'s ``2n`` implication clauses per pair, the
   validity clause, raw 3-clause ``AND`` gates for the chain.  This is
-  the exact-closed-form baseline the accounting tests pin and the A/B
-  reference for the differential matrix.  The ``exclusivity=False``
-  ablation always uses this back-end (the naive long-clause encoding
-  has no chain to route).
+  the exact-closed-form baseline the accounting tests pin and the
+  paper-exact ablation cell of the differential matrix.  The
+  ``exclusivity=False`` ablation always uses this back-end (the naive
+  long-clause encoding has no chain to route).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from typing import Optional
 from repro.aig import ops
 from repro.aig.aig import FALSE, TRUE, lit_not
 from repro.bmc.unroller import PortSignals, Unroller
-from repro.emm.addrcmp import AddrComparator
+from repro.emm.addrcmp import AddrComparator, SharedComparatorTables
 from repro.sat.solver import Solver
 
 
@@ -94,7 +95,7 @@ class EmmCounters:
     vars_added: int = 0
     #: clauses absorbed by the solver (tautologies from constant addresses)
     absorbed: int = 0
-    #: address comparisons answered from the per-memory comparator cache
+    #: address comparisons answered from the comparator cache
     addr_eq_cache_hits: int = 0
     #: address comparisons folded to a constant (zero clauses emitted)
     addr_eq_folded: int = 0
@@ -110,7 +111,7 @@ class EmmCounters:
     race_addr_eq_cache_hits: int = 0
     race_addr_eq_folded: int = 0
     #: comparator cache hits answered by an entry another memory encoded
-    #: (session-scoped registry, ``emm_cross_mem_share``); a subset of
+    #: (session-scoped registry); a subset of
     #: ``addr_eq_cache_hits``/``race_addr_eq_cache_hits``, not a clause
     #: counter — the clauses were booked by the founding memory.
     cross_mem_cmp_hits: int = 0
@@ -124,8 +125,7 @@ class EmmCounters:
     strash_hits: int = 0
     strash_folds: int = 0
     #: Equation-(6) pairs skipped because their address comparator folded
-    #: to constant FALSE — their 2n data clauses were never built (with
-    #: ``chain_share`` off they are built and absorbed by the solver).
+    #: to constant FALSE — their 2n data clauses are never built.
     init_pairs_pruned: int = 0
     #: Fall-through reads merged into an existing record because their
     #: address cone is structurally identical (the comparator would fold
@@ -185,8 +185,9 @@ class _ReadRecord:
     """Bookkeeping for one fall-through read (equation (6) pairs).
 
     ``guard_lit`` is the literal equation-(6) pairs test for "this record
-    fell through".  Without record merging it is simply ``n_lit``.  With
-    merging (``chain_share``) it is a dedicated indicator variable ``G``
+    fell through".  Without record merging (the ``init_consistency``
+    ablation) it is simply ``n_lit``.  With merging it is a dedicated
+    indicator variable ``G``
     constrained one-directionally — ``n_read -> G`` for the founding read
     and every read merged in later — so pairs emitted *before* a merge
     still cover reads merged *after* them.  One-directional is enough:
@@ -257,23 +258,22 @@ class InitReadRegistry:
 
 
 def emit_init_consistency(new: _ReadRecord, records: list[_ReadRecord],
-                          addr_eq, const_value, emit, c: EmmCounters,
-                          chain_share: bool) -> None:
+                          addr_eq, const_value, emit,
+                          c: EmmCounters) -> None:
     """Equation (6) between ``new`` and every existing record.
 
     The single implementation behind both encoders'
     ``_add_init_consistency`` / ``_consistency`` — the comparator
     constructor (``addr_eq``) and clause sink (``emit``) differ per
-    encoder, the pair semantics must not.  With ``chain_share``, a pair
-    whose comparator folds to constant FALSE is pruned outright: its
-    ``2n`` data clauses are never built (without pruning they are built
-    only for the solver to absorb them at level 0, so pruning is
-    invisible to solving).  The fold-TRUE case never reaches this loop
-    when merging is on — the read was merged before a record existed.
+    encoder, the pair semantics must not.  A pair whose comparator
+    folds to constant FALSE is pruned outright: its ``2n`` data clauses
+    would only be absorbed by the solver at level 0, so pruning is
+    invisible to solving.  The fold-TRUE case never reaches this loop —
+    the read was merged before a record existed.
     """
     for old in records:
         eq = addr_eq(new.addr, old.addr)
-        if chain_share and const_value(eq) is False:
+        if const_value(eq) is False:
             c.init_pairs_pruned += 1
             continue
         guard = [-eq, -new.guard_lit, -old.guard_lit]
@@ -293,35 +293,25 @@ class EmmMemory:
         forwarding semantics are encoded as the naive long-clause
         implications of equation (3) — the ablation of Section 3 item 3.
     init_consistency:
-        When False, arbitrary-initial-state reads still get fresh
-        symbolic words but the pairwise equation-(6) constraints are
-        omitted — the unsound-for-proofs ablation of Section 4.2.
-    addr_dedup:
-        When True (default) address comparators are cached and
-        constant-folded through a per-memory
-        :class:`~repro.emm.addrcmp.AddrComparator`; when False every
-        comparison emits the paper's fresh ``4m+1``-clause block (the
-        baseline for the dedup cross-checks and the exact-count tests).
-    chain_share:
         When True (default) the equation-(6) pass is incremental: pairs
         whose address comparator folds to constant FALSE skip their
         ``2n`` data clauses entirely, and fall-through reads whose
         address cone is structurally identical to an existing record's
         (the fold-TRUE case) are *merged* into it — reusing its symbolic
         word and guard instead of minting fresh variables, pins and a
-        quadratic number of new pairs.  With ``hybrid_strash`` (or in
-        the gate encoding) the same option additionally selects the
-        oldest-write-first mux chain whose cross-frame suffix sharing
-        the strash layer exploits; with the raw CNF back-end the chain
-        keeps the paper's equation-(4) order either way.  False
-        reproduces the PR-2 behaviour exactly (the A/B baseline for the
-        chain-share cross-checks).
+        quadratic number of new pairs.  When False, arbitrary-initial-
+        state reads still get fresh symbolic words but the pairwise
+        equation-(6) constraints are omitted — the unsound-for-proofs
+        ablation of Section 4.2.
     hybrid_strash:
         When True (default) the forwarding chain and read-data muxes are
         built on the structurally hashed AIG over aliased comparator /
         port literals (see the module docstring); when False every frame
         re-emits the paper's direct CNF.  Ignored (raw CNF) under the
         ``exclusivity=False`` ablation.
+    cmp_registry:
+        The :class:`~repro.emm.addrcmp.SharedComparatorTables` the
+        comparators resolve against; None makes one for this memory.
     """
 
     def __init__(self, solver: Solver, unroller: Unroller, mem_name: str,
@@ -331,10 +321,9 @@ class EmmMemory:
                  kept_read_ports: Optional[frozenset[int]] = None,
                  check_races: bool = False,
                  init_registry: Optional[InitReadRegistry] = None,
-                 addr_dedup: bool = True,
-                 chain_share: bool = True,
                  hybrid_strash: bool = True,
-                 cmp_registry=None) -> None:
+                 cmp_registry: Optional[SharedComparatorTables] = None,
+                 ) -> None:
         self.solver = solver
         self.unroller = unroller
         self.emitter = unroller.emitter
@@ -364,20 +353,22 @@ class EmmMemory:
         if self.symbolic_init and has_known_init and a_meminit is None:
             raise ValueError("symbolic_init for a known-init memory needs a_meminit")
         self.counters = EmmCounters()
-        #: Per-memory comparator cache (see module docstring for why the
-        #: scope must not widen past one memory: PBA label attribution).
+        if cmp_registry is None:
+            cmp_registry = SharedComparatorTables()
+        #: Forwarding/eq-(6) comparator cache, session-wide through the
+        #: registry (hits multi-label the clauses, so PBA cores name
+        #: every memory a shared comparator served).
         self.addr_cmp = AddrComparator(solver, unroller.emitter,
-                                       cache=addr_dedup, fold=addr_dedup,
-                                       registry=cmp_registry, owner=mem_name)
+                                       cmp_registry, owner=mem_name)
         #: The race monitor books into dedicated counters, so it gets an
         #: *isolated* comparator: sharing the forwarding cache would let
         #: whichever consumer encodes a pair first steal the clause
         #: booking, making ``addr_eq_clauses`` depend on ``check_races``.
         self.race_cmp = AddrComparator(solver, unroller.emitter,
-                                       cache=addr_dedup, fold=addr_dedup,
+                                       cmp_registry,
                                        hit_counter="race_addr_eq_cache_hits",
                                        fold_counter="race_addr_eq_folded",
-                                       registry=cmp_registry, owner=mem_name)
+                                       owner=mem_name)
         self._writes: list[list[PortSignals]] = []  # [frame][write_port]
         #: Fall-through read registry; *shared across memories* when this
         #: memory is in a shared-initial-state group (the miter case:
@@ -386,15 +377,9 @@ class EmmMemory:
         self._reads: InitReadRegistry = (init_registry
                                          if init_registry is not None
                                          else InitReadRegistry())
-        self.chain_share = chain_share
         #: AIG-routed chain back-end; the naive eq-(3) ablation has no
         #: chain to route, so it always keeps the raw CNF emission.
         self.hybrid_strash = hybrid_strash and exclusivity
-        #: Record merging needs the eq-(6) machinery to be on: with the
-        #: init-consistency ablation active, sharing a symbolic word
-        #: would silently re-introduce (part of) the constraints the
-        #: ablation is meant to drop.
-        self._merge_init = chain_share and init_consistency
         #: Declared-init signature scoping the merge index (see
         #: :class:`InitReadRegistry`): merging across memories is only
         #: sound when their a_meminit pins agree.
@@ -434,8 +419,8 @@ class EmmMemory:
     def _constrain_read_aig(self, k: int, r: int, read: PortSignals) -> None:
         """Equations (4)/(5) routed through the structurally hashed AIG.
 
-        Comparators stay the hybrid's CNF layer — per-memory cache,
-        ``4m+1`` closed form, per-memory PBA labels — and their ``E``
+        Comparators stay the hybrid's CNF layer — cached, ``4m+1``
+        closed form, per-memory PBA labels — and their ``E``
         literals enter the AIG as aliased inputs alongside the port
         enables and write-data words.  The chain and the data muxes are
         built with the shared builders of :mod:`repro.aig.ops` and
@@ -478,31 +463,21 @@ class EmmMemory:
                 stages.append((s, [em.aig_lit_for(b) for b in wsig.data]))
         re_aig = em.aig_lit_for(read.en)
         em.set_label(label_excl)
-        # ``n_lit`` ("the read fell through to the initial state") is only
-        # consumed by the symbolic-init record machinery — for known-init
-        # memories the seed is a constant word and the mux chain needs no
-        # explicit fall-through signal, so its cone is neither built (mux
-        # mode) nor lowered (exclusive mode).
-        if self.chain_share:
-            # Oldest-write-first mux chain: recurring address cones make
-            # frame k's chain a strash prefix of frame k+1's.
-            n_lit = None
-            if self.symbolic_init:
-                nomatch = TRUE
-                for s, _ in stages:
-                    nomatch = aig.and_gate(nomatch, lit_not(s))
-                n_lit = em.sat_lit(aig.and_gate(re_aig, nomatch))
-            seed = self._chain_init_word(read, n_lit, k, r)
-            value, suffix_hits = ops.priority_mux_chain(aig, stages, seed)
-            c.chain_suffix_hits += suffix_hits
-        else:
-            # Equation (4)'s latest-first exclusive chain, rebuilt per
-            # frame — the chain-share A/B baseline on the AIG back-end.
-            selected, n_aig = ops.exclusive_select_chain(
-                aig, list(reversed(stages)), re_aig)
-            n_lit = em.sat_lit(n_aig) if self.symbolic_init else None
-            seed = self._chain_init_word(read, n_lit, k, r)
-            value = ops.onehot_select_word(aig, selected, n_aig, seed)
+        # Oldest-write-first mux chain: recurring address cones make
+        # frame k's chain a strash prefix of frame k+1's.  ``n_lit`` ("the
+        # read fell through to the initial state") is only consumed by
+        # the symbolic-init record machinery — for known-init memories
+        # the seed is a constant word and the chain needs no explicit
+        # fall-through signal, so its cone is not built.
+        n_lit = None
+        if self.symbolic_init:
+            nomatch = TRUE
+            for s, _ in stages:
+                nomatch = aig.and_gate(nomatch, lit_not(s))
+            n_lit = em.sat_lit(aig.and_gate(re_aig, nomatch))
+        seed = self._chain_init_word(read, n_lit, k, r)
+        value, suffix_hits = ops.priority_mux_chain(aig, stages, seed)
+        c.chain_suffix_hits += suffix_hits
         v_sats = [em.sat_lit(vb) for vb in value]
         label_rd = ("emm", self.name, "rd")
         for b in range(n_bits):
@@ -568,7 +543,7 @@ class EmmMemory:
         c = self.counters
         label_init = ("emm", self.name, "init")
         merged = (self._reads.find_mergeable(addr, self._init_sig)
-                  if self._merge_init else None)
+                  if self.init_consistency else None)
         if merged is not None:
             # Identical address cone *and* declared-init signature (both
             # are merge-key components): the record's pins already say
@@ -586,7 +561,10 @@ class EmmMemory:
             self._pin_word(v_vars, self.a_meminit, addr, label_init, c,
                            "init_pin_clauses")
         guard = None
-        if self._merge_init:
+        if self.init_consistency:
+            # Record merging needs the eq-(6) machinery: under the
+            # ablation, sharing a symbolic word would re-introduce part
+            # of the constraints the ablation drops.
             guard = self._new_var()
             self._clause([-n_lit, guard], label_init, c,
                          "init_guard_clauses")
@@ -594,7 +572,8 @@ class EmmMemory:
                              guard_lit=guard)
         if self.init_consistency:
             self._add_init_consistency(record, c)
-        self._reads.add(record, index=self._merge_init, sig=self._init_sig)
+        self._reads.add(record, index=self.init_consistency,
+                        sig=self._init_sig)
         return v_vars
 
     # -- raw-CNF back-end (hybrid_strash=False, the paper's encoding) ------
@@ -690,11 +669,11 @@ class EmmMemory:
             self._pin_word(read.data, n_lit, read.addr, label_init, c,
                            "init_rd_clauses")
         else:
-            # Section 4.2: a symbolic word per fall-through read.  With
-            # chain_share, a read whose address cone structurally repeats
-            # an existing record's (the comparator would fold TRUE) is
-            # merged into it: same word, no new pins, no new pairs — only
-            # the 2n read-data clauses and one guard clause.  The record
+            # Section 4.2: a symbolic word per fall-through read.  A read
+            # whose address cone structurally repeats an existing
+            # record's (the comparator would fold TRUE) is merged into
+            # it: same word, no new pins, no new pairs — only the 2n
+            # read-data clauses and one guard clause.  The record
             # machinery is shared with the AIG back-end; only the RD
             # binding below is raw-CNF-specific.
             v_vars = self._init_read_record(read.addr, n_lit, k, r)
@@ -745,7 +724,7 @@ class EmmMemory:
             const_value=self.addr_cmp.const_value,
             emit=lambda lits: self._clause(lits, label, c,
                                            "init_consistency_clauses"),
-            c=c, chain_share=self.chain_share)
+            c=c)
 
     def _monitor_races(self, k: int, writes: list[PortSignals]) -> None:
         """OR over write-port pairs of (same address AND both enabled).
@@ -803,9 +782,9 @@ class EmmMemory:
         Returns the literal of a variable E with E <-> (a == b): E ->
         per-bit equality directly, and per-bit indicator variables e_i
         with (a_i == b_i) -> e_i plus the closing clause
-        (!e_0 + ... + !e_{m-1} + E).  With ``addr_dedup`` the per-memory
-        :class:`AddrComparator` returns the existing E on a structural
-        repeat and folds constant comparisons (see module docstring).
+        (!e_0 + ... + !e_{m-1} + E).  The :class:`AddrComparator`
+        returns the existing E on a structural repeat and folds constant
+        comparisons (see module docstring).
         """
         return self.addr_cmp.eq(a_bits, b_bits, label, c, counter)
 

@@ -9,35 +9,24 @@ out of AIG nodes and forced true bit by bit through the Tseitin emitter.
 Same semantics, different SAT back-end shape; ``BmcOptions.emm_encoding``
 selects between them and the A3 benchmark measures both.
 
-Two chain constructions are available, selected by ``chain_share``:
+The priority chain is built **oldest-write-first as a mux chain** —
+``value' = mux(S_j, WD_j, value)`` seeded from the initial-state word,
+with the no-match/PS fall-through accumulated alongside and the read
+enable applied at the end.  Newer writes are muxed in later, so the
+newest matching write wins, exactly equation (4)'s priority.  The
+payoff is *cross-frame structure*: for a read whose address cone
+recurs (a constant status word, a stable pointer), frame k's entire
+chain is a strash **prefix** of frame k+1's — the structural-hashing
+layer answers every repeated stage from its table (counted in
+``EmmCounters.chain_suffix_hits``) and per-frame growth collapses from
+a quadratic per-frame rebuild to O(one new stage).
 
-* ``chain_share=True`` (default) builds the priority chain
-  **oldest-write-first as a mux chain** — ``value' = mux(S_j, WD_j,
-  value)`` seeded from the initial-state word, with the no-match/PS
-  fall-through accumulated alongside and the read enable applied at the
-  end.  Newer writes are muxed in later, so the newest matching write
-  wins, exactly equation (4)'s priority.  The payoff is *cross-frame
-  structure*: for a read whose address cone recurs (a constant status
-  word, a stable pointer), frame k's entire chain is a strash **prefix**
-  of frame k+1's — the structural-hashing layer (PR 2) answers every
-  repeated stage from its table (counted in
-  ``EmmCounters.chain_suffix_hits``) and per-frame growth collapses from
-  the quadratic per-frame rebuild to O(one new stage).
+The chain builder (:func:`repro.aig.ops.priority_mux_chain`) is shared
+with the AIG-routed hybrid encoder (``EmmMemory(hybrid_strash=True)``):
+the two encodings differ in how the match signals and the read-data
+binding are produced, not in the chain itself.
 
-* ``chain_share=False`` builds latest-write-first with explicit
-  exclusive ``S``/``PS`` signals, exactly the order of equation (4) —
-  the A/B baseline.  Every node of that chain depends on the *newest*
-  write, so frame k+1 shares nothing with frame k and the quadratic
-  part is rebuilt every depth.
-
-Both constructions live in :mod:`repro.aig.ops`
-(:func:`~repro.aig.ops.priority_mux_chain`,
-:func:`~repro.aig.ops.exclusive_select_chain`) and are shared with the
-AIG-routed hybrid encoder (``EmmMemory(hybrid_strash=True)``): the two
-encodings differ in how the match signals and the read-data binding are
-produced, not in the chain itself.
-
-One deliberate refinement (both modes): with gates, a disabled read
+One deliberate refinement: with gates, a disabled read
 (RE=0) collapses the chain to 0, so RD is *forced to zero* rather than
 left free as in the hybrid encoding.  That matches the reference
 simulator; designs must not consume RD while RE is low under either
@@ -51,7 +40,7 @@ from typing import Optional
 from repro.aig import ops
 from repro.aig.aig import FALSE, TRUE, lit_not
 from repro.bmc.unroller import PortSignals, Unroller
-from repro.emm.addrcmp import AddrComparator
+from repro.emm.addrcmp import AddrComparator, SharedComparatorTables
 from repro.emm.forwarding import (EmmCounters, InitReadRegistry, _ReadRecord,
                                   emit_init_consistency)
 from repro.sat.solver import Solver
@@ -81,10 +70,9 @@ class GateEmmMemory:
                  kept_read_ports: Optional[frozenset[int]] = None,
                  check_races: bool = False,
                  init_registry: Optional[InitReadRegistry] = None,
-                 addr_dedup: bool = True,
-                 chain_share: bool = True,
                  hybrid_strash: bool = True,
-                 cmp_registry=None) -> None:
+                 cmp_registry: Optional[SharedComparatorTables] = None,
+                 ) -> None:
         # ``hybrid_strash`` is accepted for constructor parity with the
         # hybrid encoder (the engine passes one kwarg set to whichever
         # class the options select); this encoding is always AIG-routed.
@@ -109,14 +97,13 @@ class GateEmmMemory:
                              "a_meminit")
         self.counters = EmmCounters()
         #: CNF-side comparator cache for the equation-(6) consistency
-        #: pairs; per memory like the hybrid encoder's, or session-shared
-        #: through ``cmp_registry`` (the AIG side of this encoding
-        #: already structurally hashes its eq cones across memories).
+        #: pairs, session-shared through ``cmp_registry`` like the hybrid
+        #: encoder's (the AIG side of this encoding already structurally
+        #: hashes its eq cones across memories).
+        if cmp_registry is None:
+            cmp_registry = SharedComparatorTables()
         self.addr_cmp = AddrComparator(solver, unroller.emitter,
-                                       cache=addr_dedup, fold=addr_dedup,
-                                       registry=cmp_registry, owner=mem_name)
-        self.chain_share = chain_share
-        self._merge_init = chain_share and init_consistency
+                                       cmp_registry, owner=mem_name)
         #: Declared-init signature scoping the merge index (see
         #: :class:`~repro.emm.forwarding.InitReadRegistry`).
         self._init_sig = (self.mem.init,
@@ -165,13 +152,6 @@ class GateEmmMemory:
         c.per_frame.append(c.frame_delta(before))
 
     def _constrain_read(self, k: int, r: int, read: PortSignals) -> None:
-        if self.chain_share:
-            self._constrain_read_oldest_first(k, r, read)
-        else:
-            self._constrain_read_latest_first(k, r, read)
-
-    def _constrain_read_oldest_first(self, k: int, r: int,
-                                     read: PortSignals) -> None:
         """Suffix-shared chain: oldest write first, newest mux wins.
 
         Stage order is (frame 0, port 0) .. (frame k-1, port W-1); a
@@ -201,36 +181,8 @@ class GateEmmMemory:
         value, suffix_hits = ops.priority_mux_chain(aig, stages, seed)
         self.counters.chain_suffix_hits += suffix_hits
         # Gate by the read enable (disabled reads are forced to zero,
-        # matching the latest-first construction and the simulator).
+        # matching the simulator).
         value = [aig.and_gate(read.en, vb) for vb in value]
-        em = self.emitter
-        em.set_label(("emm", self.name, "rd"))
-        for b in range(n_bits):
-            em.add_clause([em.sat_lit(aig.iff_(read.data[b], value[b]))])
-
-    def _constrain_read_latest_first(self, k: int, r: int,
-                                     read: PortSignals) -> None:
-        """The PR-2 baseline: equation (4) order, rebuilt every frame."""
-        aig = self.aig
-        n_bits = self.mem.data_width
-        # Priority chain, latest frame / highest write port first, exactly
-        # the order of equation (4).
-        stages: list[tuple[int, list[int]]] = []
-        for j in range(k - 1, -1, -1):
-            for w in range(self.mem.num_write_ports - 1, -1, -1):
-                wsig = self._writes[j][w]
-                s = aig.and_gate(ops.eq_word(aig, read.addr, wsig.addr),
-                                 wsig.en)
-                if s == FALSE:
-                    # Comparator folded FALSE (or WE is constant 0): the
-                    # pair is dead — skip its chain and data gates.
-                    continue
-                stages.append((s, wsig.data))
-        selected, ps = ops.exclusive_select_chain(aig, stages, read.en)
-        n_lit = ps  # no write matched: fall through to the initial state
-        init_word = self._initial_word(read.addr, n_lit, read, k, r)
-        value = ops.onehot_select_word(aig, selected, n_lit, init_word)
-        # Force RD = value (per bit) through the emitter.
         em = self.emitter
         em.set_label(("emm", self.name, "rd"))
         for b in range(n_bits):
@@ -252,15 +204,15 @@ class GateEmmMemory:
             return word
         # Section 4.2: fresh symbolic inputs, pinned under a_meminit when
         # the declared init is known, cross-read-consistent via eq. (6).
-        # With chain_share, a read whose lowered address repeats an
-        # existing record's is merged into it: the shared AIG inputs are
-        # exactly what keeps the mux-chain seed stable across frames.
+        # A read whose lowered address repeats an existing record's is
+        # merged into it: the shared AIG inputs are exactly what keeps
+        # the mux-chain seed stable across frames.
         em = self.emitter
         em.set_label(("emm", self.name, "init"))
         c = self.counters
         addr_sat = em.sat_word(addr)
         merged = (self._reads.find_mergeable(addr_sat, self._init_sig)
-                  if self._merge_init else None)
+                  if self.init_consistency else None)
         if merged is not None:
             self._init_clause([-em.sat_lit(n_lit), merged.guard_lit],
                               "init_guard_clauses")
@@ -272,7 +224,7 @@ class GateEmmMemory:
         if mem.init is not None or mem.init_words:
             self._pin_symbolic(addr, v_sat)
         guard = None
-        if self._merge_init:
+        if self.init_consistency:
             guard = self.solver.new_var()
             c.vars_added += 1
             self._init_clause([-em.sat_lit(n_lit), guard],
@@ -281,7 +233,8 @@ class GateEmmMemory:
                              guard_lit=guard, v_aig=v_aig)
         if self.init_consistency:
             self._consistency(record)
-        self._reads.add(record, index=self._merge_init, sig=self._init_sig)
+        self._reads.add(record, index=self.init_consistency,
+                        sig=self._init_sig)
         c.vars_added += n_bits
         return v_aig
 
@@ -326,7 +279,7 @@ class GateEmmMemory:
             const_value=self.addr_cmp.const_value,
             emit=lambda lits: self._init_clause(lits,
                                                 "init_consistency_clauses"),
-            c=self.counters, chain_share=self.chain_share)
+            c=self.counters)
 
     def _sat_addr_eq(self, a_bits: list[int], b_bits: list[int]) -> int:
         """CNF equality indicator over already-emitted SAT literals."""

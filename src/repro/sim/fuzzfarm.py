@@ -8,10 +8,10 @@ interpretation the repo has against each other:
   on the scalar reference interpreter and compared bit for bit;
 * **vector vs explicit expansion** — property verdicts of sampled lanes
   are cross-checked against the ``expand_memories`` oracle;
-* **BMC encodings vs the explicit model** — every ``{hybrid, gates} ×
-  option-combo`` configuration is run through the existing
-  :class:`repro.service.VerificationService` and must reproduce the
-  explicit-model verdict/depth with a validated trace;
+* **BMC encodings vs the explicit model** — both EMM encodings and the
+  paper's raw closed-form hybrid (:data:`BMC_CONFIGS`) are run through
+  the existing :class:`repro.service.VerificationService` and must
+  reproduce the explicit-model verdict/depth with a validated trace;
 * **simulation witnesses lower-bound BMC** — any random lane that hits
   a property at cycle *c* forces the symbolic engines to report a
   counterexample at depth ≤ *c* (BMC finds the *earliest* violation).
@@ -45,23 +45,13 @@ from repro.sim.oracle import (ExplicitOracle, Oracle, SimulatorOracle,
 from repro.sim.trace import Trace
 from repro.sim.vector import have_numpy
 
-#: The sharing-option axes the farm toggles (mirrors the default
-#: differential matrix in ``tests/test_differential_matrix.py``).  The
-#: raw hybrid CNF back-end (``emm_hybrid_strash=False``) is retired
-#: from the default axes — the AIG-routed back-end has been the
-#: production path since PR 5 — and survives only as the paper-exact
-#: ablation combo below.
-OPTION_AXES = ("strash", "emm_addr_dedup", "emm_chain_share")
-
-#: Default option combos: everything on and everything off — the two
-#: poles every per-axis regression lies between — plus the paper-exact
-#: raw hybrid CNF ablation, the one default-run coverage the retired
-#: ``emm_hybrid_strash`` axis keeps.  Pass more combos for the nightly
-#: full matrix.
-DEFAULT_COMBOS = (dict.fromkeys(OPTION_AXES, True),
-                  dict.fromkeys(OPTION_AXES, False),
-                  dict(dict.fromkeys(OPTION_AXES, True),
-                       emm_hybrid_strash=False))
+#: The symbolic configurations the farm checks, as ``(emm_encoding,
+#: extra BmcOptions kwargs)``: both EMM encodings at their defaults plus
+#: the paper's raw closed-form hybrid CNF (``emm_hybrid_strash=False``,
+#: the ablation the accounting tests pin).  Mirrors the differential
+#: matrix in ``tests/test_differential_matrix.py``.
+BMC_CONFIGS = (("hybrid", {}), ("gates", {}),
+               ("hybrid", {"emm_hybrid_strash": False}))
 
 
 # -- random workloads (module level so service workers can pickle them) ----
@@ -169,11 +159,10 @@ class FarmConfig:
     #: sample) and lanes cross-checked against the explicit expansion.
     scalar_lanes: int = 4
     explicit_lanes: int = 2
-    #: Symbolic side of the differential: encodings × option combos
+    #: Symbolic side of the differential: ``(encoding, options)`` cells
     #: through the VerificationService, against the explicit model.
     run_bmc: bool = True
-    encodings: tuple = ("hybrid", "gates")
-    option_combos: tuple = DEFAULT_COMBOS
+    bmc_configs: tuple = BMC_CONFIGS
     bmc_depth: int = 4
     #: Worker processes for the service runs (1 = inline).
     jobs: int = 1
@@ -418,7 +407,7 @@ def _sim_divergence(kind: str, seed: int, design: Design, stimulus: Stimulus,
 
 def _run_bmc_matrix(config: FarmConfig, seed: int, design: Design,
                     traces: list[Trace], report: FarmReport) -> None:
-    """Every (encoding × combo) must match the explicit model — and no
+    """Every (encoding, options) cell must match the explicit model — and no
     symbolic engine may miss a violation a random lane already found."""
     fast = default_oracle(design) if have_numpy() else \
         SimulatorOracle(design)
@@ -437,47 +426,42 @@ def _run_bmc_matrix(config: FarmConfig, seed: int, design: Design,
                              jobs=config.jobs, retry=retry,
                              job_timeout_s=config.job_timeout_s) as svc:
         oracle_results = svc.run()
-    for encoding in config.encodings:
-        for combo in config.option_combos:
-            opts = BmcOptions(emm_encoding=encoding, **combo, **base)
-            with VerificationService(partial(build_fuzz_netlist, seed),
-                                     opts, jobs=config.jobs, retry=retry,
-                                     job_timeout_s=config.job_timeout_s) as svc:
-                results = svc.run()
-            for prop, r in sorted(results.items()):
-                report.bmc_trials += 1
-                report.trials += 1
-                want = oracle_results[prop]
-                ctx = dict(seed=seed, prop=prop, encoding=encoding,
-                           options=dict(combo))
-                if (r.status, r.depth) != (want.status, want.depth):
-                    report.divergences.append(Divergence(
-                        kind="bmc-verdict", detail=(
-                            f"{encoding}/{combo}: got {r.status}@{r.depth}, "
-                            f"explicit model says {want.status}@{want.depth}"),
-                        **{k: ctx[k] for k in ("seed", "prop", "encoding",
-                                               "options")}))
-                    continue
-                if r.status == "cex" and r.trace_validated is not True:
-                    stim = Stimulus.from_trace(r.trace) if r.trace else None
-                    report.divergences.append(Divergence(
-                        kind="bmc-trace-invalid",
-                        detail=f"{encoding}/{combo}: counterexample trace "
-                               f"failed simulator validation",
-                        stimulus=stim.to_dict() if stim else None,
-                        **{k: ctx[k] for k in ("seed", "prop", "encoding",
-                                               "options")}))
-                    continue
-                bound = sim_first[prop]
-                if bound is not None and (r.status != "cex"
-                                          or (r.depth or 0) > bound):
-                    report.divergences.append(Divergence(
-                        kind="bmc-missed-witness",
-                        detail=(f"{encoding}/{combo}: a random lane "
-                                f"violates at cycle {bound} but BMC "
-                                f"reported {r.status}@{r.depth}"),
-                        **{k: ctx[k] for k in ("seed", "prop", "encoding",
-                                               "options")}))
+    for encoding, combo in config.bmc_configs:
+        opts = BmcOptions(emm_encoding=encoding, **combo, **base)
+        with VerificationService(partial(build_fuzz_netlist, seed),
+                                 opts, jobs=config.jobs, retry=retry,
+                                 job_timeout_s=config.job_timeout_s) as svc:
+            results = svc.run()
+        for prop, r in sorted(results.items()):
+            report.bmc_trials += 1
+            report.trials += 1
+            want = oracle_results[prop]
+            ctx = dict(seed=seed, prop=prop, encoding=encoding,
+                       options=dict(combo))
+            if (r.status, r.depth) != (want.status, want.depth):
+                report.divergences.append(Divergence(
+                    kind="bmc-verdict", detail=(
+                        f"{encoding}/{combo}: got {r.status}@{r.depth}, "
+                        f"explicit model says {want.status}@{want.depth}"),
+                    **ctx))
+                continue
+            if r.status == "cex" and r.trace_validated is not True:
+                stim = Stimulus.from_trace(r.trace) if r.trace else None
+                report.divergences.append(Divergence(
+                    kind="bmc-trace-invalid",
+                    detail=f"{encoding}/{combo}: counterexample trace "
+                           f"failed simulator validation",
+                    stimulus=stim.to_dict() if stim else None, **ctx))
+                continue
+            bound = sim_first[prop]
+            if bound is not None and (r.status != "cex"
+                                      or (r.depth or 0) > bound):
+                report.divergences.append(Divergence(
+                    kind="bmc-missed-witness",
+                    detail=(f"{encoding}/{combo}: a random lane "
+                            f"violates at cycle {bound} but BMC "
+                            f"reported {r.status}@{r.depth}"),
+                    **ctx))
 
 
 # -- reproducer persistence / replay ---------------------------------------
@@ -525,7 +509,7 @@ def replay_reproducer(path: str) -> bool:
             return not traces_equal(SimulatorOracle(design).replay(stim),
                                     default_oracle(design).replay(stim))
         return _explicit_differs(design, data["prop"])(stim)
-    # BMC kinds: re-run the single (encoding, combo, prop) cell.
+    # BMC kinds: re-run the single (encoding, options, prop) cell.
     base = dict(find_proof=False, max_depth=4)
     from repro.bmc import verify
     want = verify(_build_explicit(seed), data["prop"],

@@ -1,4 +1,4 @@
-"""Cross-memory comparator sharing (``BmcOptions.emm_cross_mem_share``).
+"""Cross-memory comparator sharing through the session registry.
 
 The session-scoped :class:`repro.emm.addrcmp.SharedComparatorTables`
 registry lets two memories whose address cones lower to the same SAT
@@ -13,11 +13,14 @@ race monitor.
 import pytest
 
 from repro.aig import Aig, CnfEmitter
-from repro.bmc import BmcOptions, verify
+from repro.bmc import BmcOptions, EncodingSession, verify
 from repro.bmc.engine import BmcEngine
+from repro.bmc.unroller import Unroller
 from repro.design import Design
-from repro.emm import AddrComparator, EmmCounters, SharedComparatorTables
+from repro.emm import (AddrComparator, EmmCounters, EmmMemory,
+                       SharedComparatorTables)
 from repro.sat import Solver
+from tests.bmc_oracle import assert_matches_oracle
 
 
 def two_mem_design(same_cones=True, init=0):
@@ -50,10 +53,10 @@ def two_mem_design(same_cones=True, init=0):
 def fresh_cmp_pair(registry, **kw):
     """Two comparators for different memories over one solver/registry."""
     solver = Solver()
-    em = CnfEmitter(solver, Aig())
+    em = CnfEmitter(Aig(), solver)
     ca, cb = EmmCounters(), EmmCounters()
-    a = AddrComparator(solver, em, registry=registry, owner="ma", **kw)
-    b = AddrComparator(solver, em, registry=registry, owner="mb", **kw)
+    a = AddrComparator(solver, em, registry, owner="ma", **kw)
+    b = AddrComparator(solver, em, registry, owner="mb", **kw)
     return solver, a, b, ca, cb
 
 
@@ -105,10 +108,10 @@ class TestRegistry:
         """Race-class comparators never see forwarding-class entries."""
         reg = SharedComparatorTables()
         solver = Solver()
-        em = CnfEmitter(solver, Aig())
+        em = CnfEmitter(Aig(), solver)
         c = EmmCounters()
-        fwd = AddrComparator(solver, em, registry=reg, owner="ma")
-        race = AddrComparator(solver, em, registry=reg, owner="ma",
+        fwd = AddrComparator(solver, em, reg, owner="ma")
+        race = AddrComparator(solver, em, reg, owner="ma",
                               hit_counter="race_addr_eq_cache_hits",
                               fold_counter="race_addr_eq_folded")
         x, y = word(solver, 3), word(solver, 3)
@@ -121,12 +124,18 @@ class TestRegistry:
         assert fwd.size == 1 and race.size == 1
 
     def test_no_registry_keeps_per_memory_scope(self):
-        solver, a, b, ca, cb = fresh_cmp_pair(None)
-        x, y = word(solver, 3), word(solver, 3)
-        a.eq(x, y, ("emm", "ma", "addr_eq"), ca, "addr_eq_clauses")
-        b.eq(x, y, ("emm", "mb", "addr_eq"), cb, "addr_eq_clauses")
+        """Encoders built without a session make their own registry: the
+        second memory re-encodes every comparison the first one made."""
+        solver = Solver(proof=False)
+        un = Unroller(two_mem_design(), CnfEmitter(Aig(), solver))
+        emms = [EmmMemory(solver, un, name) for name in ("ma", "mb")]
+        for k in range(4):
+            un.add_frame()
+            for emm in emms:
+                emm.add_frame(k)
+        ca, cb = (emm.counters for emm in emms)
         assert cb.addr_eq_cache_hits == 0  # re-encoded, private table
-        assert cb.addr_eq_clauses > 0
+        assert cb.addr_eq_clauses == ca.addr_eq_clauses > 0
         assert cb.cross_mem_cmp_hits == 0
 
 
@@ -138,60 +147,36 @@ class TestEndToEnd:
                                                ("hybrid", None),
                                                ("gates", None)])
     def test_sharing_shrinks_the_encoding(self, encoding, init):
+        """Per-memory scope would make ``mb`` pay every comparator ``ma``
+        pays (the copies are symmetric); the session registry answers all
+        of them from ``ma``'s entries, and the verdict still matches the
+        explicit-memory oracle."""
         d = two_mem_design(init=init)
-        sizes, statuses = {}, {}
-        for share in (True, False):
-            r = verify(d, "agree",
-                       BmcOptions(max_depth=6, find_proof=(init is None),
-                                  emm_encoding=encoding,
-                                  emm_cross_mem_share=share))
-            sizes[share] = r.stats.sat_clauses + r.stats.sat_vars
-            statuses[share] = (r.status, r.depth)
-            if share:
-                assert r.stats.cross_mem_cmp_hits > 0
-            else:
-                assert r.stats.cross_mem_cmp_hits == 0
-        assert statuses[True] == statuses[False]
-        assert sizes[True] < sizes[False]
+        opts = BmcOptions(max_depth=6, find_proof=(init is None),
+                          emm_encoding=encoding)
+        session = EncodingSession(d, opts)
+        r = BmcEngine(d, "agree", opts, session=session).run()
+        assert r.stats.cross_mem_cmp_hits > 0
+        ca, cb = (session.emms[name].counters for name in ("ma", "mb"))
+        assert ca.addr_eq_clauses + ca.init_addr_eq_clauses > 0
+        assert cb.addr_eq_clauses + cb.init_addr_eq_clauses == 0
+        assert_matches_oracle(r, d, "agree", (encoding, init))
 
     def test_verdict_and_trace_parity(self):
+        """Both copies read at the write address: the verdict matches
+        the explicit-memory oracle."""
         d = two_mem_design(same_cones=False)
-        results = [verify(d, "differ",
-                          BmcOptions(max_depth=6, emm_cross_mem_share=s))
-                   for s in (True, False)]
-        on, off = results
-        assert on.status == off.status
-        assert on.depth == off.depth
-        assert on.trace_validated == off.trace_validated
+        r = verify(d, "differ", BmcOptions(max_depth=6))
+        assert_matches_oracle(r, d, "differ")
 
     def test_pba_core_names_both_memories(self):
         """The headline regression: a PBA core through a comparator both
-        memories share must attribute it to both — under per-memory
-        scoping it trivially did, under cross-memory sharing only the
-        label joining makes it so."""
+        memories share must attribute it to both — only the label
+        joining makes it so."""
         d = two_mem_design()
-        for share in (True, False):
-            opts = BmcOptions(max_depth=6, pba=True, find_proof=False,
-                              emm_cross_mem_share=share)
-            eng = BmcEngine(d, "agree", opts)
-            r = eng.run()
-            assert r.status == "bounded"
-            assert r.memory_reasons, (share, "no PBA reasons collected")
-            assert r.memory_reasons[-1] == frozenset({"ma", "mb"}), share
-            assert r.stats.core_unlabeled == 0
-
-    def test_encoding_key_distinguishes_share(self):
-        on = BmcOptions(emm_cross_mem_share=True)
-        off = BmcOptions(emm_cross_mem_share=False)
-        assert on.encoding_key() != off.encoding_key()
-
-    def test_session_registry_gated_on_dedup(self):
-        from repro.bmc.session import EncodingSession
-
-        d = two_mem_design()
-        with_dedup = EncodingSession(d, BmcOptions())
-        no_dedup = EncodingSession(d, BmcOptions(emm_addr_dedup=False))
-        no_share = EncodingSession(d, BmcOptions(emm_cross_mem_share=False))
-        assert with_dedup.cmp_registry is not None
-        assert no_dedup.cmp_registry is None
-        assert no_share.cmp_registry is None
+        opts = BmcOptions(max_depth=6, pba=True, find_proof=False)
+        r = BmcEngine(d, "agree", opts).run()
+        assert r.status == "bounded"
+        assert r.memory_reasons, "no PBA reasons collected"
+        assert r.memory_reasons[-1] == frozenset({"ma", "mb"})
+        assert r.stats.core_unlabeled == 0

@@ -27,6 +27,19 @@ def counter_design(width=2, step=1):
     return d
 
 
+def memory_counter_design(init):
+    """A 2-bit controller reading an input-written memory at ``t``."""
+    d = Design("memctr")
+    t = d.latch("t", 2, init=0)
+    t.next = t.expr + 1
+    mem = d.memory("m", 2, 2, init=init)
+    mem.write(0).connect(addr=d.input("wa", 2), data=d.input("wd", 2),
+                         en=d.input("we", 1))
+    mem.read(0).connect(addr=t.expr, en=1)
+    d.invariant("p", d.const(1, 1))
+    return d
+
+
 def lfp_setup(design, kept_latches=None):
     solver = Solver(proof=False)
     emitter = CnfEmitter(Aig(), solver)
@@ -156,15 +169,30 @@ class TestForwardRecurrenceDiameter:
         judged over the latch state: the memory must not extend the
         diameter of the 2-bit controller, under known or arbitrary
         initial memory contents."""
-        d = Design("memctr")
-        t = d.latch("t", 2, init=0)
-        t.next = t.expr + 1
-        mem = d.memory("m", 2, 2, init=init)
-        mem.write(0).connect(addr=d.input("wa", 2), data=d.input("wd", 2),
-                             en=d.input("we", 1))
-        mem.read(0).connect(addr=t.expr, en=1)
-        d.invariant("p", d.const(1, 1))
+        d = memory_counter_design(init)
         assert forward_recurrence_diameter(d, max_depth=10) == 4
+
+    @pytest.mark.parametrize("build,expected", [
+        (lambda: counter_design(width=2), 4),
+        (lambda: counter_design(width=3), 8),
+        (lambda: counter_design(2, step=2), 2),
+        (lambda: memory_counter_design(0), 4),
+        (lambda: memory_counter_design(None), 4),
+    ], ids=["cnt2", "cnt3", "cnt2s2", "memctr-init0", "memctr-symbolic"])
+    def test_gate_encoding_agrees_with_hybrid(self, build, expected):
+        """The diameter is encoded through the same session the engine
+        uses, so ``emm_encoding`` is honoured — and both encodings must
+        give the known diameter."""
+        for encoding in ("hybrid", "gates"):
+            opts = BmcOptions(emm_encoding=encoding)
+            assert forward_recurrence_diameter(
+                build(), max_depth=10, options=opts) == expected, encoding
+
+    def test_unknown_encoding_rejected(self):
+        with pytest.raises(ValueError, match="emm_encoding"):
+            forward_recurrence_diameter(
+                memory_counter_design(0), max_depth=3,
+                options=BmcOptions(emm_encoding="bogus"))
 
     def test_agrees_with_engine_forward_proof_depth(self):
         """The standalone computation must coincide with the depth at
@@ -182,3 +210,27 @@ class TestForwardRecurrenceDiameter:
         r = verify(d, "p", bmc3(max_depth=10, pba=False))
         assert r.proved and r.method == "forward"
         assert r.depth == diameter == 2
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "forward termination judges loop-freedom over the latch state only "
+    "(the paper's LFP), so memory contents that keep changing along a "
+    "latch loop are not counted as state and PROOF comes too early"))
+def test_forward_termination_sees_memory_contents():
+    """A memory word counts up every cycle while the only latch toggles:
+    the target is reached at depth 3, but every latch path of length 2
+    repeats a state, so ``I ∧ LFP_2`` is UNSAT.  BDD reachability on the
+    memory-expanded model is the oracle."""
+    from repro.bmc import bmc3, verify
+    from tests.bmc_oracle import bdd_verdict
+
+    d = Design("memcount")
+    t = d.latch("t", 1, init=0)
+    t.next = ~t.expr
+    mem = d.memory("m", 1, 2, init=0)
+    rd = mem.read(0).connect(addr=d.const(0, 1), en=1)
+    mem.write(0).connect(addr=d.const(0, 1), data=rd + 1, en=1)
+    d.reach("three", rd.eq(3))
+    assert bdd_verdict(d, "three") == ("cex", 3)
+    r = verify(d, "three", bmc3(max_depth=6, pba=False))
+    assert (r.status, r.depth) == ("cex", 3), r.describe()

@@ -1,9 +1,9 @@
-"""Differential harness over the full encoder/option matrix.
+"""Differential harness over the encoder matrix.
 
 One harness instead of per-feature one-off tests (the modular-
-verification argument of RealityCheck, PAPERS.md): every encoder/option
-combination — {hybrid, gates} x {strash, addr_dedup, chain_share}
-on/off — is run on the same workloads and cross-checked
+verification argument of RealityCheck, PAPERS.md): both EMM encodings
+and the paper's raw closed-form hybrid ablation are run on the same
+workloads and cross-checked
 
 * against the **explicit-model oracle**: the design with its memories
   expanded into registers (``repro.design.explicit.expand_memories``)
@@ -12,17 +12,17 @@ on/off — is run on the same workloads and cross-checked
   and trace validity must coincide at every depth;
 * against **each other** under induction + PBA: proof statuses, depths,
   methods, and the accumulated latch/memory reason sets must be
-  identical across all option combinations of an encoding — options are
-  size optimisations and must be invisible to every observable outcome.
+  identical between the AIG-routed hybrid default and its raw-CNF
+  ablation, and every such run must agree with the explicit model on
+  the depths it falsified.
 
 Workloads are randomized small netlists (multi-port, recurring address
-cones, known/symbolic init — the shapes every option path bites on)
+cones, known/symbolic init — the shapes every sharing layer bites on)
 plus the fifo/stack/cache case studies at shallow depth.  The expensive
-corners (the full 2^4 option cross-product, the deeper case-study
-sweeps) are marked ``slow`` for the nightly job.
+corners (more seeds, deeper runs) are marked ``slow`` for the nightly
+job.
 """
 
-import itertools
 import random
 
 import pytest
@@ -31,32 +31,15 @@ from repro.bmc import BmcOptions, verify, verify_many
 from repro.casestudies.cache import CacheParams, build_cache
 from repro.casestudies.fifo import FifoParams, build_fifo
 from repro.casestudies.stack_machine import StackMachineParams, build_stack_machine
-from repro.design import Design, build_miter, expand_memories
-from repro.sim import Stimulus, default_oracle
+from repro.design import Design, build_miter
+from repro.sim.fuzzfarm import BMC_CONFIGS
+from tests.bmc_oracle import (assert_matches_oracle, assert_verdict,
+                              explicit_falsify, verdict_of)
 
-#: The option axes of the matrix, as BmcOptions kwargs.  The raw hybrid
-#: CNF back-end (``emm_hybrid_strash=False``) is retired from the
-#: default axes — the AIG-routed chain has been the production path
-#: since PR 5 — and survives as the explicit paper-exact ablation combo
-#: below plus the nightly full matrix.
-OPTION_AXES = ("strash", "emm_addr_dedup", "emm_chain_share")
-
-#: Paper-exact ablation: everything on but the hybrid chain emitted as
-#: raw per-frame CNF (the closed-form accounting baseline).
-RAW_HYBRID_ABLATION = dict(dict.fromkeys(OPTION_AXES, True),
-                           emm_hybrid_strash=False)
-
-#: Representative sub-matrix for per-push runs: everything on,
-#: everything off, each axis toggled off alone, and the raw-hybrid
-#: ablation.  The full cross-product (including the retired
-#: ``emm_hybrid_strash`` axis) runs nightly (`slow`).
-REPRESENTATIVE = [dict.fromkeys(OPTION_AXES, True),
-                  dict.fromkeys(OPTION_AXES, False)] + [
-    {axis: (axis != off) for axis in OPTION_AXES} for off in OPTION_AXES
-] + [RAW_HYBRID_ABLATION]
-
-FULL_MATRIX = [dict(zip(OPTION_AXES + ("emm_hybrid_strash",), bits))
-               for bits in itertools.product((True, False), repeat=4)]
+#: The matrix cells, as ``(emm_encoding, extra BmcOptions kwargs)``:
+#: both encodings at their defaults plus the raw closed-form hybrid CNF
+#: (the paper-exact ablation) — the same cells the fuzz farm runs.
+MATRIX = BMC_CONFIGS
 
 
 def random_netlist(seed):
@@ -116,40 +99,30 @@ def falsify(design, prop, depth, **options):
                   BmcOptions(find_proof=False, max_depth=depth, **options))
 
 
-def run_matrix(design, prop, depth, combos):
-    """Bounded falsification of every (encoding, combo) pair."""
+def run_matrix(design, prop, depth):
+    """Bounded falsification of every matrix cell."""
     out = {}
-    for encoding in ("hybrid", "gates"):
-        for combo in combos:
-            key = (encoding,) + tuple(sorted(combo.items()))
-            out[key] = falsify(design, prop, depth,
-                               emm_encoding=encoding, **combo)
+    for encoding, combo in MATRIX:
+        key = (encoding,) + tuple(sorted(combo.items()))
+        out[key] = falsify(design, prop, depth, emm_encoding=encoding,
+                           **combo)
     return out
 
 
 def assert_oracle_parity(results, oracle, ctx, design=None, prop=None):
-    """Every matrix run agrees with the explicit-model oracle.
-
-    With ``design``/``prop`` given, counterexample traces are
-    additionally revalidated through the *concrete* oracle API
-    (:func:`repro.sim.default_oracle`) — an independent replay outside
-    the engine's own validation path.
-    """
-    checker = default_oracle(design) if design is not None else None
+    """Every matrix run reaches the explicit-memory oracle's verdict at
+    the same depth, with the trace checks of
+    :func:`tests.bmc_oracle.assert_verdict` (simulator replay when
+    ``design``/``prop`` are given)."""
+    assert oracle.status != "cex" or oracle.trace_validated is True, ctx
     for key, r in results.items():
-        assert r.status == oracle.status, (ctx, key, r.status, oracle.status)
-        assert r.depth == oracle.depth, (ctx, key)
-        if r.status == "cex":
-            assert r.trace_validated is True, (ctx, key)
-            assert oracle.trace_validated is True, ctx
-            assert len(r.trace.cycles) == len(oracle.trace.cycles), (ctx, key)
-            if checker is not None:
-                v = checker.check(prop, Stimulus.from_trace(r.trace))
-                assert v.failed and v.cycle == r.depth, (ctx, key, v)
+        assert (r.status, r.depth) == (oracle.status, oracle.depth), \
+            (ctx, key, r.status, r.depth, oracle.status, oracle.depth)
+        assert_verdict(r, verdict_of(oracle), (ctx, key), design, prop)
 
 
 # ---------------------------------------------------------------------------
-# Randomized netlists vs the explicit oracle (representative sub-matrix).
+# Randomized netlists vs the explicit oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -157,24 +130,24 @@ def assert_oracle_parity(results, oracle, ctx, design=None, prop=None):
 def test_random_netlists_match_explicit_oracle(seed):
     design, prop = random_netlist(seed)
     depth = 4
-    oracle = falsify(expand_memories(design), prop, depth, use_emm=False)
-    results = run_matrix(design, prop, depth, REPRESENTATIVE)
+    oracle = explicit_falsify(design, prop, depth)
+    results = run_matrix(design, prop, depth)
     assert_oracle_parity(results, oracle, seed, design=design, prop=prop)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(6, 14))
 def test_random_netlists_full_matrix_nightly(seed):
-    """The full 2^4 option cross-product per encoding (nightly)."""
+    """More seeds, one depth deeper (nightly)."""
     design, prop = random_netlist(seed)
     depth = 5
-    oracle = falsify(expand_memories(design), prop, depth, use_emm=False)
-    results = run_matrix(design, prop, depth, FULL_MATRIX)
+    oracle = explicit_falsify(design, prop, depth)
+    results = run_matrix(design, prop, depth)
     assert_oracle_parity(results, oracle, seed, design=design, prop=prop)
 
 
 # ---------------------------------------------------------------------------
-# Two-memory miters: cross-memory comparator sharing on/off.
+# Two-memory miters: cross-memory comparator sharing.
 # ---------------------------------------------------------------------------
 
 
@@ -193,61 +166,70 @@ def miter_netlist(seed, twist=False):
     return build_miter(a, b, [(ra, rb)])
 
 
-#: Everything-on combos with the cross-memory registry toggled — the
-#: sharing must be invisible to every observable outcome.
-CROSS_MEM_COMBOS = [dict(dict.fromkeys(OPTION_AXES, True),
-                         emm_cross_mem_share=share)
-                    for share in (True, False)]
-
-
 @pytest.mark.parametrize("twist", [False, True], ids=["same", "twist"])
 @pytest.mark.parametrize("seed", range(4))
 def test_two_memory_miters_match_explicit_oracle(seed, twist):
     design = miter_netlist(seed, twist)
     depth = 4
-    oracle = falsify(expand_memories(design), "equiv", depth, use_emm=False)
-    results = run_matrix(design, "equiv", depth, CROSS_MEM_COMBOS)
+    oracle = explicit_falsify(design, "equiv", depth)
+    results = run_matrix(design, "equiv", depth)
     assert_oracle_parity(results, oracle, (seed, twist), design=design,
                          prop="equiv")
+
+
+def mirrored(names):
+    """Swap the miter's ``a::``/``b::`` prefixes."""
+    swap = {"a::": "b::", "b::": "a::"}
+    return frozenset(swap[n[:3]] + n[3:] for n in names)
+
+
+#: Miter seeds whose memory-expanded model the BDD engine finishes on
+#: (seed 0 hits its node limit; explicit-memory BMC still covers it).
+MITER_BDD_SEEDS = {2}
 
 
 @pytest.mark.parametrize("encoding", ["hybrid", "gates"])
 @pytest.mark.parametrize("seed", [0, 2])
 def test_miter_pba_reasons_invariant_across_share(seed, encoding):
-    """PBA latch/memory reasons must not depend on whether comparator
-    clauses were shared across the miter's memory copies — the
-    multi-label joining is exactly what keeps the shared clause
-    attributed to both memories."""
+    """The miter's two copies are symmetric, so PBA latch/memory reasons
+    must be too, even though every comparator of the ``b::`` copy is
+    answered from the ``a::`` copy's entries — the multi-label joining
+    is exactly what keeps the shared clauses attributed to both."""
     design = miter_netlist(seed)
-    runs = prove_matrix(design, "equiv", 4, encoding, CROSS_MEM_COMBOS)
+    runs = prove_matrix(design, "equiv", 4, encoding)
     assert_observable_parity(runs, (seed, encoding))
+    for combo, r in runs:
+        ctx = (seed, encoding, combo)
+        assert_matches_oracle(r, design, "equiv", ctx,
+                              bdd=seed in MITER_BDD_SEEDS)
+        assert r.stats.cross_mem_cmp_hits > 0, ctx
+        assert r.memory_reasons[-1] == frozenset({"a::m", "b::m"}), ctx
+        for latches in r.latch_reasons:
+            assert mirrored(latches) == latches, (ctx, latches)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(4, 8))
 def test_two_memory_miters_full_matrix_nightly(seed):
-    """Nightly row: the full option cross-product x share on/off."""
+    """Nightly row: more miter seeds, one depth deeper."""
     design = miter_netlist(seed)
     depth = 5
-    oracle = falsify(expand_memories(design), "equiv", depth, use_emm=False)
-    combos = [dict(c, emm_cross_mem_share=share)
-              for c in FULL_MATRIX for share in (True, False)]
-    results = run_matrix(design, "equiv", depth, combos)
+    oracle = explicit_falsify(design, "equiv", depth)
+    results = run_matrix(design, "equiv", depth)
     assert_oracle_parity(results, oracle, seed, design=design, prop="equiv")
 
 
 # ---------------------------------------------------------------------------
-# Induction + PBA: options must be invisible within an encoding.
+# Induction + PBA: the raw ablation must match the default hybrid.
 # ---------------------------------------------------------------------------
 
 
-def prove_matrix(design, prop, depth, encoding, combos):
-    out = []
-    for combo in combos:
-        out.append((combo, verify(design, prop, BmcOptions(
-            find_proof=True, pba=True, max_depth=depth,
-            emm_encoding=encoding, **combo))))
-    return out
+def prove_matrix(design, prop, depth, encoding):
+    """Induction + PBA runs of every matrix cell of one encoding."""
+    return [(combo, verify(design, prop, BmcOptions(
+                find_proof=True, pba=True, max_depth=depth,
+                emm_encoding=encoding, **combo)))
+            for enc, combo in MATRIX if enc == encoding]
 
 
 def assert_observable_parity(runs, ctx):
@@ -266,8 +248,10 @@ def assert_observable_parity(runs, ctx):
 @pytest.mark.parametrize("seed", [1, 3, 5])
 def test_pba_reasons_invariant_across_options(seed, encoding):
     design, prop = random_netlist(seed)
-    runs = prove_matrix(design, prop, 4, encoding, REPRESENTATIVE)
+    runs = prove_matrix(design, prop, 4, encoding)
     assert_observable_parity(runs, (seed, encoding))
+    for __, r in runs:
+        assert_matches_oracle(r, design, prop, (seed, encoding), bdd=True)
 
 
 @pytest.mark.slow
@@ -275,8 +259,12 @@ def test_pba_reasons_invariant_across_options(seed, encoding):
 @pytest.mark.parametrize("seed", [0, 2, 4])
 def test_pba_reasons_full_matrix_nightly(seed, encoding):
     design, prop = random_netlist(seed)
-    runs = prove_matrix(design, prop, 4, encoding, FULL_MATRIX)
+    runs = prove_matrix(design, prop, 4, encoding)
     assert_observable_parity(runs, (seed, encoding))
+    for __, r in runs:
+        # Seed 0 hits the BDD engine's node limit.
+        assert_matches_oracle(r, design, prop, (seed, encoding),
+                              bdd=seed != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +345,8 @@ CASE_STUDIES = [
                          ids=[f"{b.__name__}-{p}" for b, p, _ in CASE_STUDIES])
 def test_case_studies_match_explicit_oracle(builder, prop, depth):
     design = builder()
-    oracle = falsify(expand_memories(design), prop, depth, use_emm=False)
-    results = run_matrix(design, prop, depth,
-                         [dict.fromkeys(OPTION_AXES, True),
-                          dict.fromkeys(OPTION_AXES, False)])
+    oracle = explicit_falsify(design, prop, depth)
+    results = run_matrix(design, prop, depth)
     assert_oracle_parity(results, oracle, prop, design=design, prop=prop)
 
 
@@ -368,9 +354,11 @@ def test_case_studies_match_explicit_oracle(builder, prop, depth):
 @pytest.mark.parametrize("builder,prop,depth", CASE_STUDIES,
                          ids=[f"{b.__name__}-{p}" for b, p, _ in CASE_STUDIES])
 def test_case_studies_representative_matrix_nightly(builder, prop, depth):
+    """Two depths deeper than the per-push case-study row (nightly)."""
     design = builder()
-    oracle = falsify(expand_memories(design), prop, depth, use_emm=False)
-    results = run_matrix(design, prop, depth, REPRESENTATIVE)
+    depth += 2
+    oracle = explicit_falsify(design, prop, depth)
+    results = run_matrix(design, prop, depth)
     assert_oracle_parity(results, oracle, prop)
 
 

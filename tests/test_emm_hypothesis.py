@@ -52,10 +52,14 @@ def build_design(aw, dw, n_write):
     return d
 
 
-def build_recurring_design(aw, dw, n_write, const_addr):
+def build_recurring_design(aw, dw, n_write, const_addr, shared=True):
     """Like :func:`build_design` plus comparator-cache fodder: a second
     read port duplicating port 0's address cone and a third reading a
-    fixed constant address."""
+    fixed constant address.  ``shared=False`` gives the two extra ports
+    their own address inputs ``ra1`` / ``rc`` instead — the same
+    behaviour when the stimulus drives ``ra1 = ra`` and
+    ``rc = const_addr``, but every comparison is fresh, so the
+    comparator cache and folding have nothing to find."""
     d = Design("hwc")
     t = d.latch("t", 2, init=0)
     t.next = t.expr + 1
@@ -68,18 +72,19 @@ def build_recurring_design(aw, dw, n_write, const_addr):
                              en=en & guard)
     ra = d.input("ra", aw)
     mem.read(0).connect(addr=ra, en=1)
-    mem.read(1).connect(addr=ra, en=1)
-    mem.read(2).connect(addr=d.const(const_addr, aw), en=1)
+    mem.read(1).connect(addr=ra if shared else d.input("ra1", aw), en=1)
+    mem.read(2).connect(addr=(d.const(const_addr, aw) if shared
+                              else d.input("rc", aw)), en=1)
     d.invariant("p", mem.read(0).data.ule((1 << dw) - 1))
     return d
 
 
-def solve_pinned(design, depth, stimulus, addr_dedup):
+def solve_pinned(design, depth, stimulus):
     """Unroll + EMM-constrain, pin the stimulus, return (solver pieces)."""
     solver = Solver(proof=False)
     emitter = CnfEmitter(Aig(), solver)
     un = Unroller(design, emitter)
-    emm = EmmMemory(solver, un, "m", addr_dedup=addr_dedup)
+    emm = EmmMemory(solver, un, "m")
     for k in range(depth + 1):
         un.add_frame()
         emm.add_frame(k)
@@ -116,15 +121,19 @@ def recurring_workloads(draw):
 @settings(max_examples=40, deadline=None)
 @given(recurring_workloads())
 def test_cached_and_uncached_emm_agree_with_simulator(workload):
-    """Cached vs uncached runs read identical values, and both match the
-    reference simulator on every read port — the dedup layer must be
-    semantically invisible even at the bit level."""
+    """The recurring design (cache hits) and its fresh-input twin (no
+    hits) read identical values, and both match the reference simulator
+    on every read port — the dedup layer must be semantically invisible
+    even at the bit level."""
     aw, dw, depth, n_write, const_addr, stimulus = workload
-    design = build_recurring_design(aw, dw, n_write, const_addr)
+    twin_stimulus = [dict(vec, ra1=vec["ra"], rc=const_addr)
+                     for vec in stimulus]
     runs = {}
-    for dedup in (True, False):
+    for cached in (True, False):
+        design = build_recurring_design(aw, dw, n_write, const_addr,
+                                        shared=cached)
         result, solver, emitter, un, emm = solve_pinned(
-            design, depth, stimulus, dedup)
+            design, depth, stimulus if cached else twin_stimulus)
         assert result.sat
         reads = {}
         for port in range(3):
@@ -135,14 +144,15 @@ def test_cached_and_uncached_emm_agree_with_simulator(workload):
                     if var is not None and solver.model_value(var):
                         got |= 1 << i
                 reads[(port, k)] = got
-        runs[dedup] = reads
-        if dedup:
+        runs[cached] = reads
+        if cached:
             assert emm.counters.addr_eq_cache_hits > 0
         else:
             assert emm.counters.addr_eq_cache_hits == 0
             assert emm.counters.addr_eq_folded == 0
     assert runs[True] == runs[False]
 
+    design = build_recurring_design(aw, dw, n_write, const_addr)
     sim = Simulator(design)
     for k in range(depth + 1):
         sim.begin_cycle(stimulus[k])

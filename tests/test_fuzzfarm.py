@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.sim import fuzzfarm
-from repro.sim.fuzzfarm import (DEFAULT_COMBOS, Divergence, FarmConfig,
+from repro.sim.fuzzfarm import (BMC_CONFIGS, Divergence, FarmConfig,
                                 FarmReport, build_fuzz_netlist,
                                 persist_divergences, random_stimulus,
                                 replay_reproducer, run_farm,
@@ -56,7 +56,7 @@ class TestFarmRuns:
         assert report.ok
         assert report.rounds == 2
         assert report.sim_trials == 32
-        assert report.bmc_trials == len(DEFAULT_COMBOS) * 2 * 3 * 2
+        assert report.bmc_trials == len(BMC_CONFIGS) * 3 * 2
         assert report.trials > report.sim_trials + report.bmc_trials
         assert "0 divergences" in report.summary()
 
@@ -125,7 +125,7 @@ class TestReproducers:
     def test_bmc_kind_roundtrip(self, tmp_path):
         div = Divergence(kind="bmc-verdict", seed=2, detail="synthetic",
                          prop="hit", encoding="hybrid",
-                         options=dict.fromkeys(fuzzfarm.OPTION_AXES, True))
+                         options={})
         paths = persist_divergences([div], str(tmp_path))
         assert len(paths) == 1
         # Healthy code: the synthetic BMC divergence does not reproduce.

@@ -17,13 +17,13 @@ from repro.aig.tseitin import CnfEmitter
 from repro.sat.solver import Solver
 
 
-def emit_mux(ite, strash=True):
-    aig = Aig(strash=strash)
+def emit_mux(ite):
+    aig = Aig()
     s = aig.new_input("s")
     t = aig.new_input("t")
     e = aig.new_input("e")
     solver = Solver(proof=False)
-    em = CnfEmitter(aig, solver, strash=strash, ite=ite)
+    em = CnfEmitter(aig, solver, ite=ite)
     out = em.sat_lit(aig.mux(s, t, e))
     return em, solver, out, [em.sat_lit(x) for x in (s, t, e)]
 
@@ -68,20 +68,29 @@ def test_xor_is_the_two_input_ite(ite):
                     lambda a, b: a != b)
 
 
-def test_ite_cache_shares_repeated_shapes():
-    """Two structurally distinct AIG muxes over the same fanins (only
-    possible unstrashed) must share one lowered ITE via the cache."""
-    aig = Aig(strash=False)
+def mux_pair(swap=False):
+    """Two structurally distinct AIG muxes whose fanins lower to the same
+    SAT literals: the second is built over inputs aliased to the first's
+    (``CnfEmitter.aig_lit_for``).  ``swap`` spells the second one as
+    ``ITE(!s, e, t)``."""
+    aig = Aig()
     s = aig.new_input("s")
     t = aig.new_input("t")
     e = aig.new_input("e")
-    m1 = aig.mux(s, t, e)
-    m2 = aig.mux(s, t, e)
-    assert m1 != m2  # unstrashed: distinct nodes
     solver = Solver(proof=False)
-    em = CnfEmitter(aig, solver, strash=True, ite=True)
+    em = CnfEmitter(aig, solver, ite=True)
+    m1 = aig.mux(s, t, e)
     o1 = em.sat_lit(m1)
-    o2 = em.sat_lit(m2)
+    s2, t2, e2 = (em.aig_lit_for(em.sat_lit(x)) for x in (s, t, e))
+    m2 = aig.mux(s2 ^ 1, e2, t2) if swap else aig.mux(s2, t2, e2)
+    assert m1 != m2  # distinct AIG nodes
+    return em, solver, o1, em.sat_lit(m2)
+
+
+def test_ite_cache_shares_repeated_shapes():
+    """Two structurally distinct AIG muxes over the same lowered fanins
+    must share one lowered ITE via the cache."""
+    em, solver, o1, o2 = mux_pair()
     assert o1 == o2
     assert em.ites_emitted == 1
     assert em.strash_hits == 1
@@ -90,16 +99,7 @@ def test_ite_cache_shares_repeated_shapes():
 
 def test_ite_cache_is_selector_polarity_blind():
     """ITE(!s, t, e) == ITE(s, e, t): the normalized cache key must hit."""
-    aig = Aig(strash=False)
-    s = aig.new_input("s")
-    t = aig.new_input("t")
-    e = aig.new_input("e")
-    m1 = aig.mux(s, t, e)
-    m2 = aig.mux(s ^ 1, e, t)
-    solver = Solver(proof=False)
-    em = CnfEmitter(aig, solver, strash=True, ite=True)
-    o1 = em.sat_lit(m1)
-    o2 = em.sat_lit(m2)
+    em, solver, o1, o2 = mux_pair(swap=True)
     assert o1 == o2
     assert em.ites_emitted == 1
 

@@ -50,12 +50,12 @@ def run_monitored(design, depth, **kw):
 class TestRaceCountersUnderChainBuilders:
     @pytest.mark.parametrize("hybrid_strash", [True, False])
     def test_three_port_race_counters_pinned(self, hybrid_strash):
-        """3 write ports, dedup off: each frame books one full 4m+1
+        """3 write ports on fresh address inputs (nothing for the
+        comparator cache to hit): each frame books one full 4m+1
         comparator per port pair, one both-enables AND per pair and one
         pair AND per pair, plus the OR aggregation clauses."""
         depth = 4
         __, emm = run_monitored(three_port_design(), depth,
-                                addr_dedup=False,
                                 hybrid_strash=hybrid_strash)
         c = emm.counters
         frames, pairs = depth + 1, 3  # C(3, 2) write-port pairs

@@ -159,7 +159,8 @@ def test_encoding_key_ignores_run_knobs_only():
     for opt in same:
         assert opt.encoding_key() == base.encoding_key(), opt
     diff = [BmcOptions(find_proof=False), BmcOptions(pba=True),
-            BmcOptions(emm_encoding="gates"), BmcOptions(strash=False),
+            BmcOptions(emm_encoding="gates"),
+            BmcOptions(emm_hybrid_strash=False),
             BmcOptions(kept_latches=frozenset({"x"})),
             BmcOptions(kept_read_ports={"m": frozenset({0})})]
     for opt in diff:

@@ -15,11 +15,11 @@ import random
 
 import pytest
 
-from repro.bdd import bdd_model_check
 from repro.bmc import BmcOptions, verify, verify_many
-from repro.design import expand_memories
 from repro.sat import Solver, certify_unsat
 from repro.sim.fuzzfarm import build_fuzz_netlist
+from tests.bmc_oracle import (assert_verdict, bdd_verdict, explicit_falsify,
+                              verdict_of)
 from tests.sat_oracle import brute_force_sat
 
 
@@ -263,29 +263,11 @@ def _oracle(seed):
     out = {}
     for prop in sorted(design.properties):
         if seed in BDD_SEEDS:
-            b = bdd_model_check(expand_memories(build_fuzz_netlist(seed)),
-                                prop)
-            # A limit here would turn the oracle off without a failure.
-            assert b.status in ("proof", "cex"), (seed, prop, b.status)
-            out[prop] = (b.status, b.cex_depth)
+            out[prop] = bdd_verdict(build_fuzz_netlist(seed), prop)
         else:
-            e = verify(expand_memories(build_fuzz_netlist(seed)), prop,
-                       BmcOptions(find_proof=False, use_emm=False,
-                                  max_depth=BMC_OPTS["max_depth"]))
-            out[prop] = (e.status, e.depth if e.status == "cex" else None)
+            out[prop] = verdict_of(explicit_falsify(
+                build_fuzz_netlist(seed), prop, BMC_OPTS["max_depth"]))
     return out
-
-
-def _assert_oracle_parity(result, oracle, ctx):
-    status, cex_depth = oracle
-    if status == "cex" and cex_depth <= BMC_OPTS["max_depth"]:
-        assert (result.status, result.depth) == ("cex", cex_depth), ctx
-        assert result.trace_validated is True, ctx
-        assert len(result.trace.cycles) == cex_depth + 1, ctx
-    else:
-        assert result.status in ("proof", "bounded"), ctx
-        if result.status == "proof":
-            assert status in ("proof", "bounded"), ctx
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -293,7 +275,7 @@ def test_bmc_verify_matches_independent_oracle(seed):
     oracle = _oracle(seed)
     for prop in sorted(oracle):
         r = verify(build_fuzz_netlist(seed), prop, BmcOptions(**BMC_OPTS))
-        _assert_oracle_parity(r, oracle[prop], (seed, prop))
+        assert_verdict(r, oracle[prop], (seed, prop))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -303,7 +285,7 @@ def test_verify_many_matches_independent_oracle(seed):
                          options=BmcOptions(**BMC_OPTS))
     assert set(shared) == set(oracle)
     for prop, r in shared.items():
-        _assert_oracle_parity(r, oracle[prop], (seed, prop))
+        assert_verdict(r, oracle[prop], (seed, prop))
 
 
 def test_verify_many_shares_assumption_trail():
