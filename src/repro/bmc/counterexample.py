@@ -25,8 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _word_value(engine: "BmcEngine", aig_word: list[int]) -> int:
     """Integer value of an AIG word in the SAT model (unemitted bits = 0)."""
-    solver = engine.solver
-    emitter = engine.emitter
+    solver = engine.session.solver
+    emitter = engine.session.emitter
     value = 0
     for i, lit in enumerate(aig_word):
         idx = lit >> 1
@@ -56,7 +56,7 @@ def extract_trace(engine: "BmcEngine", depth: int,
     not be meaningful).
     """
     design = engine.design
-    un = engine.unroller
+    un = engine.session.unroller
     inputs_seq = []
     latches_seq = []
     for k in range(depth + 1):
@@ -79,7 +79,7 @@ def extract_trace(engine: "BmcEngine", depth: int,
     trace.init_latches = dict(init_latches)
     trace.init_memories = {m: dict(c) for m, c in init_memories.items()}
 
-    concrete = engine.is_concrete()
+    concrete = engine.session.is_concrete()
     if concrete and validate:
         # Replay through the scalar reference oracle — the same Oracle
         # API the shrinker, the fuzz farm and the differential matrix
@@ -114,9 +114,9 @@ def _reconstruct_initial_memories(engine: "BmcEngine", depth: int
     at that address.  Addresses never read-before-write are immaterial.
     """
     design = engine.design
-    un = engine.unroller
+    un = engine.session.unroller
     out: dict[str, dict[int, int]] = {}
-    for mem_name in sorted(engine.kept_memories):
+    for mem_name in sorted(engine.session.kept_memories):
         mem = design.memories[mem_name]
         if mem.init is not None:
             continue

@@ -17,8 +17,9 @@ a sibling property encoded beyond i.
 
 Because checks are pure assumption sets, several engines (one per
 property) may share one session — N properties pay for one unrolled
-CNF.  A fresh engine on a fresh session reproduces the historical
-monolithic behaviour bit-for-bit.
+CNF.  One depth loop, :func:`_schedule`, serves every caller:
+:meth:`BmcEngine.run` (behind :func:`verify`, the PBA driver and the
+service's jobs) and :func:`verify_many`.
 
 Proof-based abstraction (lines 11-12) reads the provenance labels of the
 unsat core of each falsification check and accumulates latch reasons.
@@ -51,7 +52,8 @@ class BmcOptions:
     #: Constrain memory reads via EMM.  Must be True when the design has
     #: memories; explicit baselines expand memories away first.
     use_emm: bool = True
-    #: EMM exclusive valid-read signals (Section 3 item 3); False = ablation.
+    #: EMM exclusive valid-read signals (Section 3 item 3); False = the
+    #: naive eq-(3) ablation, hybrid encoding only.
     exclusivity: bool = True
     #: EMM constraint representation: the paper's "hybrid" CNF+gate
     #: encoding, or the "gates" purely circuit-based one it compares
@@ -161,52 +163,17 @@ def bmc3(**kw) -> BmcOptions:
     return BmcOptions(**kw)
 
 
-class _RunState:
-    """Mutable per-run bookkeeping shared by :meth:`BmcEngine.run` and the
-    depth-major :func:`verify_many` scheduler (one instance per engine)."""
-
-    __slots__ = ("stats", "t_start", "deadline", "budget", "timers",
-                 "forward_memo", "quota_deadline")
-
-    def __init__(self, stats: BmcRunStats, t_start: float,
-                 deadline: Optional[float], budget: Optional[int],
-                 timers: Optional[PhaseTimers],
-                 forward_memo: Optional[dict],
-                 quota_deadline: Optional[float] = None) -> None:
-        self.stats = stats
-        self.t_start = t_start
-        self.deadline = deadline
-        self.budget = budget
-        self.timers = timers
-        self.forward_memo = forward_memo
-        # Wall-quota deadline (BmcOptions.wall_quota_s): like `deadline`
-        # it caps each solve, but tripping it degrades at the previous
-        # depth instead of timing out at the attempted one.
-        self.quota_deadline = quota_deadline
-
-    def solve_deadline(self) -> Optional[float]:
-        if self.deadline is None:
-            return self.quota_deadline
-        if self.quota_deadline is None:
-            return self.deadline
-        return min(self.deadline, self.quota_deadline)
-
-    def quota_deadline_binding(self) -> bool:
-        """True when the wall *quota* is the deadline a solve just hit."""
-        return (self.quota_deadline is not None
-                and (self.deadline is None
-                     or self.quota_deadline <= self.deadline))
-
-
 class BmcEngine:
     """Schedules the checks for one property against an encoding session.
 
-    Without an explicit ``session`` the engine builds a private one —
-    the historical one-engine-per-property behaviour.  With a shared
-    session, the engine runs its checks over the session's CNF; any
-    number of engines (one per property) may interleave on one session
-    as long as their options agree on
+    Without an explicit ``session`` the engine builds a private one.
+    With a shared session, the engine runs its checks over the session's
+    CNF; any number of engines (one per property) may interleave on one
+    session as long as their options agree on
     :meth:`BmcOptions.encoding_key`.
+
+    The engine holds the state of its latest run (stats, deadlines,
+    timers, PBA reason lists); every run starts by resetting it.
     """
 
     def __init__(self, design: Design, property_name: str,
@@ -214,68 +181,19 @@ class BmcEngine:
                  session: Optional[EncodingSession] = None) -> None:
         if session is None:
             session = EncodingSession(design, options)
-        else:
-            opts = options or session.options
-            if opts.encoding_key() != session.options.encoding_key():
-                raise ValueError(
-                    "engine options disagree with the shared session's "
-                    "encoding (see BmcOptions.encoding_key)")
-            if design is not session.design:
-                raise ValueError(
-                    "shared session belongs to a different Design object; "
-                    "schedule against session.design")
+        self.options = options or session.options
+        if self.options.encoding_key() != session.options.encoding_key():
+            raise ValueError(
+                "engine options disagree with the shared session's "
+                "encoding (see BmcOptions.encoding_key)")
+        if design is not session.design:
+            raise ValueError(
+                "shared session belongs to a different Design object; "
+                "schedule against session.design")
         self.session = session
         self.design = session.design
-        self.options = options or session.options
         self.prop = self.design.properties[property_name]
-        # Per-run PBA reason accumulators (engine-local; the session is
-        # shared, the reasons are this property's).
-        self._lr: list[frozenset[str]] = []
-        self._mr: list[frozenset[str]] = []
-        # Unlabelled clauses seen in this run's PBA cores: when nonzero
-        # the reason lists are not exhaustive and the minimizer refuses
-        # to treat them as such (satellite of the multi-label work).
-        self._core_unlabeled = 0
-
-    # -- session views (the extraction/PBA layers address the engine) ------
-
-    @property
-    def solver(self):
-        return self.session.solver
-
-    @property
-    def aig(self):
-        return self.session.aig
-
-    @property
-    def emitter(self):
-        return self.session.emitter
-
-    @property
-    def unroller(self):
-        return self.session.unroller
-
-    @property
-    def emms(self):
-        return self.session.emms
-
-    @property
-    def kept_memories(self) -> frozenset[str]:
-        return self.session.kept_memories
-
-    @property
-    def a_init(self) -> int:
-        return self.session.a_init
-
-    @property
-    def a_lfp(self) -> int:
-        return self.session.a_lfp
-
-    @property
-    def a_meminit(self) -> int:
-        return self.session.a_meminit
-
-    # -- main loop ---------------------------------------------------------
+        self._begin_run({})
 
     def run(self, stop_check=None,
             window: Optional[tuple[int, int]] = None) -> BmcResult:
@@ -290,53 +208,42 @@ class BmcEngine:
         ``lo`` are still encoded — soundness of a check at depth i never
         depends on earlier checks, only on the encoding.
         """
-        opts = self.options
-        lo, hi = (0, opts.max_depth) if window is None else window
-        if not 0 <= lo <= hi:
-            raise ValueError(f"bad depth window ({lo}, {hi})")
-        rs = self._begin_run()
-        for i in range(lo, hi + 1):
-            tripped = self._quota_trip(rs)
-            if tripped is not None:
-                return self._finish_degraded(rs, i - 1, tripped)
-            result = self._step_depth(rs, i)
-            if result is not None:
-                return result
-            if stop_check is not None and stop_check(self, i):
-                return self._finish(BOUNDED, i, rs, None)
-            if rs.deadline is not None and time.monotonic() > rs.deadline:
-                rs.stats.limit_tripped = "wall"
-                return self._finish(TIMEOUT, i, rs, None)
-        return self._finish(BOUNDED, hi, rs, None)
+        lo, hi = (0, self.options.max_depth) if window is None else window
+        return _schedule(self.session, [self], lo, hi, stop_check)[0]
 
-    # -- run scaffolding (shared with the verify_many scheduler) -------------
+    # -- run state and per-depth steps (driven by _schedule) -----------------
 
-    def _begin_run(self, forward_memo: Optional[dict] = None) -> _RunState:
-        """Start a run: stats, deadline, conflict budget, profiling.
+    def _begin_run(self, forward_memo: dict) -> None:
+        """Reset the run state: stats, deadlines, timers, PBA reasons.
 
-        ``forward_memo`` (depth -> SolveResult) lets the depth-major
-        :func:`verify_many` scheduler share forward-termination checks
-        across engines on one session — the check assumes only
-        ``[a_init, a_meminit] + LFP_i`` and is property-independent.
+        ``forward_memo`` (depth -> SolveResult) is shared by every engine
+        of one :func:`_schedule` call: the forward termination check
+        assumes only ``[a_init, a_meminit] + LFP_i`` and is
+        property-independent.
         """
         opts = self.options
-        t_start = time.monotonic()
-        deadline = (t_start + opts.timeout_s
-                    if opts.timeout_s is not None else None)
-        quota_deadline = (t_start + opts.wall_quota_s
-                          if opts.wall_quota_s is not None else None)
-        timers = PhaseTimers() if opts.profile else None
-        if opts.profile:
-            self.solver.profile = True
-        return _RunState(BmcRunStats(), t_start, deadline,
-                         opts.max_conflicts_per_check, timers, forward_memo,
-                         quota_deadline)
+        self.stats = BmcRunStats()
+        self._t_start = time.monotonic()
+        self._deadline = (self._t_start + opts.timeout_s
+                          if opts.timeout_s is not None else None)
+        # Wall-quota deadline (BmcOptions.wall_quota_s): like `_deadline`
+        # it caps each solve, but tripping it degrades at the previous
+        # depth instead of timing out at the attempted one.
+        self._quota_deadline = (self._t_start + opts.wall_quota_s
+                                if opts.wall_quota_s is not None else None)
+        self._solve_deadline = min(
+            (d for d in (self._deadline, self._quota_deadline)
+             if d is not None), default=None)
+        self._timers = PhaseTimers()
+        self._forward_memo = forward_memo
+        self.latch_reasons: list[frozenset[str]] = []
+        self.memory_reasons: list[frozenset[str]] = []
 
-    def _quota_trip(self, rs: _RunState) -> Optional[str]:
+    def _quota_trip(self) -> Optional[str]:
         """Which quota (if any) bars starting another depth's checks."""
         opts = self.options
-        if (rs.quota_deadline is not None
-                and time.monotonic() > rs.quota_deadline):
+        if (self._quota_deadline is not None
+                and time.monotonic() > self._quota_deadline):
             return "wall"
         if (opts.mem_quota_mb is not None
                 and current_rss_mb() > opts.mem_quota_mb):
@@ -346,107 +253,99 @@ class BmcEngine:
             return "clauses"
         return None
 
-    def _solve(self, rs: _RunState, assumps: list[int]):
+    def _solve(self, assumps: list[int]):
         solver = self.session.solver
-        deadline = rs.solve_deadline()
-        if rs.timers is None:
-            r = solver.solve(assumps, rs.budget, deadline)
-        else:
-            with rs.timers.measure("solve"):
-                r = solver.solve(assumps, rs.budget, deadline)
+        with self._timers.measure("solve"):
+            r = solver.solve(assumps, self.options.max_conflicts_per_check,
+                             self._solve_deadline)
         if r.unknown:
-            rs.stats.limit_tripped = ("wall" if r.limit == "deadline"
-                                      else "conflicts")
+            self.stats.limit_tripped = ("wall" if r.limit == "deadline"
+                                        else "conflicts")
         return r
 
-    def _step_depth(self, rs: _RunState, i: int) -> Optional[BmcResult]:
-        """Run one depth's checks.  Returns the final result if the run
-        concluded at this depth, else None (depth time recorded)."""
-        opts = self.options
+    def _step_depth(self, i: int, p: list[int],
+                    encode_s: float) -> Optional[BmcResult]:
+        """Run one depth's checks over the encoded frame ``i``.
+
+        ``p`` is ``[P_0 .. P_i]``; ``encode_s`` is the depth's shared
+        encode time, charged to this run's depth time and ``encode``
+        phase.  Returns the final result if the run concluded at this
+        depth, else None (depth time recorded)."""
         session = self.session
-        t_depth = time.monotonic()
-        try:
-            if rs.timers is None:
-                session.extend_to(i, opts.clause_var_quota)
-                p = session.p_lits(self.prop.name, i)
-            else:
-                with rs.timers.measure("encode"):
-                    session.extend_to(i, opts.clause_var_quota)
-                    p = session.p_lits(self.prop.name, i)
-        except QuotaExceededError as exc:
-            return self._finish_degraded(rs, i - 1, exc.kind)
-        if opts.find_proof:
+        t_depth = time.monotonic() - encode_s
+        self._timers.add("encode", encode_s)
+        if self.options.find_proof:
             lfp = session.lfp_assumptions(i)
-            memo = rs.forward_memo
-            r = None if memo is None else memo.get(i)
+            memo = self._forward_memo
+            r = memo.get(i)
             if r is None:
-                r = self._solve(rs,
-                                [session.a_init, session.a_meminit] + lfp)
-                if memo is not None and not r.unknown:
+                r = self._solve([session.a_init, session.a_meminit] + lfp)
+                if not r.unknown:
                     # Only definitive verdicts are shared; an unknown
                     # (limit-tripped) result stays private to this run.
                     memo[i] = r
             if r.unknown:
-                return self._abort(rs, i, t_depth)
+                return self._abort(i, t_depth)
             if not r.sat:
-                return self._finish(PROOF, i, rs, t_depth, method="forward")
+                return self._finish(PROOF, i, t_depth, method="forward")
             # Backward induction: arbitrary start state, so neither
             # a_init nor a_meminit is assumed — the memory fall-through
             # stays symbolic (Section 4.2).
-            r = self._solve(rs, lfp + p[:i] + [-p[i]])
+            r = self._solve(lfp + p[:i] + [-p[i]])
             if r.unknown:
-                return self._abort(rs, i, t_depth)
+                return self._abort(i, t_depth)
             if not r.sat:
-                return self._finish(PROOF, i, rs, t_depth, method="backward")
-        r = self._solve(rs, [session.a_init, session.a_meminit, -p[i]])
+                return self._finish(PROOF, i, t_depth, method="backward")
+        r = self._solve([session.a_init, session.a_meminit, -p[i]])
         if r.unknown:
-            return self._abort(rs, i, t_depth)
+            return self._abort(i, t_depth)
         if r.sat:
-            return self._finish(CEX, i, rs, t_depth)
-        if opts.pba:
-            self._collect_reasons(i)
+            return self._finish(CEX, i, t_depth)
+        if self.options.pba:
+            self._collect_reasons()
         # The depth's time is recorded exactly once: here for depths the
         # run continues past, inside _finish for early-return paths
         # (which pass t_depth); continuation-level finishes pass None so
         # the final depth is never double-counted.
-        rs.stats.time_per_depth.append(time.monotonic() - t_depth)
+        self.stats.time_per_depth.append(time.monotonic() - t_depth)
         return None
 
     # -- helpers -------------------------------------------------------------
 
-    def _abort(self, rs: _RunState, i: int,
-               t_depth: Optional[float]) -> BmcResult:
+    def _abort(self, i: int, t_depth: Optional[float]) -> BmcResult:
         """Finish after an unknown solve: TIMEOUT at the attempted depth,
         or — when the *wall quota* was the deadline that fired — a clean
         DEGRADED result at the last fully-checked depth."""
-        if rs.stats.limit_tripped == "wall" and rs.quota_deadline_binding():
-            rs.stats.limit_tripped = None
-            return self._finish_degraded(rs, i - 1, "wall")
-        return self._finish(TIMEOUT, i, rs, t_depth)
+        if (self.stats.limit_tripped == "wall"
+                and self._quota_deadline is not None
+                and self._quota_deadline == self._solve_deadline):
+            self.stats.limit_tripped = None
+            return self._finish_degraded(i - 1, "wall")
+        return self._finish(TIMEOUT, i, t_depth)
 
-    def _finish_degraded(self, rs: _RunState, depth: int,
-                         kind: str) -> BmcResult:
+    def _finish_degraded(self, depth: int, kind: str) -> BmcResult:
         """Quota trip: sound partial answer at the deepest checked depth.
 
         ``depth`` may be ``lo - 1`` (``-1`` for unwindowed runs) when the
         quota tripped before any depth completed — "nothing checked"."""
-        rs.stats.quota_tripped = kind
-        return self._finish(DEGRADED, depth, rs, None)
+        self.stats.quota_tripped = kind
+        return self._finish(DEGRADED, depth, None)
 
-    def _collect_reasons(self, i: int) -> None:
-        labels = self.solver.core_labels()
-        self._core_unlabeled += self.solver.core_unlabeled_count()
+    def _collect_reasons(self) -> None:
+        solver = self.session.solver
+        labels = solver.core_labels()
+        # Unlabelled core clauses: when nonzero the reason lists are not
+        # exhaustive and the minimizer refuses to treat them as such.
+        self.stats.core_unlabeled += solver.core_unlabeled_count()
         latches = frozenset(lab[1] for lab in labels
                             if isinstance(lab, tuple) and lab[0] in ("init", "link"))
         mems = frozenset(lab[1] for lab in labels
                          if isinstance(lab, tuple) and lab[0] == "emm")
-        prev_l = self._lr[-1] if self._lr else frozenset()
-        prev_m = self._mr[-1] if self._mr else frozenset()
-        self._lr.append(prev_l | latches)
-        self._mr.append(prev_m | mems)
+        lr, mr = self.latch_reasons, self.memory_reasons
+        lr.append((lr[-1] if lr else frozenset()) | latches)
+        mr.append((mr[-1] if mr else frozenset()) | mems)
 
-    def _finish(self, status: str, depth: int, rs: _RunState,
-                t_depth: Optional[float],
+    def _finish(self, status: str, depth: int, t_depth: Optional[float],
                 method: Optional[str] = None) -> BmcResult:
         """Build the result.  ``t_depth`` is the final depth's start time
         when its duration has not been appended yet, or None when the run
@@ -457,13 +356,14 @@ class BmcEngine:
         what the C6 bench compares against per-property fresh engines.
         """
         session = self.session
-        stats = rs.stats
+        solver = session.solver
+        stats = self.stats
         if t_depth is not None:
             stats.time_per_depth.append(time.monotonic() - t_depth)
-        stats.wall_time_s = time.monotonic() - rs.t_start
-        stats.sat_vars = self.solver.num_vars
-        stats.sat_clauses = self.solver.num_clauses
-        stats.solver = self.solver.stats.snapshot()
+        stats.wall_time_s = time.monotonic() - self._t_start
+        stats.sat_vars = solver.num_vars
+        stats.sat_clauses = solver.num_clauses
+        stats.solver = solver.stats.snapshot()
         emms = session.emms.values()
         stats.emm_clauses = sum(e.counters.total_clauses for e in emms)
         stats.emm_gates = sum(e.counters.total_gates for e in emms)
@@ -474,7 +374,6 @@ class BmcEngine:
                                        for e in emms)
         stats.cross_mem_cmp_hits = sum(e.counters.cross_mem_cmp_hits
                                        for e in emms)
-        stats.core_unlabeled = self._core_unlabeled
         stats.emm_chain_suffix_hits = sum(e.counters.chain_suffix_hits
                                           for e in emms)
         stats.emm_init_pairs_pruned = sum(e.counters.init_pairs_pruned
@@ -488,11 +387,11 @@ class BmcEngine:
         stats.aig_nodes = session.aig.num_ands
         stats.ite_lowered = session.emitter.ites_emitted
         stats.peak_rss_mb = peak_rss_mb()
-        if rs.timers is not None:
+        if self.options.profile:
             # Solver-internal times are session-wide cumulative, like the
             # other solver counters; the scheduler phases are this run's.
             stats.profile = {
-                "phases": rs.timers.snapshot(),
+                "phases": self._timers.snapshot(),
                 "solver": solver_phase_times(stats.solver),
             }
         trace = None
@@ -508,24 +407,85 @@ class BmcEngine:
             method=method,
             trace=trace,
             trace_validated=validated,
-            latch_reasons=list(self._lr),
-            memory_reasons=list(self._mr),
+            latch_reasons=list(self.latch_reasons),
+            memory_reasons=list(self.memory_reasons),
             stats=stats,
         )
 
-    # -- introspection used by the PBA driver and counterexample extraction --
 
-    @property
-    def latch_reasons(self) -> list[frozenset[str]]:
-        return self._lr
+def _schedule(session: EncodingSession, engines: list[BmcEngine],
+              lo: int, hi: int, stop_check=None) -> list[BmcResult]:
+    """The BMC loop: check depths ``lo..hi`` for every engine on ``session``.
 
-    @property
-    def memory_reasons(self) -> list[frozenset[str]]:
-        return self._mr
+    Depth-major.  At each depth it
 
-    def is_concrete(self) -> bool:
-        """True when no latch or memory has been abstracted away."""
-        return self.session.is_concrete()
+    1. checks every live run's quotas before encoding — a tripped quota
+       ends that run DEGRADED at the previous, fully-checked depth;
+    2. encodes the frame and every live property's ``P_i`` once, under
+       one timer whose time is charged to every live run.  All ``P_i``
+       are emitted before any check, so the checks at this depth add no
+       clauses and only extend the solver's saved assumption trail;
+    3. steps each live engine's forward, backward and falsification
+       checks, then applies ``stop_check(engine, depth)`` and the run's
+       ``timeout_s``.
+
+    Returns the engines' results in order.  The solver's ``profile``
+    flag is on while any engine profiles and restored afterwards, so a
+    cached session does not keep timing later runs.
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError(f"bad depth window ({lo}, {hi})")
+    forward_memo: dict = {}
+    for engine in engines:
+        engine._begin_run(forward_memo)
+    solver = session.solver
+    profile_before = solver.profile
+    if any(engine.options.profile for engine in engines):
+        solver.profile = True
+    results: dict[BmcEngine, BmcResult] = {}
+    live = list(engines)
+    try:
+        for i in range(lo, hi + 1):
+            for engine in list(live):
+                tripped = engine._quota_trip()
+                if tripped is not None:
+                    results[engine] = engine._finish_degraded(i - 1, tripped)
+                    live.remove(engine)
+            if not live:
+                break
+            # Only a multi-frame extension (frames below a window) can
+            # cross the watermark here: the quota check above saw the
+            # session under it.
+            quota = min((e.options.clause_var_quota for e in live
+                         if e.options.clause_var_quota is not None),
+                        default=None)
+            t_encode = time.monotonic()
+            try:
+                session.extend_to(i, quota)
+                p_lits = [session.p_lits(e.prop.name, i) for e in live]
+            except QuotaExceededError as exc:
+                for engine in live:
+                    results[engine] = engine._finish_degraded(i - 1, exc.kind)
+                live = []
+                break
+            encode_s = time.monotonic() - t_encode
+            for engine, p in list(zip(live, p_lits)):
+                result = engine._step_depth(i, p, encode_s)
+                if (result is None and stop_check is not None
+                        and stop_check(engine, i)):
+                    result = engine._finish(BOUNDED, i, None)
+                if (result is None and engine._deadline is not None
+                        and time.monotonic() > engine._deadline):
+                    engine.stats.limit_tripped = "wall"
+                    result = engine._finish(TIMEOUT, i, None)
+                if result is not None:
+                    results[engine] = result
+                    live.remove(engine)
+        for engine in live:
+            results[engine] = engine._finish(BOUNDED, hi, None)
+    finally:
+        solver.profile = profile_before
+    return [results[engine] for engine in engines]
 
 
 def verify(design: Design, property_name: str,
@@ -540,18 +500,13 @@ def verify_many(design: Design, property_names=None,
                 ) -> dict[str, BmcResult]:
     """Verify several properties over **one** shared encoding session.
 
-    The scheduler is *depth-major*: at each depth the frame is encoded
-    once and every still-live property's ``P_i`` cone is emitted before
-    any check runs, then each live engine steps its forward/backward/
-    falsification checks for that depth.  That ordering buys two solver-
-    level wins on top of the shared CNF:
+    One engine per property, all stepped by one :func:`_schedule` loop.
+    Besides the shared CNF, sharing the loop buys two solver-level wins:
 
     * **Forward-check memoization** — the forward termination check
       assumes only ``[a_init, a_meminit] + LFP_i`` and is property-
       independent, so its definitive result at each depth is solved once
-      and shared by every engine (``_begin_run``'s ``forward_memo``).
-      The memo is local to this call: single-engine :meth:`BmcEngine.run`
-      stays bit-identical to its historical behaviour.
+      and shared by every engine.
     * **Assumption-trail reuse** — the solver keeps the propagated
       ``[a_init, a_meminit]`` assumption prefix (the whole initial-state
       cone) assigned across consecutive falsification checks instead of
@@ -570,51 +525,9 @@ def verify_many(design: Design, property_names=None,
         session = EncodingSession(design, options)
     names = (sorted(design.properties) if property_names is None
              else list(property_names))
-    engines = {name: BmcEngine(session.design, name, options,
-                               session=session)
-               for name in names}
-    if not engines:
+    if not names:
         return {}
+    engines = [BmcEngine(session.design, name, options, session=session)
+               for name in names]
     opts = options or session.options
-    forward_memo: dict = {}
-    states = {name: engines[name]._begin_run(forward_memo)
-              for name in names}
-    results: dict[str, BmcResult] = {}
-    live = list(names)
-    for i in range(0, opts.max_depth + 1):
-        if not live:
-            break
-        try:
-            session.extend_to(i, opts.clause_var_quota)
-            for name in live:
-                # Emit every live property's cone up front: later checks
-                # at this depth then add no clauses, so they only extend
-                # the solver's saved assumption trail, never cut it back.
-                session.p_lits(name, i)
-        except QuotaExceededError as exc:
-            # The shared encoding hit its watermark: every live property
-            # degrades together at the last fully-encoded depth.
-            for name in list(live):
-                results[name] = engines[name]._finish_degraded(
-                    states[name], i - 1, exc.kind)
-                live.remove(name)
-            break
-        for name in list(live):
-            engine = engines[name]
-            rs = states[name]
-            tripped = engine._quota_trip(rs)
-            if tripped is not None:
-                result = engine._finish_degraded(rs, i - 1, tripped)
-            else:
-                result = engine._step_depth(rs, i)
-            if result is None and rs.deadline is not None \
-                    and time.monotonic() > rs.deadline:
-                rs.stats.limit_tripped = "wall"
-                result = engine._finish(TIMEOUT, i, rs, None)
-            if result is not None:
-                results[name] = result
-                live.remove(name)
-    for name in live:
-        results[name] = engines[name]._finish(BOUNDED, opts.max_depth,
-                                              states[name], None)
-    return {name: results[name] for name in names}
+    return dict(zip(names, _schedule(session, engines, 0, opts.max_depth)))

@@ -5,8 +5,8 @@ the incremental SAT solver, the AIG and its Tseitin emitter, the
 unroller, the EMM instances and the activation literals — but performs
 no checks itself.  Frames are added by the idempotent
 :meth:`EncodingSession.extend_to`; per-property ``P_i`` literals come
-from :meth:`EncodingSession.p_lit` on demand.  The split buys two
-things the old monolithic engine threw away:
+from :meth:`EncodingSession.p_lits` on demand.  The split buys two
+things:
 
 * **many properties, one CNF** — N properties of the same design under
   the same options share a single unrolled encoding (frames, EMM
@@ -18,11 +18,7 @@ things the old monolithic engine threw away:
   :class:`SessionCache` keys live sessions on
   ``(design.fingerprint(), options encoding key)``.
 
-The check scheduler on top is :class:`repro.bmc.engine.BmcEngine`,
-which preserves the original single-property semantics bit-for-bit: a
-fresh engine on a fresh session allocates solver variables in exactly
-the order the monolith did (frame k's state, init clauses at frame 0,
-EMM constraints, LFP clauses, then the property literal).
+The check scheduler on top is :mod:`repro.bmc.engine`.
 """
 
 from __future__ import annotations
@@ -121,6 +117,12 @@ class EncodingSession:
             raise ValueError(
                 f"unknown emm_encoding {options.emm_encoding!r} "
                 "(expected 'hybrid' or 'gates')")
+        if options.emm_encoding == "gates" and not options.exclusivity:
+            # The gate chain *is* the exclusive encoding: there is no
+            # naive eq-(3) form to ablate to.
+            raise ValueError(
+                "exclusivity=False is a hybrid-encoding ablation; the "
+                "gates encoding is always exclusive")
         self.emms = {
             name: emm_class(self.solver, self.unroller, name,
                             exclusivity=options.exclusivity,
@@ -137,7 +139,7 @@ class EncodingSession:
                     if options.find_proof else None)
         #: Frames encoded so far (frame indices 0..frames_built-1).
         self.frames_built = 0
-        #: Per-property P_i literal lists, grown lazily by :meth:`p_lit`.
+        #: Per-property P_i literal lists, grown lazily by :meth:`p_lits`.
         self._p_lits: dict[str, list[int]] = {}
 
     def _shared_init_registries(self, kept_mems: frozenset[str]) -> dict:
@@ -224,18 +226,15 @@ class EncodingSession:
 
     # -- per-property literals ---------------------------------------------
 
-    def p_lit(self, prop_name: str, i: int) -> int:
-        """SAT literal of "property holds at frame i" (lazily emitted).
+    def p_lits(self, prop_name: str, upto: int) -> list[int]:
+        """``[P_0 .. P_upto]``, SAT literals of "property holds at frame
+        i" (lazily emitted); frames must be encoded.
 
         ``reach`` properties are negated so P uniformly reads "no
         violation yet" — exactly the literal the scheduler assumes
         positively in backward-induction prefixes and negatively in
         falsification checks.
         """
-        return self.p_lits(prop_name, i)[i]
-
-    def p_lits(self, prop_name: str, upto: int) -> list[int]:
-        """``[P_0 .. P_upto]`` for a property; frames must be encoded."""
         if upto >= self.frames_built:
             raise ValueError(
                 f"frame {upto} not encoded yet (have {self.frames_built}); "

@@ -172,11 +172,7 @@ def cmd_verify(args) -> int:
     options = _verify_options(args)
     props = [args.property] if args.property else sorted(design.properties)
     records = None
-    if len(props) == 1:
-        # Single property: the historical direct path (same engine, same
-        # encoding; nothing to share).
-        results = {props[0]: verify(design, props[0], options)}
-    elif args.jobs > 1:
+    if args.jobs > 1 and len(props) > 1:
         from repro.service import RetryPolicy, VerificationService
 
         factory = functools.partial(_verify_design, args)
@@ -186,8 +182,7 @@ def cmd_verify(args) -> int:
                 job_timeout_s=args.job_timeout) as svc:
             results, records = svc.collect(props)
     else:
-        # Sequential verify-all: one shared encoding session for every
-        # property instead of a fresh engine per property.
+        # Sequential: one shared encoding session for every property.
         results = verify_many(design, props, options)
     status = 0
     json_out = []

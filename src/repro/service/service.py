@@ -209,6 +209,37 @@ def merge_window_results(results: Sequence[Optional[BmcResult]],
 
 # -- worker side (must be module-level for pickling) -----------------------
 
+def _run_job(get_design: Callable[[], Design], cache: SessionCache,
+             property_name: str, options: BmcOptions,
+             window: Optional[tuple[int, int]], attempt: int,
+             fault_plan: Optional[FaultPlan], inline: bool) -> BmcResult:
+    """The body of one job, pooled or inline: fault points, session-cache
+    lookup, engine run.
+
+    ``fault_plan`` (tests/CI only) may crash, hang, slow, bloat or blow
+    up the job at the named injection points; ``attempt`` lets the plan
+    target specific retries, and ``inline`` softens process-level faults
+    when the job runs in the service's own process.
+    """
+    ballast = []
+
+    def fire(point: str) -> None:
+        if fault_plan is not None:
+            b = fault_plan.fire(point, property_name, window, attempt,
+                                inline=inline)
+            if b is not None:
+                ballast.append(b)
+
+    fire(POINT_ENTER)
+    session = cache.get_or_create(get_design(), options)
+    fire(POINT_SESSION)
+    result = BmcEngine(session.design, property_name, options,
+                       session=session).run(window=window)
+    fire(POINT_EXIT)
+    ballast.clear()
+    return result
+
+
 _worker_cache: Optional[SessionCache] = None
 
 
@@ -222,32 +253,12 @@ def _worker_run(design_factory: Callable[[], Design], property_name: str,
     by the factory on every call still maps onto the worker's live
     session — each worker pays for the encoding once per
     (design, options), no matter how many jobs it drains.
-
-    ``fault_plan`` (tests/CI only) may crash, hang, slow, bloat or blow
-    up this worker at the named injection points; ``attempt`` lets the
-    plan target specific retries.
     """
-    ballast = []
-    if fault_plan is not None:
-        b = fault_plan.fire(POINT_ENTER, property_name, window, attempt)
-        if b is not None:
-            ballast.append(b)
     global _worker_cache
     if _worker_cache is None:
         _worker_cache = SessionCache()
-    design = design_factory()
-    session = _worker_cache.get_or_create(design, options)
-    if fault_plan is not None:
-        b = fault_plan.fire(POINT_SESSION, property_name, window, attempt)
-        if b is not None:
-            ballast.append(b)
-    engine = BmcEngine(session.design, property_name, options,
-                       session=session)
-    result = engine.run(window=window)
-    if fault_plan is not None:
-        fault_plan.fire(POINT_EXIT, property_name, window, attempt)
-    ballast.clear()
-    return result
+    return _run_job(design_factory, _worker_cache, property_name, options,
+                    window, attempt, fault_plan, inline=False)
 
 
 class VerificationService:
@@ -358,30 +369,6 @@ class VerificationService:
 
     # -- inline path -------------------------------------------------------
 
-    def _run_one_inline(self, job: ServiceJob, attempt: int) -> BmcResult:
-        plan = self.fault_plan
-        ballast = []
-        if plan is not None:
-            b = plan.fire(POINT_ENTER, job.property_name, job.window,
-                          attempt, inline=True)
-            if b is not None:
-                ballast.append(b)
-        design = self._get_design()
-        session = self.cache.get_or_create(design, job.options)
-        if plan is not None:
-            b = plan.fire(POINT_SESSION, job.property_name, job.window,
-                          attempt, inline=True)
-            if b is not None:
-                ballast.append(b)
-        engine = BmcEngine(session.design, job.property_name,
-                           job.options, session=session)
-        result = engine.run(window=job.window)
-        if plan is not None:
-            plan.fire(POINT_EXIT, job.property_name, job.window,
-                      attempt, inline=True)
-        ballast.clear()
-        return result
-
     def _stream_inline(self, jobs: list[ServiceJob]) -> Iterator[ServiceResult]:
         decided: set[str] = set()
         for job in jobs:
@@ -393,7 +380,10 @@ class VerificationService:
             while True:
                 attempt += 1
                 try:
-                    result = self._run_one_inline(job, attempt)
+                    result = _run_job(self._get_design, self.cache,
+                                      job.property_name, job.options,
+                                      job.window, attempt, self.fault_plan,
+                                      inline=True)
                 except Exception as exc:  # same policy as pooled workers
                     detail = f"{type(exc).__name__}: {exc}"
                     if attempt > self.retry.max_retries:

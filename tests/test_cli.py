@@ -1,5 +1,7 @@
 """CLI smoke tests (driving main() in-process)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -57,6 +59,16 @@ class TestCli:
     def test_bad_design_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
+
+    def test_verify_profile_times_shared_encode(self, capsys):
+        # Every property of the shared session is charged the encode of
+        # each depth it was live at (4 frames here), never 0.
+        main(["verify", "multiport_soc", "--profile", "--no-proof",
+              "--max-depth", "3", "--addr-width", "3", "--data-width", "4"])
+        out = capsys.readouterr().out
+        lines = re.findall(r"profile encode\s+([0-9.]+)s \(n=(\d+)\)", out)
+        assert len(lines) == len(re.findall(r"^\S.*: ", out, re.M)) > 1
+        assert all(n == "4" and float(secs) > 0 for secs, n in lines)
 
     def test_ablation_flags(self, capsys):
         rc = main(["verify", "stack_machine", "--property", "can_reach_depth3",

@@ -1,8 +1,13 @@
 """BMC engine behaviours: options, statuses, reach properties, stats."""
 
+import time
+
 import pytest
 
-from repro.bmc import BmcEngine, BmcOptions, bmc1, bmc2, bmc3, verify
+from repro.bmc import (BmcEngine, BmcOptions, EncodingSession, SessionCache,
+                       bmc1, bmc2, bmc3, verify, verify_many)
+from repro.casestudies.multiport_soc import (MultiportSocParams,
+                                             build_multiport_soc)
 from repro.design import Design
 
 
@@ -191,3 +196,53 @@ class TestTimePerDepth:
         r = verify(d, "lt8", BmcOptions(max_depth=20))
         assert r.proved
         assert len(r.stats.time_per_depth) == r.depth + 1
+
+
+def small_soc():
+    return build_multiport_soc(MultiportSocParams(
+        addr_width=2, data_width=2, counter_width=3, num_properties=3))
+
+
+class TestProfile:
+    def test_profile_flag_restored_on_cached_session(self):
+        cache = SessionCache()
+        opts = BmcOptions(max_depth=6, find_proof=False)
+        session = cache.get_or_create(small_soc(), opts)
+        first, second = sorted(session.design.properties)[:2]
+        profiled = BmcEngine(session.design, first, BmcOptions(
+            max_depth=6, find_proof=False, profile=True),
+            session=session).run()
+        assert session.solver.profile is False
+        assert cache.get_or_create(small_soc(), opts) is session
+        plain = BmcEngine(session.design, second, opts,
+                          session=session).run()
+        assert plain.stats.solver["propagations"] \
+            > profiled.stats.solver["propagations"]
+        assert plain.stats.solver["time_propagate_s"] \
+            == profiled.stats.solver["time_propagate_s"]
+
+    def test_shared_encode_is_timed_for_every_property(self, monkeypatch):
+        sleep_s = 0.01
+        extend_to = EncodingSession.extend_to
+
+        def slow_extend_to(session, depth, quota=None):
+            time.sleep(sleep_s * max(0, depth + 1 - session.frames_built))
+            return extend_to(session, depth, quota)
+
+        monkeypatch.setattr(EncodingSession, "extend_to", slow_extend_to)
+        results = verify_many(small_soc(), options=BmcOptions(
+            max_depth=4, find_proof=False, profile=True))
+        assert len(results) == 4
+        for r in results.values():
+            encode = r.stats.profile["phases"]["encode"]
+            assert encode["n"] == r.depth + 1
+            assert encode["s"] >= sleep_s * (r.depth + 1)
+            assert sum(r.stats.time_per_depth) >= sleep_s * (r.depth + 1)
+
+    def test_second_run_starts_afresh(self):
+        eng = BmcEngine(small_soc(), "alarm_mode_0",
+                        BmcOptions(max_depth=4, find_proof=False, pba=True))
+        first = eng.run()
+        second = eng.run()
+        assert len(first.latch_reasons) == len(second.latch_reasons) == 5
+        assert len(second.stats.time_per_depth) == 5

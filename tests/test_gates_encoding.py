@@ -78,9 +78,17 @@ class TestGateSpecifics:
         from repro.bmc.engine import BmcEngine
         eng = BmcEngine(d, "p", options(max_depth=4))
         eng.run()
-        emm = eng.emms["m"]
+        emm = eng.session.emms["m"]
         assert emm.counters.excl_gates > 0
         assert emm.counters.total_clauses > 0
+
+    def test_exclusivity_ablation_rejected(self):
+        # The gate chain is always exclusive: accepting the flag would run
+        # the full encoding under a different cache key.
+        d, out = scratchpad()
+        d.invariant("p", d.const(1, 1))
+        with pytest.raises(ValueError, match="exclusivity=False"):
+            verify(d, "p", options(exclusivity=False))
 
     def test_disabled_read_forced_zero(self):
         """Gate encoding pins RD to 0 when RE is low (simulator semantics);

@@ -162,4 +162,4 @@ class TestBmcIntegration:
         result = eng.run()
         assert result.status == "bounded"
         # The last falsification check was UNSAT: certify its proof.
-        assert check_all_learned(eng.solver).ok
+        assert check_all_learned(eng.session.solver).ok

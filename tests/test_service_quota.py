@@ -10,12 +10,15 @@ is the one being *attempted* when the deadline hit mid-check.
 import multiprocessing
 import time
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.bmc import BmcOptions, DEGRADED, verify, verify_many
 from repro.bmc.results import BOUNDED, CEX, PROOF, TIMEOUT
 from repro.casestudies.fifo import FifoParams, build_fifo
+from repro.casestudies.multiport_soc import (MultiportSocParams,
+                                             build_multiport_soc)
 from repro.service import (JobQuotas, VerificationService,
                            merge_window_results, shard_depths)
 
@@ -89,6 +92,22 @@ class TestDegradedSemantics:
         for r in results.values():
             assert r.status == DEGRADED
             assert r.stats.quota_tripped == "clauses"
+
+    @pytest.mark.parametrize("quota,depth", [(3000, 4), (6000, 6),
+                                             (12000, 9)])
+    def test_clause_quota_same_depth_on_every_entry_point(self, quota,
+                                                          depth):
+        # verify, verify_many and the inline service share one loop, so
+        # the frame that crosses the watermark is checked on all three.
+        factory = partial(build_multiport_soc, MultiportSocParams(5, 8))
+        prop = sorted(factory().properties)[0]
+        opts = BmcOptions(max_depth=12, find_proof=False,
+                          clause_var_quota=quota)
+        runs = [verify(factory(), prop, opts),
+                verify_many(factory(), [prop], opts)[prop],
+                VerificationService(factory, opts, jobs=1).run([prop])[prop]]
+        assert [(r.status, r.depth, r.stats.quota_tripped) for r in runs] \
+            == [(DEGRADED, depth, "clauses")] * 3
 
     def test_degraded_json_and_describe(self):
         r = verify(tiny_fifo(), "can_fill",
