@@ -36,8 +36,8 @@ common.table(
     "C1c — comparator dedup on recurring/constant addresses",
     ["AW", "DW", "depth", "clauses", "vars", "paper comparator clauses",
      "cache hits", "folds", "merged"],
-    note="the comparator cache and constant folding on the raw hybrid "
-         "back-end; 'paper comparator clauses' is the fresh 4m+1 "
+    note="the comparator cache and constant folding on the hybrid "
+         "encoding; 'paper comparator clauses' is the fresh 4m+1 "
          "comparator per (read, write) pair the paper's encoding pays; "
          "clauses+vars are pinned (CI-gated)",
 )
@@ -45,8 +45,8 @@ common.table(
 common.table(
     "C2 — structural hashing on the gate EMM encoding",
     ["AW", "DW", "depth", "cls+vars", "strash hits", "folds"],
-    note="hash-consed AIG nodes plus the Tseitin gate-triple cache on the "
-         "pure-gate EMM encoding over recurring addresses; solver "
+    note="hash-consed AIG nodes on the pure-gate EMM encoding over "
+         "recurring addresses; solver "
          "clauses+vars are pinned (CI-gated)",
 )
 
@@ -59,20 +59,6 @@ common.table(
          "of frame k+1's; eq-(6) pairs are pruned on folded-FALSE "
          "comparators and fall-through reads merge on fold-TRUE; solver "
          "clauses+vars are pinned at every depth >= 8 (CI-gated)",
-)
-
-common.table(
-    "C5 — AIG-routed hybrid chain (hybrid_strash A/B, solver clauses+vars)",
-    ["workload", "AW", "DW", "W", "depth", "cls+vars off", "cls+vars on",
-     "drop", "plateau", "suffix hits", "merged", "plateau gated"],
-    note="emm_hybrid_strash routes the hybrid encoder's eq-(4)/(5) chain "
-         "through the strashed AIG over aliased CNF comparators; 'off' "
-         "re-emits the paper's raw CNF per frame.  All workloads stay "
-         "strictly below the raw baseline at every depth >= 8 (CI-gated) "
-         "— native ITE lowering prices each chain mux at 4 clauses/1 var, "
-         "so even the mixed fresh-address row wins where it used to pay "
-         "a 3-triples-per-mux premium; the recurring-address rows "
-         "additionally plateau to bounded per-frame growth",
 )
 
 common.table(
@@ -119,10 +105,7 @@ def bench_constraint_growth(benchmark, aw, dw, r, w, depth):
         solver = Solver(proof=False)
         emitter = CnfEmitter(Aig(), solver)
         unroller = Unroller(build(aw, dw, r, w), emitter)
-        # The paper's closed forms price the raw-CNF hybrid back-end;
-        # the AIG-routed default is measured by C5 instead.
-        emm = EmmMemory(solver, unroller, "m", init_consistency=False,
-                        hybrid_strash=False)
+        emm = EmmMemory(solver, unroller, "m", init_consistency=False)
         for k in range(depth + 1):
             unroller.add_frame()
             emm.add_frame(k)
@@ -165,8 +148,8 @@ def build_recurring(aw, dw):
 
 DEDUP_CONFIGS = [(4, 4, 20), (6, 8, 20), (8, 8, 24)]
 
-#: EMM clauses+vars (``total_clauses + vars_added``) of the raw hybrid
-#: back-end per DEDUP_CONFIGS row at its depth.
+#: EMM clauses+vars (``total_clauses + vars_added``) of the hybrid
+#: encoding per DEDUP_CONFIGS row at its depth.
 DEDUP_PINNED = {(4, 4, 20): 19004, (6, 8, 20): 30766, (8, 8, 24): 49574}
 
 
@@ -176,16 +159,13 @@ def bench_addr_dedup(benchmark, aw, dw, depth):
     """Acceptance check: the comparator layer's encoding size is pinned
     and the cache fires; fold-TRUE eq-(6) comparisons of the constant
     read address are answered upstream by record merging.
-
-    ``hybrid_strash`` is pinned off: this experiment isolates the
-    comparator layer on the paper's raw CNF.
     """
 
     def run():
         solver = Solver(proof=False)
         emitter = CnfEmitter(Aig(), solver)
         unroller = Unroller(build_recurring(aw, dw), emitter)
-        emm = EmmMemory(solver, unroller, "m", hybrid_strash=False)
+        emm = EmmMemory(solver, unroller, "m")
         for k in range(depth + 1):
             unroller.add_frame()
             emm.add_frame(k)
@@ -359,126 +339,6 @@ def bench_chain_share(benchmark, workload, aw, dw, depth):
 
     common.add_row("C4 — per-frame incremental growth (chain sharing)",
                    workload, aw, dw, depth + 1, fmt(gates), plateau)
-
-
-def build_const_multiwrite(aw, dw):
-    """Two-write-port variant of the constant-address workload.
-
-    Write ports cover disjoint address parities (the no-race assumption),
-    so every frame appends two chain stages; the suffix sharing must
-    still plateau with W > 1.
-    """
-    d = Design("constw2")
-    t = d.latch("t", 2, init=0)
-    t.next = t.expr + 1
-    mem = d.memory("m", aw, dw, read_ports=2, write_ports=2, init=None)
-    for w in range(2):
-        addr = d.input(f"wa{w}", aw)
-        mem.write(w).connect(addr=addr, data=d.input(f"wd{w}", dw),
-                             en=d.input(f"we{w}", 1) & addr[0].eq(w))
-    mem.read(0).connect(addr=d.const(1, aw), en=1)
-    mem.read(1).connect(addr=d.const(2, aw), en=1)
-    d.invariant("p", mem.read(0).data.ule((1 << dw) - 1))
-    return d
-
-
-HYBRID_CHAIN_WORKLOADS = {"const": build_const_recurring,
-                          "constW2": build_const_multiwrite,
-                          "mixed": build_recurring}
-
-#: ``asserted=False`` rows skip the plateau checks only: the mixed
-#: workload's read ports carry *fresh* symbolic address cones every
-#: frame, so per-frame growth stays linear.  The strictly-below gate
-#: runs on every row — native ITE lowering prices each chain mux at 4
-#: clauses/1 var, which beats the raw back-end even when nothing recurs
-#: (the plain 3-triples-per-mux lowering used to lose here; re-measured
-#: at 25% clauses+vars saved on mixed-m4n4k24).
-HYBRID_CHAIN_CONFIGS = [("const", 4, 4, 24, True),
-                        ("constW2", 4, 4, 24, True),
-                        ("const", 6, 8, 24, True),
-                        ("mixed", 4, 4, 24, False)]
-
-
-@pytest.mark.parametrize("workload,aw,dw,depth,asserted", HYBRID_CHAIN_CONFIGS,
-                         ids=[f"{c[0]}-m{c[1]}n{c[2]}k{c[3]}"
-                              for c in HYBRID_CHAIN_CONFIGS])
-def bench_hybrid_chain_strash(benchmark, workload, aw, dw, depth, asserted):
-    """Acceptance checks for the AIG-routed hybrid encoding (CI runs
-    this): the solver-level clauses+vars of the routed encoding stay
-    strictly below the raw-CNF hybrid baseline at every depth >= 8 on
-    every workload, and on the recurring-address workloads the
-    per-frame *new* clauses+vars additionally plateau to a bounded
-    constant after warmup (the raw baseline grows linearly).  Verdict
-    parity at depth 8 is re-checked on the full engine.  The per-frame
-    series lands in the benchmark JSON (``extra_info``), which CI
-    uploads as BENCH_ci.json."""
-
-    def run_one(hybrid_strash):
-        solver = Solver(proof=False)
-        emitter = CnfEmitter(Aig(), solver)
-        unroller = Unroller(HYBRID_CHAIN_WORKLOADS[workload](aw, dw), emitter)
-        emm = EmmMemory(solver, unroller, "m", hybrid_strash=hybrid_strash)
-        series = []
-        for k in range(depth + 1):
-            before = solver.num_clauses + solver.num_vars
-            unroller.add_frame()
-            emm.add_frame(k)
-            series.append(solver.num_clauses + solver.num_vars - before)
-        return solver, emm, series
-
-    def run():
-        return run_one(False), run_one(True)
-
-    (s_off, e_off, cnf_off), (s_on, e_on, cnf_on) = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-    benchmark.extra_info["per_frame_cnf_on"] = cnf_on
-    benchmark.extra_info["per_frame_cnf_off"] = cnf_off
-    benchmark.extra_info["asserted"] = asserted
-    w_ports = e_on.mem.num_write_ports
-    size_on = sum(cnf_on)
-    size_off = sum(cnf_off)
-    drop = 1.0 - size_on / size_off
-    plateau = "-"
-    # Strictly below the raw baseline at *every* depth >= 8 — on every
-    # workload: ITE lowering makes the routed chain win even when the
-    # addresses are fresh each frame.
-    for d in range(8, depth + 1):
-        cum_on, cum_off = sum(cnf_on[:d + 1]), sum(cnf_off[:d + 1])
-        assert cum_on < cum_off, (
-            f"hybrid strash grew the CNF at depth {d}: "
-            f"{cum_off} -> {cum_on} clauses+vars ({workload})")
-    if asserted:
-        # Bounded-constant per-frame growth after warmup vs linear off.
-        tail = cnf_on[4:]
-        assert max(tail) == min(tail), (
-            f"per-frame clauses+vars did not plateau: {cnf_on}")
-        plateau = str(tail[0])
-        assert all(b > a for a, b in zip(cnf_off[4:], cnf_off[5:])), (
-            f"raw baseline should grow linearly: {cnf_off}")
-        # The EMM-attributed share of the plateau stays within the
-        # closed-form bound (the remainder is the frame's design logic,
-        # link clauses and fresh state variables — constant per frame).
-        emm_frame_cls = e_on.counters.per_frame[-1]["clauses"]
-        bound = accounting.hybrid_suffix_shared_frame_clauses(
-            aw, dw, w_ports) * 2  # two read ports
-        assert emm_frame_cls <= bound, (emm_frame_cls, bound)
-        assert e_on.counters.chain_suffix_hits > 0
-        assert e_on.counters.init_records_merged > 0
-        assert e_off.counters.chain_suffix_hits == 0
-        assert e_off.counters.strash_hits == 0
-    # A/B verdict parity at depth 8 on the full engine, both workloads.
-    design = HYBRID_CHAIN_WORKLOADS[workload](aw, dw)
-    results = {hs: verify(design, "p",
-                          BmcOptions(find_proof=False, max_depth=8,
-                                     emm_hybrid_strash=hs))
-               for hs in (True, False)}
-    assert results[True].status == results[False].status == "bounded"
-    assert results[True].depth == results[False].depth == 8
-    common.add_row(
-        "C5 — AIG-routed hybrid chain (hybrid_strash A/B, solver clauses+vars)",
-        workload, aw, dw, w_ports, depth, size_off, size_on, f"{drop:.1%}",
-        plateau, e_on.counters.chain_suffix_hits,
-        e_on.counters.init_records_merged, "yes" if asserted else "no")
 
 
 def bench_hybrid_vs_pure_gate(benchmark):

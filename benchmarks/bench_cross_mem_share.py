@@ -73,11 +73,11 @@ DEPTHS = list(range(2, 25, 2)) if common.is_full() else list(range(2, 17, 2))
 
 #: Session solver clauses+vars of the miter at each even depth 2..24.
 MITER_PINNED = dict(zip(range(2, 25, 2),
-                        [1682, 4141, 7612, 12095, 17590, 24097, 31616,
-                         40147, 49690, 60245, 71812, 84391]))
+                        [1666, 4201, 7844, 12595, 18454, 25421, 33496,
+                         42679, 52970, 64369, 76876, 90491]))
 
 #: Solver clauses+vars of the single-memory SoC run below.
-SOC_PINNED = 6464
+SOC_PINNED = 6008
 
 
 def bench_cross_mem_miter_sizes(benchmark):

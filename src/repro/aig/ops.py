@@ -61,16 +61,13 @@ def mux_word(aig: Aig, sel: int, t: Sequence[int], e: Sequence[int]) -> Word:
 ite_word = mux_word
 
 
-# -- EMM forwarding-chain builder (shared by both EMM encoders) -----------
+# -- EMM forwarding-chain builder (the pure-gate encoding) ----------------
 #
-# Both the pure-gate EMM encoding (:class:`repro.emm.gates.GateEmmMemory`)
-# and the AIG-routed hybrid encoding (:class:`repro.emm.forwarding.
-# EmmMemory` with ``hybrid_strash``) lower the paper's equation-(4)/(5)
-# forwarding semantics onto the AIG through this construction; only the
-# match-signal (``S``) construction differs per encoder — AIG ``eq_word``
-# cones for the gate encoding, aliased CNF comparators for the hybrid
-# one.  Keeping the chain itself in one implementation is what makes the
-# cross-frame suffix sharing behave identically in both.
+# The pure-gate EMM encoding (:class:`repro.emm.gates.GateEmmMemory`)
+# lowers the paper's equation-(4)/(5) forwarding semantics onto the AIG
+# through this construction; the hybrid encoding
+# (:class:`repro.emm.forwarding.EmmMemory`) emits the same semantics as
+# direct CNF instead.
 
 
 def priority_mux_chain(aig: Aig, stages: Sequence[tuple[int, Sequence[int]]],
@@ -108,10 +105,6 @@ def eq_word(aig: Aig, a: Sequence[int], b: Sequence[int]) -> int:
     """Single literal: words are equal."""
     _check(a, b)
     return aig.and_many(aig.iff_(x, y) for x, y in zip(a, b))
-
-
-def ne_word(aig: Aig, a: Sequence[int], b: Sequence[int]) -> int:
-    return lit_not(eq_word(aig, a, b))
 
 
 def add_word(aig: Aig, a: Sequence[int], b: Sequence[int],

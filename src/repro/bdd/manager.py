@@ -30,7 +30,7 @@ class BddManager:
         self._low: list[int] = [0, 1]
         self._high: list[int] = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._ite_cache: dict[tuple[int, int, int], int] = {}
+        self._ite_memo: dict[tuple[int, int, int], int] = {}
         self._quant_cache: dict = {}
         self._rename_cache: dict = {}
         self.num_vars = 0
@@ -42,11 +42,6 @@ class BddManager:
         """Create the next variable; returns the BDD for that variable."""
         var = self.num_vars
         self.num_vars += 1
-        return self._mk(var, FALSE, TRUE)
-
-    def var_bdd(self, var: int) -> int:
-        if not 0 <= var < self.num_vars:
-            raise ValueError(f"unknown variable {var}")
         return self._mk(var, FALSE, TRUE)
 
     def _mk(self, var: int, low: int, high: int) -> int:
@@ -79,7 +74,7 @@ class BddManager:
         if g == TRUE and h == FALSE:
             return f
         key = (f, g, h)
-        hit = self._ite_cache.get(key)
+        hit = self._ite_memo.get(key)
         if hit is not None:
             return hit
         top = min(self._var[f], self._var[g], self._var[h])
@@ -89,7 +84,7 @@ class BddManager:
         low = self.ite(f0, g0, h0)
         high = self.ite(f1, g1, h1)
         out = self._mk(top, low, high)
-        self._ite_cache[key] = out
+        self._ite_memo[key] = out
         return out
 
     def _cofactors(self, f: int, var: int) -> tuple[int, int]:

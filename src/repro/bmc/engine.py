@@ -61,16 +61,6 @@ class BmcOptions:
     emm_encoding: str = "hybrid"
     #: Equation (6) arbitrary-initial-state consistency; False = ablation.
     init_consistency: bool = True
-    #: AIG-routed hybrid chain back-end: the hybrid EMM encoder builds
-    #: its equation-(4)/(5) forwarding chain and read-data muxes on the
-    #: structurally hashed AIG over aliased comparator/port literals
-    #: (the chain builder shared with the gate encoding), so recurring
-    #: address cones plateau instead of re-emitting raw CNF per frame.
-    #: False is the paper's hand-written CNF emission — the closed-form
-    #: baseline for the accounting tests and the C5 bench.  No effect on
-    #: ``emm_encoding="gates"`` (always AIG) or ``exclusivity=False``
-    #: (no chain to route).
-    emm_hybrid_strash: bool = True
     #: Latch-based abstraction: latches to keep (None = all).
     kept_latches: Optional[frozenset[str]] = None
     #: Memory abstraction: memories to keep EMM constraints for (None = all).
@@ -135,8 +125,8 @@ class BmcOptions:
                                   for g in self.shared_init_memories))
         return (self.find_proof, self.pba, self.use_emm, self.exclusivity,
                 self.emm_encoding, self.init_consistency,
-                self.emm_hybrid_strash, self.kept_latches,
-                self.kept_memories, ports_key, groups_key)
+                self.kept_latches, self.kept_memories, ports_key,
+                groups_key)
 
 
 def bmc1(**kw) -> BmcOptions:
@@ -205,8 +195,11 @@ class BmcEngine:
 
         ``window=(lo, hi)`` restricts which depths are *checked* (the
         service layer shards depth ranges across workers); frames below
-        ``lo`` are still encoded — soundness of a check at depth i never
-        depends on earlier checks, only on the encoding.
+        ``lo`` are still encoded.  A CEX at depth i stands on its own,
+        but a PROOF at depth i assumes no CEX exists below i: a window
+        not starting at 0 yields a conditional verdict that only
+        :func:`repro.service.merge_window_results` may combine with the
+        windows below it.
         """
         lo, hi = (0, self.options.max_depth) if window is None else window
         return _schedule(self.session, [self], lo, hi, stop_check)[0]
@@ -382,7 +375,7 @@ class BmcEngine:
                                             for e in emms)
         stats.emm_strash_hits = sum(e.counters.strash_hits for e in emms)
         stats.emm_strash_folds = sum(e.counters.strash_folds for e in emms)
-        stats.strash_hits = session.aig.strash_hits + session.emitter.strash_hits
+        stats.strash_hits = session.aig.strash_hits
         stats.strash_folds = session.aig.strash_folds
         stats.aig_nodes = session.aig.num_ands
         stats.ite_lowered = session.emitter.ites_emitted

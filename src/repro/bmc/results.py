@@ -61,14 +61,13 @@ class BmcRunStats:
     #: construction* (summed over memories): AND cones and gate triples
     #: answered from the hash tables while an EMM encoder built its
     #: chain, and requests folded away by constant/idempotence rules.
-    #: Fed by both the gate encoding and the AIG-routed hybrid back-end
-    #: (``BmcOptions.emm_hybrid_strash``); a subset of the run-wide
-    #: ``strash_hits`` / ``strash_folds`` below.
+    #: Fed by the gate encoding only (the hybrid encoding emits CNF
+    #: directly); a subset of the run-wide ``strash_hits`` /
+    #: ``strash_folds`` below.
     emm_strash_hits: int = 0
     emm_strash_folds: int = 0
     #: Structural-hashing savings of the whole run: AND requests answered
-    #: from the AIG hash table plus gate triples reused by the Tseitin
-    #: emitter's CNF-level cache, and AND requests folded to constants
+    #: from the AIG hash table, and AND requests folded to constants
     #: (:mod:`repro.aig.aig`).
     strash_hits: int = 0
     strash_folds: int = 0

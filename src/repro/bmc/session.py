@@ -131,7 +131,6 @@ class EncodingSession:
                             a_meminit=self.a_meminit,
                             kept_read_ports=port_map.get(name),
                             init_registry=registries.get(name),
-                            hybrid_strash=options.emm_hybrid_strash,
                             cmp_registry=self.cmp_registry)
             for name in sorted(kept_mems)
         }

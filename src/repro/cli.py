@@ -152,7 +152,6 @@ def _verify_options(args) -> BmcOptions:
                       max_depth=args.max_depth,
                       exclusivity=not args.no_exclusivity,
                       init_consistency=not args.no_init_consistency,
-                      emm_hybrid_strash=not args.no_hybrid_strash,
                       timeout_s=args.timeout,
                       profile=args.profile, **quotas)
 
@@ -326,11 +325,6 @@ def main(argv=None) -> int:
                           help="skip induction termination checks")
     p_verify.add_argument("--no-exclusivity", action="store_true",
                           help="ablation: naive forwarding encoding")
-    p_verify.add_argument("--no-hybrid-strash", action="store_true",
-                          help="re-emit the hybrid EMM encoding as raw "
-                               "CNF per frame instead of routing its "
-                               "chain through the strashed AIG "
-                               "(the paper's closed-form baseline)")
     p_verify.add_argument("--no-init-consistency", action="store_true",
                           help="ablation: drop equation (6) constraints")
     p_verify.add_argument("--show-trace", action="store_true")

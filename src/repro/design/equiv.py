@@ -157,48 +157,3 @@ def check_equivalence(a: Design, b: Design,
     if share_arbitrary_init:
         opts = replace(opts, shared_init_memories=shared_init_groups(a, b))
     return BmcEngine(miter, "equiv", opts).run()
-
-
-def diagnose_equivalence(a: Design, b: Design,
-                         outputs: Sequence[tuple[Expr, Expr]],
-                         max_depth: int = 20,
-                         share_arbitrary_init: bool = False,
-                         options=None, revalidate: bool = True):
-    """Per-output-pair verdicts ``{"equiv_i": BmcResult}`` on one session.
-
-    Where :func:`check_equivalence` answers "are they equal" with the
-    conjoined ``equiv`` invariant, this checks every ``equiv_i``
-    separately — the miter is unrolled *once* into a shared encoding
-    session and each pair costs only its own property literals and
-    solves, so localizing which outputs diverge is barely more expensive
-    than the single combined check.
-
-    With ``revalidate`` (default), every diverging trace is replayed a
-    second time through the unified concrete oracle
-    (:func:`repro.sim.oracle.default_oracle`) — all traces as lanes of
-    *one* vector batch — and ``trace_validated`` is downgraded to False
-    on any disagreement.  This is an independent cross-check of the
-    engine's own replay, at the cost of a single batched sweep.
-    """
-    from repro.bmc.engine import BmcOptions, verify_many
-    from repro.sim.oracle import Stimulus, default_oracle
-
-    miter = build_miter(a, b, outputs)
-    base = options or BmcOptions()
-    opts = replace(base, max_depth=max_depth, find_proof=False, pba=False)
-    if share_arbitrary_init:
-        opts = replace(opts, shared_init_memories=shared_init_groups(a, b))
-    names = [f"equiv_{i}" for i in range(len(outputs))]
-    results = verify_many(miter, names, opts)
-    if revalidate:
-        diverging = [(name, r) for name, r in results.items()
-                     if r.status == "cex" and r.trace is not None
-                     and r.trace_validated is not None]
-        if diverging:
-            oracle = default_oracle(miter)
-            traces = oracle.replay_batch(
-                [Stimulus.from_trace(r.trace) for _, r in diverging])
-            for (name, r), trace in zip(diverging, traces):
-                r.trace_validated = bool(r.trace_validated
-                                         and oracle.check(name, trace).failed)
-    return results

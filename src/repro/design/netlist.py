@@ -361,13 +361,6 @@ class Design:
             raise ValueError(f"constant {value} does not fit in {width} bits")
         return self.const(value, width)
 
-    def coerce_any(self, value: ExprLike, width: Optional[int] = None) -> Expr:
-        if isinstance(value, Expr):
-            return value
-        if width is None:
-            raise ValueError("cannot infer width for bare int")
-        return self.const(int(value), width)
-
     def input(self, name: str, width: int) -> Expr:
         """Declare a primary input; returns its expression."""
         if name in self.inputs:

@@ -16,12 +16,9 @@ semantics *data read = most recent data written at the same address*
   read with the pairwise consistency constraints of equation (6), which
   is what makes SAT-based induction proofs sound (Section 4.2).
 
-Two chain back-ends realise those semantics: the default routes the
-chain and read-data muxes through the structurally hashed AIG
-(``hybrid_strash``, shared builders with the pure-gate encoding in
-:mod:`repro.aig.ops`, cross-frame suffix sharing on recurring address
-cones), while ``hybrid_strash=False`` re-emits the paper's direct CNF
-above — the exact encoding the closed forms below count.
+Every frame re-emits that direct CNF, so the closed forms below count
+the encoding exactly.  The purely circuit-based encoding the paper
+compares against lives in :mod:`repro.emm.gates`.
 
 :mod:`repro.emm.accounting` carries the paper's closed-form constraint
 counts; tests assert the implementation matches them clause for clause

@@ -88,11 +88,6 @@ def explicit_model_state_bits(addr_width: int, data_width: int) -> int:
     return (1 << addr_width) * data_width
 
 
-def symbolic_init_words(k: int, r_ports: int) -> int:
-    """Fresh symbolic data words introduced for arbitrary initial state."""
-    return k * r_ports
-
-
 def init_consistency_pairs_paper(k: int, r_ports: int) -> int:
     """The count as printed in the paper: ``kR(R-1)``."""
     return k * r_ports * (r_ports - 1)
@@ -148,53 +143,3 @@ def suffix_shared_frame_gates(addr_width: int, data_width: int,
     """
     m, n = addr_width, data_width
     return (4 * m + 3 * n + 2) * w_ports + 4 * n
-
-
-# -- AIG-routed hybrid back-end (``BmcOptions.emm_hybrid_strash``) --------
-#
-# The hybrid encoder's comparators stay CNF (the ``4m+1`` closed forms
-# above still price them), but the chain and data muxes become AIG nodes
-# lowered as 3-clause Tseitin triples.  Per live pair the chain costs at
-# most the ``S = E ∧ WE`` gate, one no-match accumulation AND and a
-# ``3n``-gate mux stage; per read there is one fall-through AND and the
-# ``2n`` forced ``RE -> RD == value`` clauses (which subsume the raw
-# back-end's validity clause and ``N -> RD = init`` block).  Strash
-# folding makes both forms below upper bounds; on recurring address
-# cones the suffix sharing collapses the per-frame growth to
-# :func:`hybrid_suffix_shared_frame_clauses`.
-
-
-def hybrid_chain_clauses_per_read_port(k: int, w_ports: int,
-                                       addr_width: int,
-                                       data_width: int) -> int:
-    """Upper bound on CNF clauses the AIG-routed hybrid adds at depth k.
-
-    One read port, no sharing: ``(4m+1)kW`` comparator clauses plus
-    three clauses per chain gate — ``(3n+2)kW + 1`` gates — plus the
-    ``2n`` forced read-data clauses.  Compare
-    :func:`clauses_per_read_port` (the raw back-end) and
-    :func:`mux_chain_gates_per_read_port` (the same chain in the gate
-    encoding, where the comparators are AIG cones too).
-    """
-    m, n = addr_width, data_width
-    return ((4 * m + 1) * k * w_ports
-            + 3 * ((3 * n + 2) * k * w_ports + 1)
-            + 2 * n)
-
-
-def hybrid_suffix_shared_frame_clauses(addr_width: int, data_width: int,
-                                       w_ports: int = 1) -> int:
-    """Upper bound on *new* hybrid clauses per frame under full sharing.
-
-    For a constant-address read with a merged (stable) initial word,
-    frame k re-uses frame k-1's entire chain; the only fresh work is the
-    newest write's comparator (≤ ``m+1`` clauses in the const-vs-symbolic
-    short form, bounded here by the full ``4m+1``), three clauses per
-    new-stage gate (``(3n+2)W + 1`` gates), the ``2n`` forced read-data
-    clauses and one merge-guard clause.  Constant in the depth — the
-    plateau the C5 bench asserts.
-    """
-    m, n = addr_width, data_width
-    return ((4 * m + 1) * w_ports
-            + 3 * ((3 * n + 2) * w_ports + 1)
-            + 2 * n + 1)

@@ -9,11 +9,12 @@ proof-based abstraction can tell which memories a proof actually used.
 Write priority follows equation (4): the newest matching write (latest
 frame, then highest write port) wins, and a read no write matched —
 the paper's ``S_{-1}`` — falls through to the initial memory state.
-The default AIG-routed back-end builds the chain **oldest write
-first** as a mux chain, so a newer write is muxed in later and
-overrides every older one; the raw-CNF back-end scans latest-first
-with the paper's explicit ``PS(i,p)`` ("no match strictly after
-(i,p)") and ``S(i,p)`` ("(i,p) is the unique matching write") signals.
+The chain scans latest-first with the paper's explicit ``PS(i,p)`` ("no
+match strictly after (i,p)") and ``S(i,p)`` ("(i,p) is the unique
+matching write") signals, emitted every frame as direct CNF: equation
+(5)'s ``2n`` implication clauses per pair, the validity clause and raw
+3-clause ``AND`` gates — the encoding the closed forms of
+:mod:`repro.emm.accounting` count (exactly, on fresh address cones).
 
 Address comparators are produced by
 :class:`repro.emm.addrcmp.AddrComparator`: structurally recurring
@@ -40,30 +41,6 @@ dedicated ``race_addr_eq_clauses`` / ``race_clauses`` / ``race_gates``
 counters, which are *excluded* from ``total_clauses`` and
 ``total_gates`` so the paper-formula comparisons stay exact whether or
 not the monitor is on.
-
-Two chain back-ends (``hybrid_strash``):
-
-* ``hybrid_strash=True`` (default) routes the equation-(4)/(5)
-  forwarding logic through the structurally hashed AIG: the comparator
-  ``E`` literals stay CNF (the layer above) but enter the AIG as
-  *aliased inputs* (:meth:`repro.aig.tseitin.CnfEmitter.aig_lit_for`),
-  and the oldest-write-first mux chain is built with the same chain
-  builder the pure-gate encoding uses
-  (:func:`repro.aig.ops.priority_mux_chain`).  Because aliased
-  inputs have stable identity and cached comparators return the same
-  ``E`` across frames, a recurring read-address cone makes frame k's
-  chain a strash prefix of frame k+1's — per-frame growth plateaus on
-  constant-address reads exactly as in the gate encoding (bench C5).
-  The lowered chain clauses keep per-memory ``("emm", name, *)``
-  provenance labels under the emitter's first-emitter-wins rule, so
-  proof-based abstraction is unaffected.
-* ``hybrid_strash=False`` re-emits the paper's hand-written CNF every
-  frame — equation (5)'s ``2n`` implication clauses per pair, the
-  validity clause, raw 3-clause ``AND`` gates for the chain.  This is
-  the exact-closed-form baseline the accounting tests pin and the
-  paper-exact ablation cell of the differential matrix.  The
-  ``exclusivity=False`` ablation always uses this back-end (the naive
-  long-clause encoding has no chain to route).
 """
 
 from __future__ import annotations
@@ -71,8 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.aig import ops
-from repro.aig.aig import FALSE, TRUE, lit_not
 from repro.bmc.unroller import PortSignals, Unroller
 from repro.emm.addrcmp import AddrComparator, SharedComparatorTables
 from repro.sat.solver import Solver
@@ -115,13 +90,11 @@ class EmmCounters:
     #: ``addr_eq_cache_hits``/``race_addr_eq_cache_hits``, not a clause
     #: counter — the clauses were booked by the founding memory.
     cross_mem_cmp_hits: int = 0
-    #: AIG/CNF structural-hashing savings attributed to this memory's
-    #: constraint construction — fed by the gate encoding and by the
-    #: hybrid's AIG-routed back-end (``hybrid_strash``); the raw hybrid
-    #: back-end emits CNF directly and books its sharing into the
-    #: addr_eq_* counters above.  Hits are reused AND cones / gate
-    #: triples, folds are requests collapsed by constant/idempotence/
-    #: complement rules.
+    #: AIG structural-hashing savings attributed to this memory's
+    #: constraint construction — fed by the gate encoding only; the
+    #: hybrid encoding emits CNF directly and books its sharing into the
+    #: addr_eq_* counters above.  Hits are reused AND cones, folds are
+    #: requests collapsed by constant/idempotence/complement rules.
     strash_hits: int = 0
     strash_folds: int = 0
     #: Equation-(6) pairs skipped because their address comparator folded
@@ -136,10 +109,10 @@ class EmmCounters:
     #: merged records covered by every already-emitted eq-(6) pair.
     init_guard_clauses: int = 0
     #: Mux-chain stages answered entirely by the strash layer (zero new
-    #: gates), in the gate encoding and the hybrid's AIG-routed back-end
-    #: alike.  On recurring address cones this is frame k's chain
-    #: re-appearing as a prefix of frame k+1's; within-frame reuse —
-    #: read ports sharing one address cone — counts too.
+    #: gates) — fed by the gate encoding only.  On recurring address
+    #: cones this is frame k's chain re-appearing as a prefix of frame
+    #: k+1's; within-frame reuse — read ports sharing one address cone —
+    #: counts too.
     chain_suffix_hits: int = 0
     per_frame: list[dict] = field(default_factory=list)
 
@@ -303,12 +276,6 @@ class EmmMemory:
         state reads still get fresh symbolic words but the pairwise
         equation-(6) constraints are omitted — the unsound-for-proofs
         ablation of Section 4.2.
-    hybrid_strash:
-        When True (default) the forwarding chain and read-data muxes are
-        built on the structurally hashed AIG over aliased comparator /
-        port literals (see the module docstring); when False every frame
-        re-emits the paper's direct CNF.  Ignored (raw CNF) under the
-        ``exclusivity=False`` ablation.
     cmp_registry:
         The :class:`~repro.emm.addrcmp.SharedComparatorTables` the
         comparators resolve against; None makes one for this memory.
@@ -321,13 +288,11 @@ class EmmMemory:
                  kept_read_ports: Optional[frozenset[int]] = None,
                  check_races: bool = False,
                  init_registry: Optional[InitReadRegistry] = None,
-                 hybrid_strash: bool = True,
                  cmp_registry: Optional[SharedComparatorTables] = None,
                  ) -> None:
         self.solver = solver
         self.unroller = unroller
         self.emitter = unroller.emitter
-        self.aig = unroller.aig
         self.mem = unroller.design.memories[mem_name]
         self.name = mem_name
         self.exclusivity = exclusivity
@@ -377,9 +342,6 @@ class EmmMemory:
         self._reads: InitReadRegistry = (init_registry
                                          if init_registry is not None
                                          else InitReadRegistry())
-        #: AIG-routed chain back-end; the naive eq-(3) ablation has no
-        #: chain to route, so it always keeps the raw CNF emission.
-        self.hybrid_strash = hybrid_strash and exclusivity
         #: Declared-init signature scoping the merge index (see
         #: :class:`InitReadRegistry`): merging across memories is only
         #: sound when their a_meminit pins agree.
@@ -409,176 +371,6 @@ class EmmMemory:
         self.counters.per_frame.append(self.counters.frame_delta(before))
 
     def _constrain_read(self, k: int, r: int, read: PortSignals) -> None:
-        if self.hybrid_strash:
-            self._constrain_read_aig(k, r, read)
-        else:
-            self._constrain_read_raw(k, r, read)
-
-    # -- AIG-routed back-end (hybrid_strash=True) --------------------------
-
-    def _constrain_read_aig(self, k: int, r: int, read: PortSignals) -> None:
-        """Equations (4)/(5) routed through the structurally hashed AIG.
-
-        Comparators stay the hybrid's CNF layer — cached, ``4m+1``
-        closed form, per-memory PBA labels — and their ``E``
-        literals enter the AIG as aliased inputs alongside the port
-        enables and write-data words.  The chain and the data muxes are
-        built with the shared builders of :mod:`repro.aig.ops` and
-        lowered back through the emitter's gate-triple cache; the read
-        is bound by ``RE -> RD == value`` (``2n`` clauses), which leaves
-        RD free while RE is low exactly like the raw back-end.  Counter
-        semantics follow the gate encoder: ``excl_gates`` counts AIG
-        nodes, ``rd_clauses`` the lowered gate triples (3 clauses each),
-        native ITE lowerings (4 clauses each) and the forced read-data
-        clauses; sharing is reported through
-        ``strash_hits`` / ``strash_folds`` / ``chain_suffix_hits``.
-        """
-        aig = self.aig
-        em = self.emitter
-        c = self.counters
-        mem = self.mem
-        n_bits = mem.data_width
-        label_excl = ("emm", self.name, "excl")
-        ands0 = aig.num_ands
-        triples0 = em.gates_emitted
-        ites0 = em.ites_emitted
-        hits0 = aig.strash_hits + em.strash_hits
-        folds0 = aig.strash_folds
-        # Match signals s = E ∧ WE, oldest pair first (the comparator
-        # request order of the raw back-end's step 1).  A comparator
-        # folded to FALSE makes the pair dead — ``and_gate`` collapses
-        # it and the stage is skipped, mirroring the raw pruning; a fold
-        # to TRUE makes s coincide with the (aliased) write enable.
-        stages: list[tuple[int, list[int]]] = []  # live (s, WD), oldest first
-        for j in range(k):
-            for w in range(mem.num_write_ports):
-                wsig = self._writes[j][w]
-                e_var = self._addr_eq(read.addr, wsig.addr,
-                                      ("emm", self.name, "addr_eq"), c,
-                                      "addr_eq_clauses")
-                s = aig.and_gate(em.aig_lit_for(e_var),
-                                 em.aig_lit_for(wsig.en))
-                if s == FALSE:
-                    continue
-                stages.append((s, [em.aig_lit_for(b) for b in wsig.data]))
-        re_aig = em.aig_lit_for(read.en)
-        em.set_label(label_excl)
-        # Oldest-write-first mux chain: recurring address cones make
-        # frame k's chain a strash prefix of frame k+1's.  ``n_lit`` ("the
-        # read fell through to the initial state") is only consumed by
-        # the symbolic-init record machinery — for known-init memories
-        # the seed is a constant word and the chain needs no explicit
-        # fall-through signal, so its cone is not built.
-        n_lit = None
-        if self.symbolic_init:
-            nomatch = TRUE
-            for s, _ in stages:
-                nomatch = aig.and_gate(nomatch, lit_not(s))
-            n_lit = em.sat_lit(aig.and_gate(re_aig, nomatch))
-        seed = self._chain_init_word(read, n_lit, k, r)
-        value, suffix_hits = ops.priority_mux_chain(aig, stages, seed)
-        c.chain_suffix_hits += suffix_hits
-        v_sats = [em.sat_lit(vb) for vb in value]
-        label_rd = ("emm", self.name, "rd")
-        for b in range(n_bits):
-            self._clause([-read.en, -read.data[b], v_sats[b]],
-                         label_rd, c, "rd_clauses")
-            self._clause([-read.en, read.data[b], -v_sats[b]],
-                         label_rd, c, "rd_clauses")
-        c.excl_gates += aig.num_ands - ands0
-        # Lowered chain CNF: 3 clauses per gate triple plus 4 per native
-        # ITE lowering (each mux the emitter collapses to one var).
-        c.rd_clauses += (3 * (em.gates_emitted - triples0)
-                         + 4 * (em.ites_emitted - ites0))
-        c.strash_hits += aig.strash_hits + em.strash_hits - hits0
-        c.strash_folds += aig.strash_folds - folds0
-
-    def _chain_init_word(self, read: PortSignals, n_lit: Optional[int],
-                         k: int, r: int) -> list[int]:
-        """AIG word holding the initial memory contents at the read address.
-
-        The ``hybrid_strash`` counterpart of the raw back-end's step 4:
-        the chain *seed* is the initial word, so the separate
-        ``N -> RD = init`` clauses (``init_rd_clauses``) are subsumed by
-        the routed chain.  Known-init memories seed from constants with
-        ROM overrides selected by the cached CNF comparators;
-        symbolic-init reads mint (or merge into) the same SAT-level
-        records as the raw back-end — pins, guards and equation (6) are
-        shared code — and alias the record's word into the AIG, which is
-        what keeps a merged read's seed stable across frames.
-        """
-        aig = self.aig
-        em = self.emitter
-        mem = self.mem
-        c = self.counters
-        n_bits = mem.data_width
-        # Every clause this method books carries an explicit label; the
-        # seed's AIG cones (ROM-override muxes included) are lowered
-        # later with the rest of the chain, under the caller's current
-        # ("emm", name, "excl") label — same memory, so PBA reason
-        # extraction is indifferent to the split.
-        label_init = ("emm", self.name, "init")
-        if not self.symbolic_init:
-            word = ops.const_word(mem.init, n_bits)
-            for a in sorted(mem.init_words):
-                hit = self._addr_eq_const(read.addr, a, label_init, c)
-                word = ops.mux_word(aig, em.aig_lit_for(hit),
-                                    ops.const_word(mem.init_words[a], n_bits),
-                                    word)
-            return word
-        v_vars = self._init_read_record(read.addr, n_lit, k, r)
-        return [em.aig_lit_for(v) for v in v_vars]
-
-    def _init_read_record(self, addr: list[int], n_lit: int, k: int,
-                          r: int) -> list[int]:
-        """Merge into or mint the fall-through read record; returns its word.
-
-        The single record-minting implementation behind both hybrid
-        back-ends: merge lookup, guard emission, ``a_meminit`` pins,
-        equation (6) and registry insertion live here once — the callers
-        differ only in how the returned symbolic word binds to RD (the
-        raw back-end's direct ``2n`` clauses vs the routed chain seed).
-        """
-        mem = self.mem
-        c = self.counters
-        label_init = ("emm", self.name, "init")
-        merged = (self._reads.find_mergeable(addr, self._init_sig)
-                  if self.init_consistency else None)
-        if merged is not None:
-            # Identical address cone *and* declared-init signature (both
-            # are merge-key components): the record's pins already say
-            # everything a_meminit would; pairs against every other
-            # record stay valid through its guard.
-            self._clause([-n_lit, merged.guard_lit], label_init, c,
-                         "init_guard_clauses")
-            c.init_records_merged += 1
-            return merged.v_vars
-        v_vars = [self._new_var() for _ in range(mem.data_width)]
-        if mem.init is not None or mem.init_words:
-            # Pin the symbols to the declared init under a_meminit, so
-            # falsification / forward checks see the real initial memory
-            # while backward induction sees an arbitrary one.
-            self._pin_word(v_vars, self.a_meminit, addr, label_init, c,
-                           "init_pin_clauses")
-        guard = None
-        if self.init_consistency:
-            # Record merging needs the eq-(6) machinery: under the
-            # ablation, sharing a symbolic word would re-introduce part
-            # of the constraints the ablation drops.
-            guard = self._new_var()
-            self._clause([-n_lit, guard], label_init, c,
-                         "init_guard_clauses")
-        record = _ReadRecord(k, r, list(addr), n_lit, v_vars,
-                             guard_lit=guard)
-        if self.init_consistency:
-            self._add_init_consistency(record, c)
-        self._reads.add(record, index=self.init_consistency,
-                        sig=self._init_sig)
-        return v_vars
-
-    # -- raw-CNF back-end (hybrid_strash=False, the paper's encoding) ------
-
-    def _constrain_read_raw(self, k: int, r: int, read: PortSignals) -> None:
         mem = self.mem
         w_ports = mem.num_write_ports
         c = self.counters
@@ -673,15 +465,58 @@ class EmmMemory:
             # whose address cone structurally repeats an existing
             # record's (the comparator would fold TRUE) is merged into
             # it: same word, no new pins, no new pairs — only the 2n
-            # read-data clauses and one guard clause.  The record
-            # machinery is shared with the AIG back-end; only the RD
-            # binding below is raw-CNF-specific.
+            # read-data clauses and one guard clause.
             v_vars = self._init_read_record(read.addr, n_lit, k, r)
             for b in range(n_bits):
                 self._clause([-n_lit, -read.data[b], v_vars[b]],
                              label_init, c, "init_rd_clauses")
                 self._clause([-n_lit, read.data[b], -v_vars[b]],
                              label_init, c, "init_rd_clauses")
+
+    def _init_read_record(self, addr: list[int], n_lit: int, k: int,
+                          r: int) -> list[int]:
+        """Merge into or mint the fall-through read record; returns its word.
+
+        Merge lookup, guard emission, ``a_meminit`` pins, equation (6)
+        and registry insertion; the caller binds the returned symbolic
+        word to RD under ``n_lit``.
+        """
+        mem = self.mem
+        c = self.counters
+        label_init = ("emm", self.name, "init")
+        merged = (self._reads.find_mergeable(addr, self._init_sig)
+                  if self.init_consistency else None)
+        if merged is not None:
+            # Identical address cone *and* declared-init signature (both
+            # are merge-key components): the record's pins already say
+            # everything a_meminit would; pairs against every other
+            # record stay valid through its guard.
+            self._clause([-n_lit, merged.guard_lit], label_init, c,
+                         "init_guard_clauses")
+            c.init_records_merged += 1
+            return merged.v_vars
+        v_vars = [self._new_var() for _ in range(mem.data_width)]
+        if mem.init is not None or mem.init_words:
+            # Pin the symbols to the declared init under a_meminit, so
+            # falsification / forward checks see the real initial memory
+            # while backward induction sees an arbitrary one.
+            self._pin_word(v_vars, self.a_meminit, addr, label_init, c,
+                           "init_pin_clauses")
+        guard = None
+        if self.init_consistency:
+            # Record merging needs the eq-(6) machinery: under the
+            # ablation, sharing a symbolic word would re-introduce part
+            # of the constraints the ablation drops.
+            guard = self._new_var()
+            self._clause([-n_lit, guard], label_init, c,
+                         "init_guard_clauses")
+        record = _ReadRecord(k, r, list(addr), n_lit, v_vars,
+                             guard_lit=guard)
+        if self.init_consistency:
+            self._add_init_consistency(record, c)
+        self._reads.add(record, index=self.init_consistency,
+                        sig=self._init_sig)
+        return v_vars
 
     def _pin_word(self, word: list[int], guard: int, addr: list[int],
                   label, c: EmmCounters, counter: str) -> None:
@@ -731,7 +566,8 @@ class EmmMemory:
 
         The paper assumes data races are absent; this monitor lets a user
         discharge that assumption: verify the invariant "race literal is
-        never true" with the engine (see ``BmcEngine.race_property``).
+        never true" with the engine (see
+        :func:`repro.emm.races.find_data_race`).
         """
         label = ("emm", self.name, "race")
         c = self.counters

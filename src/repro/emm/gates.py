@@ -21,11 +21,6 @@ layer answers every repeated stage from its table (counted in
 ``EmmCounters.chain_suffix_hits``) and per-frame growth collapses from
 a quadratic per-frame rebuild to O(one new stage).
 
-The chain builder (:func:`repro.aig.ops.priority_mux_chain`) is shared
-with the AIG-routed hybrid encoder (``EmmMemory(hybrid_strash=True)``):
-the two encodings differ in how the match signals and the read-data
-binding are produced, not in the chain itself.
-
 One deliberate refinement: with gates, a disabled read
 (RE=0) collapses the chain to 0, so RD is *forced to zero* rather than
 left free as in the hybrid encoding.  That matches the reference
@@ -70,12 +65,8 @@ class GateEmmMemory:
                  kept_read_ports: Optional[frozenset[int]] = None,
                  check_races: bool = False,
                  init_registry: Optional[InitReadRegistry] = None,
-                 hybrid_strash: bool = True,
                  cmp_registry: Optional[SharedComparatorTables] = None,
                  ) -> None:
-        # ``hybrid_strash`` is accepted for constructor parity with the
-        # hybrid encoder (the engine passes one kwarg set to whichever
-        # class the options select); this encoding is always AIG-routed.
         if check_races:
             raise ValueError("race monitoring is only available with the "
                              "hybrid EMM encoding")
@@ -124,11 +115,10 @@ class GateEmmMemory:
         self._frames += 1
         un = self.unroller
         aig = self.aig
-        em = self.emitter
         before = self.counters.snapshot_ints()
         ands_before = aig.num_ands
         clauses_before = self.solver.num_clauses
-        hits_before = aig.strash_hits + em.strash_hits
+        hits_before = aig.strash_hits
         folds_before = aig.strash_folds
         writes = [un.write_port_aig(self.name, w, k)
                   for w in range(self.mem.num_write_ports)]
@@ -147,7 +137,7 @@ class GateEmmMemory:
         absorbed = c.absorbed - before["absorbed"]
         c.rd_clauses += (self.solver.num_clauses - clauses_before
                          - (init_booked - absorbed))
-        c.strash_hits += aig.strash_hits + em.strash_hits - hits_before
+        c.strash_hits += aig.strash_hits - hits_before
         c.strash_folds += aig.strash_folds - folds_before
         c.per_frame.append(c.frame_delta(before))
 

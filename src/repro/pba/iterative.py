@@ -35,10 +35,6 @@ class IterativeAbstractionResult:
     status: str = "bounded"
     wall_time_s: float = 0.0
 
-    @property
-    def num_rounds(self) -> int:
-        return len(self.rounds)
-
 
 def iterative_abstraction(design: Design, property_name: str,
                           stability_depth: int = 10,

@@ -702,10 +702,6 @@ class Solver:
 
     # -- proof-trace introspection (for repro.sat.proofcheck) ----------
 
-    def is_learned(self, cid: int) -> bool:
-        """True when ``cid`` was derived by conflict analysis."""
-        return cid in self._derivations
-
     def derivation(self, cid: int) -> Optional[tuple[int, ...]]:
         """Antecedent clause ids of a learned clause (None for originals).
 

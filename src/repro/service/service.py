@@ -123,6 +123,8 @@ def shard_depths(max_depth: int, shards: int) -> list[tuple[int, int]]:
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
     total = max_depth + 1
     shards = min(shards, total)
     base, extra = divmod(total, shards)
@@ -133,6 +135,16 @@ def shard_depths(max_depth: int, shards: int) -> list[tuple[int, int]]:
         windows.append((lo, hi))
         lo = hi + 1
     return windows
+
+
+def _check_windows(windows: Sequence[tuple[int, int]]) -> None:
+    """Raise ValueError unless ``windows`` partition ``0..hi``."""
+    frontier = -1
+    for lo, hi in windows:
+        if lo != frontier + 1 or hi < lo:
+            raise ValueError(f"depth windows must be ascending and "
+                             f"contiguous from 0: {list(windows)}")
+        frontier = hi
 
 
 def merge_window_results(results: Sequence[Optional[BmcResult]],
@@ -158,7 +170,8 @@ def merge_window_results(results: Sequence[Optional[BmcResult]],
       reported depth) or a non-contiguous window opens a **gap**: the
       sound frontier stops there, and the merged verdict is DEGRADED
       at the deepest fully-checked depth — a partial answer instead of
-      a silent unsound merge.
+      a silent unsound merge.  The frontier starts below depth 0, so a
+      window set that does not begin at depth 0 opens with a gap.
     """
     if windows is None:
         present = [r for r in results if r is not None]
@@ -177,7 +190,7 @@ def merge_window_results(results: Sequence[Optional[BmcResult]],
     present = [r for r in results if r is not None]
     if not present:
         raise ValueError("no results to merge")
-    frontier = windows[0][0] - 1
+    frontier = -1
     gap = False
     last_sound: Optional[BmcResult] = None
     for (lo, hi), r in zip(windows, results):
@@ -331,17 +344,19 @@ class VerificationService:
              ) -> list[ServiceJob]:
         """The job list a request expands to: property × window.
 
-        Windows must be ascending and contiguous when given (see
-        :func:`shard_depths`); properties default to all of the design's,
-        sorted.  The service's :attr:`quotas` are folded into every
-        job's options here (run knobs only — the session-cache key is
-        unchanged).
+        Windows must be ascending and contiguous from depth 0 when given
+        (see :func:`shard_depths`), else ValueError; properties default
+        to all of the design's, sorted.  The service's :attr:`quotas`
+        are folded into every job's options here (run knobs only — the
+        session-cache key is unchanged).
         """
         opts = options or self.options
         if self.quotas:
             opts = self.quotas.apply(opts)
         if properties is None:
             properties = sorted(self._get_design().properties)
+        if depth_windows:
+            _check_windows(depth_windows)
         windows: Sequence[Optional[tuple[int, int]]] = (
             list(depth_windows) if depth_windows else [None])
         return [ServiceJob(name, opts, w)
@@ -485,7 +500,7 @@ class VerificationService:
         gaps: the property's verdict is the deepest sound prefix
         (DEGRADED) rather than an unsound merge across the hole; a
         property with no surviving window at all yields a synthesized
-        DEGRADED verdict at depth ``lo - 1``.
+        DEGRADED verdict at depth -1.
         """
         results, _records = self.collect(properties, options=options,
                                          depth_windows=depth_windows)
@@ -514,18 +529,18 @@ class VerificationService:
                 if results:
                     out[name] = merge_window_results(results)
                 else:
-                    out[name] = self._degraded_stub(name, -1)
+                    out[name] = self._degraded_stub(name)
                 continue
             aligned = [slot.get(w) for w in windows]
             if any(r is not None for r in aligned):
                 out[name] = merge_window_results(aligned, windows)
             else:
-                out[name] = self._degraded_stub(name, windows[0][0] - 1)
+                out[name] = self._degraded_stub(name)
         return out, records
 
-    def _degraded_stub(self, name: str, depth: int) -> BmcResult:
+    def _degraded_stub(self, name: str) -> BmcResult:
         """Verdict for a property none of whose jobs survived: nothing
-        was checked, reported honestly as DEGRADED at ``depth``."""
+        was checked, reported honestly as DEGRADED at depth -1."""
         kind = self._get_design().properties[name].kind
         return BmcResult(status=DEGRADED, property_name=name,
-                         property_kind=kind, depth=depth)
+                         property_kind=kind, depth=-1)

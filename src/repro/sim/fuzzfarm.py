@@ -8,10 +8,10 @@ interpretation the repo has against each other:
   on the scalar reference interpreter and compared bit for bit;
 * **vector vs explicit expansion** — property verdicts of sampled lanes
   are cross-checked against the ``expand_memories`` oracle;
-* **BMC encodings vs the explicit model** — both EMM encodings and the
-  paper's raw closed-form hybrid (:data:`BMC_CONFIGS`) are run through
-  the existing :class:`repro.service.VerificationService` and must
-  reproduce the explicit-model verdict/depth with a validated trace;
+* **BMC encodings vs the explicit model** — both EMM encodings
+  (:data:`BMC_CONFIGS`) are run through the existing
+  :class:`repro.service.VerificationService` and must reproduce the
+  explicit-model verdict/depth with a validated trace;
 * **simulation witnesses lower-bound BMC** — any random lane that hits
   a property at cycle *c* forces the symbolic engines to report a
   counterexample at depth ≤ *c* (BMC finds the *earliest* violation).
@@ -46,12 +46,10 @@ from repro.sim.trace import Trace
 from repro.sim.vector import have_numpy
 
 #: The symbolic configurations the farm checks, as ``(emm_encoding,
-#: extra BmcOptions kwargs)``: both EMM encodings at their defaults plus
-#: the paper's raw closed-form hybrid CNF (``emm_hybrid_strash=False``,
-#: the ablation the accounting tests pin).  Mirrors the differential
-#: matrix in ``tests/test_differential_matrix.py``.
-BMC_CONFIGS = (("hybrid", {}), ("gates", {}),
-               ("hybrid", {"emm_hybrid_strash": False}))
+#: extra BmcOptions kwargs)``: both EMM encodings at their defaults.
+#: Mirrors the differential matrix in
+#: ``tests/test_differential_matrix.py``.
+BMC_CONFIGS = (("hybrid", {}), ("gates", {}))
 
 
 # -- random workloads (module level so service workers can pickle them) ----

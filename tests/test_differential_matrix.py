@@ -2,19 +2,16 @@
 
 One harness instead of per-feature one-off tests (the modular-
 verification argument of RealityCheck, PAPERS.md): both EMM encodings
-and the paper's raw closed-form hybrid ablation are run on the same
-workloads and cross-checked
+are run on the same workloads and cross-checked
 
 * against the **explicit-model oracle**: the design with its memories
   expanded into registers (``repro.design.explicit.expand_memories``)
   verified without any EMM constraints.  Bounded falsification is
   exactly comparable across models, so verdicts, counterexample depths
   and trace validity must coincide at every depth;
-* against **each other** under induction + PBA: proof statuses, depths,
-  methods, and the accumulated latch/memory reason sets must be
-  identical between the AIG-routed hybrid default and its raw-CNF
-  ablation, and every such run must agree with the explicit model on
-  the depths it falsified.
+* under induction + PBA: every run must agree with the explicit
+  model (and, where it fits, the BDD reachability engine) on its
+  verdict and depth.
 
 Workloads are randomized small netlists (multi-port, recurring address
 cones, known/symbolic init — the shapes every sharing layer bites on)
@@ -37,8 +34,7 @@ from tests.bmc_oracle import (assert_matches_oracle, assert_verdict,
                               explicit_falsify, verdict_of)
 
 #: The matrix cells, as ``(emm_encoding, extra BmcOptions kwargs)``:
-#: both encodings at their defaults plus the raw closed-form hybrid CNF
-#: (the paper-exact ablation) — the same cells the fuzz farm runs.
+#: both encodings at their defaults — the same cells the fuzz farm runs.
 MATRIX = BMC_CONFIGS
 
 
@@ -196,16 +192,14 @@ def test_miter_pba_reasons_invariant_across_share(seed, encoding):
     answered from the ``a::`` copy's entries — the multi-label joining
     is exactly what keeps the shared clauses attributed to both."""
     design = miter_netlist(seed)
-    runs = prove_matrix(design, "equiv", 4, encoding)
-    assert_observable_parity(runs, (seed, encoding))
-    for combo, r in runs:
-        ctx = (seed, encoding, combo)
-        assert_matches_oracle(r, design, "equiv", ctx,
-                              bdd=seed in MITER_BDD_SEEDS)
-        assert r.stats.cross_mem_cmp_hits > 0, ctx
-        assert r.memory_reasons[-1] == frozenset({"a::m", "b::m"}), ctx
-        for latches in r.latch_reasons:
-            assert mirrored(latches) == latches, (ctx, latches)
+    r = prove(design, "equiv", 4, encoding)
+    ctx = (seed, encoding)
+    assert_matches_oracle(r, design, "equiv", ctx,
+                          bdd=seed in MITER_BDD_SEEDS)
+    assert r.stats.cross_mem_cmp_hits > 0, ctx
+    assert r.memory_reasons[-1] == frozenset({"a::m", "b::m"}), ctx
+    for latches in r.latch_reasons:
+        assert mirrored(latches) == latches, (ctx, latches)
 
 
 @pytest.mark.slow
@@ -220,38 +214,22 @@ def test_two_memory_miters_full_matrix_nightly(seed):
 
 
 # ---------------------------------------------------------------------------
-# Induction + PBA: the raw ablation must match the default hybrid.
+# Induction + PBA vs the explicit and BDD oracles.
 # ---------------------------------------------------------------------------
 
 
-def prove_matrix(design, prop, depth, encoding):
-    """Induction + PBA runs of every matrix cell of one encoding."""
-    return [(combo, verify(design, prop, BmcOptions(
-                find_proof=True, pba=True, max_depth=depth,
-                emm_encoding=encoding, **combo)))
-            for enc, combo in MATRIX if enc == encoding]
-
-
-def assert_observable_parity(runs, ctx):
-    (ref_combo, ref), rest = runs[0], runs[1:]
-    for combo, r in rest:
-        c = (ctx, ref_combo, combo)
-        assert r.status == ref.status, (c, r.status, ref.status)
-        assert r.depth == ref.depth, c
-        assert r.method == ref.method, c
-        assert r.trace_validated == ref.trace_validated, c
-        assert r.latch_reasons == ref.latch_reasons, c
-        assert r.memory_reasons == ref.memory_reasons, c
+def prove(design, prop, depth, encoding):
+    """One induction + PBA run of ``encoding``."""
+    return verify(design, prop, BmcOptions(
+        find_proof=True, pba=True, max_depth=depth, emm_encoding=encoding))
 
 
 @pytest.mark.parametrize("encoding", ["hybrid", "gates"])
 @pytest.mark.parametrize("seed", [1, 3, 5])
 def test_pba_reasons_invariant_across_options(seed, encoding):
     design, prop = random_netlist(seed)
-    runs = prove_matrix(design, prop, 4, encoding)
-    assert_observable_parity(runs, (seed, encoding))
-    for __, r in runs:
-        assert_matches_oracle(r, design, prop, (seed, encoding), bdd=True)
+    r = prove(design, prop, 4, encoding)
+    assert_matches_oracle(r, design, prop, (seed, encoding), bdd=True)
 
 
 @pytest.mark.slow
@@ -259,12 +237,9 @@ def test_pba_reasons_invariant_across_options(seed, encoding):
 @pytest.mark.parametrize("seed", [0, 2, 4])
 def test_pba_reasons_full_matrix_nightly(seed, encoding):
     design, prop = random_netlist(seed)
-    runs = prove_matrix(design, prop, 4, encoding)
-    assert_observable_parity(runs, (seed, encoding))
-    for __, r in runs:
-        # Seed 0 hits the BDD engine's node limit.
-        assert_matches_oracle(r, design, prop, (seed, encoding),
-                              bdd=seed != 0)
+    r = prove(design, prop, 4, encoding)
+    # Seed 0 hits the BDD engine's node limit.
+    assert_matches_oracle(r, design, prop, (seed, encoding), bdd=seed != 0)
 
 
 # ---------------------------------------------------------------------------

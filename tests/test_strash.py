@@ -1,15 +1,13 @@
 """Structural hashing (repro.aig strash layer): oracle checks + accounting.
 
 Mirrors ``tests/test_addr_cache.py`` one layer down: hash-consing in
-:meth:`repro.aig.aig.Aig.and_gate` and the CNF-level gate-triple cache in
-:class:`repro.aig.tseitin.CnfEmitter` must be invisible to every
+:meth:`repro.aig.aig.Aig.and_gate` must be invisible to every
 observable verification outcome.  Randomized recurring-address designs
 are run through full BMC (induction + PBA) and checked against the
 independent oracles of ``tests/bmc_oracle.py``.  Separate tests pin
 exact gate counts for a small ``eq_word`` cone, the encoding size of
-the recurring-address workload, the first-emitter-wins provenance rule
-for shared clause triples, and the comparator-aware exclusivity-chain
-pruning of the hybrid EMM encoder.
+the recurring-address workload, and the comparator-aware
+exclusivity-chain pruning of the hybrid EMM encoder.
 """
 
 import random
@@ -106,75 +104,23 @@ class TestEqWordExactCounts:
 
 
 # ---------------------------------------------------------------------------
-# CnfEmitter: gate-triple cache and first-emitter-wins provenance.
+# CnfEmitter over a strashed AIG.
 # ---------------------------------------------------------------------------
 
 
-def emitter_pair():
-    solver = Solver(proof=True)
-    aig = Aig()
-    em = CnfEmitter(aig, solver)
-    return solver, aig, em
-
-
-def aliased(em, aig_lits):
-    """Fresh AIG inputs aliased to the SAT literals of ``aig_lits``: their
-    cones are new AIG nodes whose lowered structure repeats."""
-    return [em.aig_lit_for(em.sat_lit(lit)) for lit in aig_lits]
-
-
 class TestCnfGateCache:
-    def test_triple_cache_reuses_vars(self):
-        # Aliased inputs make the second cone distinct AIG nodes; the
-        # CNF cache must still collapse them onto one variable set.
-        solver, aig, em = emitter_pair()
-        a = ops.input_word(aig, "a", 3)
-        b = ops.input_word(aig, "b", 3)
-        v1 = em.sat_lit(ops.eq_word(aig, a, b))
-        a2, b2 = aliased(em, a), aliased(em, b)
-        assert set(a2).isdisjoint(a) and set(b2).isdisjoint(b)
-        vars_after_first = solver.num_vars
-        clauses_after_first = solver.num_clauses
-        v2 = em.sat_lit(ops.eq_word(aig, a2, b2))
-        assert v1 == v2
-        assert solver.num_vars == vars_after_first
-        assert solver.num_clauses == clauses_after_first
-        assert em.strash_hits > 0
-
-    def test_first_emitter_wins_labels(self):
-        """A shared triple keeps its first label; cores attribute it there.
-
-        Two provenance contexts lower structurally identical cones; the
-        second is answered from the gate cache and emits nothing, so an
-        unsat core that needs the gate semantics names the *first*
-        context — never the second.  That keeps PBA reason extraction
-        sound: the labels it reads always belong to clauses that exist.
-        """
-        solver, aig, em = emitter_pair()
-        x, y = aig.new_input("x"), aig.new_input("y")
-        em.set_label(("ctx", "A"))
-        out_a = em.sat_lit(aig.and_gate(x, y))
-        em.set_label(("ctx", "B"))
-        out_b = em.sat_lit(aig.and_gate(*aliased(em, [x, y])))
-        assert out_a == out_b  # shared triple
-        assert em.strash_hits == 1
-        em.add_clause([em.sat_lit(x)], ("unit", "x"))
-        em.add_clause([em.sat_lit(y)], ("unit", "y"))
-        em.add_clause([-out_a], ("unit", "out"))
-        assert solver.solve().sat is False
-        labels = solver.core_labels()
-        assert ("ctx", "A") in labels
-        assert ("ctx", "B") not in labels
-
     def test_default_modes_unchanged_behaviour(self):
-        # With AIG strashing on, node identity already dedups repeated
-        # cones, so the CNF cache never fires on a plain run.
-        solver, aig, em = emitter_pair()
+        # AIG node identity dedups a repeated cone, so lowering it again
+        # emits no new variables or clauses.
+        solver = Solver(proof=False)
+        aig = Aig()
+        em = CnfEmitter(aig, solver)
         a = ops.input_word(aig, "a", 4)
         b = ops.input_word(aig, "b", 4)
-        em.sat_lit(ops.eq_word(aig, a, b))
-        em.sat_lit(ops.eq_word(aig, a, b))
-        assert em.strash_hits == 0
+        first = em.sat_lit(ops.eq_word(aig, a, b))
+        size = (solver.num_vars, solver.num_clauses)
+        assert em.sat_lit(ops.eq_word(aig, a, b)) == first
+        assert (solver.num_vars, solver.num_clauses) == size
         assert aig.strash_hits > 0
 
 
@@ -360,10 +306,6 @@ def test_depth_20_verdict_and_pba_parity():
 
 
 def run_hybrid_frames(design, depth, **kw):
-    # These regressions pin the raw back-end's per-pair gate shapes
-    # (3 raw CNF gates per live pair); the AIG-routed default prunes the
-    # same folded pairs through ``and_gate`` and is asserted separately.
-    kw.setdefault("hybrid_strash", False)
     solver = Solver(proof=False)
     emitter = CnfEmitter(Aig(), solver)
     unroller = Unroller(design, emitter)
@@ -420,26 +362,3 @@ class TestExclusivityFoldPruning:
         expected = "cex" if read_addr == write_addr else "proof"
         assert r.status == expected
         assert bdd_verdict(d, "hit")[0] == expected
-
-    def test_aig_backend_false_fold_builds_no_chain(self):
-        """AIG back-end: a folded-FALSE comparator collapses the pair in
-        ``and_gate``, so the whole chain (and its lowered CNF) vanishes —
-        the routed equivalent of the raw back-end's dead-pair skip."""
-        on = run_hybrid_frames(const_addr_design(1, 2), 4,
-                               hybrid_strash=True).counters
-        assert on.excl_gates == 0
-        assert on.addr_eq_folded == 1
-        assert on.addr_eq_clauses == 0
-
-    def test_aig_backend_true_fold_reuses_write_enable(self):
-        """AIG back-end: a folded-TRUE comparator makes s the aliased
-        write enable via constant folding (zero gates for the match
-        signal; only the chain/mux structure remains)."""
-        on = run_hybrid_frames(const_addr_design(5, 5), 1,
-                               hybrid_strash=True).counters
-        # Depth 1, one live pair, dw=2: the no-match and fall-through
-        # ANDs fold into the aliased literals (RE is constant) and each
-        # data-bit mux against the constant-0 init seed folds to the
-        # single ``WE ∧ WD`` gate — one AND per data bit survives.
-        assert on.excl_gates == 2
-        assert on.strash_folds > 0
