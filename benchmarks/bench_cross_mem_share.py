@@ -73,11 +73,11 @@ DEPTHS = list(range(2, 25, 2)) if common.is_full() else list(range(2, 17, 2))
 
 #: Session solver clauses+vars of the miter at each even depth 2..24.
 MITER_PINNED = dict(zip(range(2, 25, 2),
-                        [1666, 4201, 7844, 12595, 18454, 25421, 33496,
-                         42679, 52970, 64369, 76876, 90491]))
+                        [1663, 4196, 7837, 12586, 18443, 25408, 33481,
+                         42662, 52951, 64348, 76853, 90466]))
 
 #: Solver clauses+vars of the single-memory SoC run below.
-SOC_PINNED = 6008
+SOC_PINNED = 6007
 
 
 def bench_cross_mem_miter_sizes(benchmark):

@@ -2,9 +2,10 @@
 
 The encoding lives in :class:`repro.bmc.session.EncodingSession` — one
 incremental solver whose initial-state and loop-free-path clauses carry
-activation literals (``a_init``, ``a_lfp``, ``a_meminit``).  The engine
-is the *scheduler* on top: it walks depths and runs the three checks of
-BMC-3 as assumption sets over the session's growing CNF:
+activation literals (``a_init``, ``a_meminit`` and the per-frame LFP
+guards).  The engine is the *scheduler* on top: it walks depths and
+runs the three checks of BMC-3 as assumption sets over the session's
+growing CNF:
 
 * forward termination   — assume ``[a_init, LFP_i]``                (line 6)
 * backward termination  — assume ``[LFP_i, P_0..P_{i-1}, !P_i]``    (line 7)

@@ -23,9 +23,9 @@ shared encoding sessions — a sibling property may have encoded frames
 far beyond ``i``, and a single global activation literal would force
 loop-freedom over *those* frames too, turning a depth-``i`` forward
 check into "no loop-free path of the deepest encoded length exists":
-spuriously UNSAT at the design's diameter.  The master ``a_lfp``
-literal implies every ``g_k`` and is kept for whole-encoding callers
-(recurrence-diameter computation) where all frames are in scope.
+spuriously UNSAT at the design's diameter.  There is no global
+activation literal: whole-encoding callers (recurrence-diameter
+computation) assume ``assumptions(depth)`` for the deepest frame.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from repro.bmc.unroller import Unroller
 class LoopFreeConstraints:
     """Incrementally adds pairwise state-inequality clauses per frame."""
 
-    def __init__(self, unroller: Unroller, a_lfp_var: int) -> None:
+    def __init__(self, unroller: Unroller) -> None:
         self.unroller = unroller
-        self.a_lfp = a_lfp_var
         self.pairs_added = 0
         self.clauses_added = 0
         #: Per frame: SAT literals of the kept latch state bits.
@@ -64,8 +63,6 @@ class LoopFreeConstraints:
             return
         g = solver.new_var()
         self.frame_lits.append(g)
-        solver.add_clause([-self.a_lfp, g], ("lfp-frame", k))
-        self.clauses_added += 1
         for j in range(k):
             state_j = self._state_lits[j]
             label = ("lfp", j, k)

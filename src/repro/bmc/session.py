@@ -64,9 +64,9 @@ class EncodingSession:
 
     * :attr:`a_init` — initial-state clauses for latches,
     * :attr:`a_meminit` — declared initial memory contents (eq. (6) pins),
-    * :attr:`a_lfp` — master loop-free-path activation; checks assume
-      the per-frame guards from :meth:`lfp_assumptions` instead, so a
-      depth-``i`` check is blind to frames a sibling encoded beyond it.
+    * the per-frame loop-free-path guards from :meth:`lfp_assumptions`,
+      so a depth-``i`` check is blind to frames a sibling encoded
+      beyond it.
     """
 
     def __init__(self, design: Design,
@@ -94,7 +94,6 @@ class EncodingSession:
                                   ite=not options.pba)
         self.unroller = Unroller(design, self.emitter, options.kept_latches)
         self.a_init = self.solver.new_var()
-        self.a_lfp = self.solver.new_var()
         self.a_meminit = self.solver.new_var()
         kept_mems = (frozenset(design.memories)
                      if options.kept_memories is None
@@ -134,7 +133,7 @@ class EncodingSession:
                             cmp_registry=self.cmp_registry)
             for name in sorted(kept_mems)
         }
-        self.lfp = (LoopFreeConstraints(self.unroller, self.a_lfp)
+        self.lfp = (LoopFreeConstraints(self.unroller)
                     if options.find_proof else None)
         #: Frames encoded so far (frame indices 0..frames_built-1).
         self.frames_built = 0

@@ -44,24 +44,23 @@ def lfp_setup(design, kept_latches=None):
     solver = Solver(proof=False)
     emitter = CnfEmitter(Aig(), solver)
     unroller = Unroller(design, emitter, kept_latches)
-    a_lfp = solver.new_var()
-    return solver, unroller, LoopFreeConstraints(unroller, a_lfp), a_lfp
+    return solver, unroller, LoopFreeConstraints(unroller)
 
 
 class TestLoopFreeConstraints:
     def test_pair_and_clause_counts(self):
         """Frame k adds k pairs; each pair costs 2 clauses per state bit
         plus the closing some-bit-differs clause, and each frame >= 1
-        adds one a_lfp -> g_k activation implication."""
+        adds one guard literal g_k."""
         design = counter_design(width=3)
-        solver, unroller, lfp, _ = lfp_setup(design)
+        solver, unroller, lfp = lfp_setup(design)
         bits = 3  # one latch, width 3
         for k in range(5):
             unroller.add_frame()
             lfp.add_frame(k)
             expected_pairs = k * (k + 1) // 2
             assert lfp.pairs_added == expected_pairs
-            assert lfp.clauses_added == expected_pairs * (2 * bits + 1) + k
+            assert lfp.clauses_added == expected_pairs * (2 * bits + 1)
             assert len(lfp.frame_lits) == k
 
     def test_loop_free_paths_bounded_by_state_count(self):
@@ -69,26 +68,27 @@ class TestLoopFreeConstraints:
         paths of length <= 3 exist (4 distinct states), length 4 does
         not — the LFP constraints must flip to UNSAT exactly there."""
         design = counter_design(width=2)
-        solver, unroller, lfp, a_lfp = lfp_setup(design)
+        solver, unroller, lfp = lfp_setup(design)
         sat_at = {}
         for k in range(5):
             unroller.add_frame()
             lfp.add_frame(k)
-            sat_at[k] = solver.solve([a_lfp]).sat
+            sat_at[k] = solver.solve(lfp.assumptions(k)).sat
         assert sat_at == {0: True, 1: True, 2: True, 3: True, 4: False}
 
     def test_deactivated_lfp_stays_satisfiable(self):
-        """Without assuming the activation literal the pairwise
-        difference constraints must not constrain anything (looping
-        paths remain satisfiable past the state count)."""
+        """Without assuming the frame guards the pairwise difference
+        constraints must not constrain anything (looping paths remain
+        satisfiable past the state count)."""
         design = counter_design(width=1)
-        solver, unroller, lfp, a_lfp = lfp_setup(design)
+        solver, unroller, lfp = lfp_setup(design)
         for k in range(4):
             unroller.add_frame()
             lfp.add_frame(k)
-        assert solver.solve([a_lfp]).sat is False  # 2 states, 4 frames
+        guards = lfp.assumptions(3)
+        assert solver.solve(guards).sat is False  # 2 states, 4 frames
         assert solver.solve([]).sat is True
-        assert solver.solve([-a_lfp]).sat is True
+        assert solver.solve([-g for g in guards]).sat is True
 
     def test_per_frame_assumptions_scope_only_checked_frames(self):
         """``assumptions(i)`` activates pairs among frames 0..i only —
@@ -96,14 +96,14 @@ class TestLoopFreeConstraints:
         session) must not constrain a shallow check.  A 1-bit toggler
         with 4 encoded frames still has a loop-free path of length 1."""
         design = counter_design(width=1)
-        solver, unroller, lfp, a_lfp = lfp_setup(design)
+        solver, unroller, lfp = lfp_setup(design)
         for k in range(4):
             unroller.add_frame()
             lfp.add_frame(k)
         assert lfp.assumptions(0) == []
         assert solver.solve(lfp.assumptions(1)).sat is True
         assert solver.solve(lfp.assumptions(2)).sat is False
-        assert solver.solve([a_lfp]).sat is False  # master implies all
+        assert solver.solve(lfp.assumptions(3)).sat is False
 
     def test_kept_latches_scope_the_state(self):
         """Loop-freedom is judged over the *kept* latch words only: with
@@ -115,17 +115,17 @@ class TestLoopFreeConstraints:
         small = d.latch("small", 1, init=0)
         small.next = ~small.expr
         d.invariant("p", d.const(1, 1))
-        solver, unroller, lfp, a_lfp = lfp_setup(
+        solver, unroller, lfp = lfp_setup(
             d, kept_latches=frozenset({"small"}))
         results = []
         for k in range(3):
             unroller.add_frame()
             lfp.add_frame(k)
-            results.append(solver.solve([a_lfp]).sat)
+            results.append(solver.solve(lfp.assumptions(k)).sat)
         # 2 reachable small-states: length-2 loop-free paths impossible.
         assert results == [True, True, False]
-        # 3 pairs of 1-bit states, plus one frame guard per frame >= 1.
-        assert lfp.clauses_added == (2 * 1 + 1) * 3 + 2
+        # 3 pairs of 1-bit states.
+        assert lfp.clauses_added == (2 * 1 + 1) * 3
 
 
 class TestForwardRecurrenceDiameter:

@@ -24,9 +24,9 @@ def test_multiport_soc_shared_session_pinned():
     assert len(results) == 9
     assert {(r.status, r.depth) for r in results.values()} == {("bounded", 12)}
     stats = session.solver.stats
-    assert session.clause_var_total() == 18900
+    assert session.clause_var_total() == 18899
     assert (stats.conflicts, stats.decisions, stats.propagations,
-            stats.learned, stats.trail_saved_levels) == (37, 203, 5389, 37,
+            stats.learned, stats.trail_saved_levels) == (38, 198, 5399, 38,
                                                          220)
 
 
@@ -39,8 +39,8 @@ def test_quicksort_pba_session_pinned():
     session = EncodingSession(design, opts)
     r = BmcEngine(design, "P2", opts, session=session).run()
     assert (r.status, r.depth) == ("bounded", 5)
-    assert session.clause_var_total() == 19822
-    assert session.solver.stats.conflicts == 38
+    assert session.clause_var_total() == 19816
+    assert session.solver.stats.conflicts == 40
     assert r.latch_reasons[-1] == frozenset(
         {"arr_raddr", "hi", "i", "j", "pc", "sp", "stk_raddr", "stk_re",
          "stk_waddr", "stk_wdata", "stk_we"})

@@ -204,7 +204,7 @@ def test_strash_is_invisible_to_hybrid_verification(seed):
 GATE_FRAMES_D20 = 23820
 #: The same for the full ``deep_recurring_design`` PBA run (44923
 #: unshared, a 68% saving).
-DEEP_D20 = 14473
+DEEP_D20 = 14472
 
 
 def recurring_bench_design(aw=4, dw=4):
