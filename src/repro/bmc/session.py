@@ -101,11 +101,10 @@ class EncodingSession:
         self.kept_memories = kept_mems
         port_map = options.kept_read_ports or {}
         registries = self._shared_init_registries(kept_mems)
-        #: Session-scoped cross-memory comparator registry: one table per
-        #: booking class, shared by every memory's comparators so
-        #: structurally identical address comparisons encode once across
-        #: memories (hits multi-label the clauses — see
-        #: :mod:`repro.emm.addrcmp`).
+        #: Session-scoped cross-memory comparator registry, shared by every
+        #: memory's comparators so structurally identical address
+        #: comparisons encode once across memories (hits multi-label the
+        #: clauses — see :mod:`repro.emm.addrcmp`).
         self.cmp_registry = SharedComparatorTables()
         if options.emm_encoding == "hybrid":
             emm_class = EmmMemory
@@ -116,12 +115,6 @@ class EncodingSession:
             raise ValueError(
                 f"unknown emm_encoding {options.emm_encoding!r} "
                 "(expected 'hybrid' or 'gates')")
-        if options.emm_encoding == "gates" and not options.exclusivity:
-            # The gate chain *is* the exclusive encoding: there is no
-            # naive eq-(3) form to ablate to.
-            raise ValueError(
-                "exclusivity=False is a hybrid-encoding ablation; the "
-                "gates encoding is always exclusive")
         self.emms = {
             name: emm_class(self.solver, self.unroller, name,
                             exclusivity=options.exclusivity,
@@ -190,14 +183,14 @@ class EncodingSession:
             k = self.frames_built
             self.unroller.add_frame()
             if k == 0:
-                self._add_init_clauses()
+                self._assert_latch_inits()
             for emm in self.emms.values():
                 emm.add_frame(k)
             if self.lfp is not None:
                 self.lfp.add_frame(k)
             self.frames_built += 1
 
-    def _add_init_clauses(self) -> None:
+    def _assert_latch_inits(self) -> None:
         emitter = self.emitter
         for name in sorted(self.unroller.kept_latches):
             latch = self.design.latches[name]

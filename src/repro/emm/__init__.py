@@ -18,7 +18,10 @@ semantics *data read = most recent data written at the same address*
 
 Every frame re-emits that direct CNF, so the closed forms below count
 the encoding exactly.  The purely circuit-based encoding the paper
-compares against lives in :mod:`repro.emm.gates`.
+compares against lives in :mod:`repro.emm.gates`: a subclass of
+:class:`EmmMemory` that replaces only the read-data chain and inherits
+the initial-state machinery.  Write-write races (Section 4.1) are a
+separate bounded check, :func:`find_data_race`, on an encoding session.
 
 :mod:`repro.emm.accounting` carries the paper's closed-form constraint
 counts; tests assert the implementation matches them clause for clause

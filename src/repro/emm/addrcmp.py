@@ -5,9 +5,9 @@ and the CNF side of :class:`repro.emm.gates.GateEmmMemory`) need many
 indicator literals ``E <-> (AddrA == AddrB)`` over SAT-literal words.
 The paper's direct encoding mints a fresh variable and ``4m+1`` clauses
 for every comparison; across the forwarding chain, read ports sharing an
-address cone, the equation-(6) consistency pairs and the race monitor,
-the *same* pair of address words recurs many times.  This module
-deduplicates that structure:
+address cone and the equation-(6) consistency pairs, the *same* pair of
+address words recurs many times.  This module deduplicates that
+structure:
 
 * **Comparator cache** — keyed on the canonically ordered pair of
   SAT-literal tuples of the two address words.  Equality is symmetric,
@@ -38,15 +38,6 @@ whose address cones lower to the same SAT-literal tuples — the
 miter/equivalence case, where both copies see identical cones — share
 one ``4m+1``-clause block and the core names *both* memories.  An EMM
 encoder built without a session makes a registry of its own.
-
-The registry is still split by **consumer booking class** (keyed on the
-comparator's ``hit_counter`` name): the race monitor books into
-dedicated ``race_*`` counters excluded from the paper-formula totals,
-and sharing one table across differently-booked consumers would let
-whichever encodes a pair first steal the clause booking from the other,
-making ``addr_eq_clauses`` depend on ``check_races``.  Forwarding-chain
-and eq-(6) comparators of *all* memories share one class (same
-booking), race comparators another.
 
 Folded comparators return the emitter's always-true variable (possibly
 negated); cores that use a folded result pick up the ``("const",)``
@@ -85,24 +76,21 @@ class SharedComparatorTables:
     """Comparator registry shared by every comparator of one encoding.
 
     Owned by :class:`repro.bmc.session.EncodingSession` and handed to
-    every memory's :class:`AddrComparator`: comparators with the same
-    booking class (``hit_counter`` name) resolve against one shared
-    table keyed on canonical SAT-literal tuples, so structurally
-    identical address comparisons are encoded once *across* memories.
-    Hits whose entry was founded by a different memory are counted in
-    :attr:`cross_mem_hits` (and the calling memory's
-    ``EmmCounters.cross_mem_cmp_hits``).
+    every memory's :class:`AddrComparator`: all of them resolve against
+    one :attr:`table` keyed on canonical SAT-literal tuples, so
+    structurally identical address comparisons are encoded once
+    *across* memories.  Hits whose entry was founded by a different
+    memory are counted in :attr:`cross_mem_hits` (and the calling
+    memory's ``EmmCounters.cross_mem_cmp_hits``).
     """
 
-    __slots__ = ("_tables", "cross_mem_hits")
+    __slots__ = ("table", "cross_mem_hits")
 
     def __init__(self) -> None:
-        self._tables: dict[str, dict] = {}
+        #: canonical (tuple, tuple) key -> _CacheEntry.
+        self.table: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                         _CacheEntry] = {}
         self.cross_mem_hits = 0
-
-    def table(self, booking_class: str) -> dict:
-        """The shared key->entry table for one consumer booking class."""
-        return self._tables.setdefault(booking_class, {})
 
 
 class AddrComparator:
@@ -115,40 +103,23 @@ class AddrComparator:
         The run's solver and Tseitin emitter (the emitter owns the
         dedicated always-true constant variable used for folds).
     registry:
-        The :class:`SharedComparatorTables` the cache table lives in:
-        comparators of the same booking class share one table (hits
-        join the caller's label, see the module docstring).
-    hit_counter, fold_counter:
-        Names of the counter attributes bumped on cache hits / folds.
-        A consumer whose clause counters must stay independent of other
-        consumers (the race monitor vs the forwarding chain) gets its
-        *own* comparator instance with its own counter names — the
-        ``hit_counter`` name doubles as the registry booking class, so
-        differently-booked consumers never share a table and neither
-        can steal the clause booking from the other.
+        The :class:`SharedComparatorTables` the cache table lives in
+        (hits join the caller's label, see the module docstring).
     owner:
         Names this consumer (the memory) for cross-memory hit
         attribution.
     """
 
-    __slots__ = ("solver", "emitter", "hit_counter", "fold_counter",
-                 "owner", "_registry", "_table")
+    __slots__ = ("solver", "emitter", "owner", "_registry", "_table")
 
     def __init__(self, solver: Solver, emitter: CnfEmitter,
                  registry: SharedComparatorTables,
-                 hit_counter: str = "addr_eq_cache_hits",
-                 fold_counter: str = "addr_eq_folded",
                  owner: Optional[str] = None) -> None:
         self.solver = solver
         self.emitter = emitter
-        self.hit_counter = hit_counter
-        self.fold_counter = fold_counter
         self.owner = owner
         self._registry = registry
-        #: canonical (tuple, tuple) key -> _CacheEntry, shared across
-        #: same-booking-class comparators of the registry.
-        self._table: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                          _CacheEntry] = registry.table(hit_counter)
+        self._table = registry.table
 
     # -- public API -----------------------------------------------------
 
@@ -157,7 +128,7 @@ class AddrComparator:
         """Literal of ``E`` with ``E <-> (a_bits == b_bits)``.
 
         Clauses are booked into ``getattr(c, counter)``; cache hits and
-        folds bump the counters named by ``hit_counter``/``fold_counter``.
+        folds bump ``c.addr_eq_cache_hits`` / ``c.addr_eq_folded``.
         A hit under a label the entry has not served yet joins it onto
         the entry's clauses, so unsat cores attribute the comparator to
         every consumer (PBA multi-label soundness — module docstring).
@@ -168,7 +139,7 @@ class AddrComparator:
         key = (ta, tb) if ta <= tb else (tb, ta)
         entry = self._table.get(key)
         if entry is not None:
-            setattr(c, self.hit_counter, getattr(c, self.hit_counter) + 1)
+            c.addr_eq_cache_hits += 1
             if label not in entry.labels:
                 for cid in entry.cids:
                     self.solver.add_label(cid, label)
@@ -263,7 +234,7 @@ class AddrComparator:
         return e_total
 
     def _bump_fold(self, c) -> None:
-        setattr(c, self.fold_counter, getattr(c, self.fold_counter) + 1)
+        c.addr_eq_folded += 1
 
     def _new_var(self, c) -> int:
         c.vars_added += 1

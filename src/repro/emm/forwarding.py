@@ -36,11 +36,11 @@ in ``EmmCounters.cross_mem_cmp_hits``); all are per-frame snapshotted
 and surfaced as ``BmcRunStats.emm_addr_eq_cache_hits`` /
 ``emm_addr_eq_folded`` / ``cross_mem_cmp_hits``.
 
-The data-race monitor (``check_races=True``) books its clauses into the
-dedicated ``race_addr_eq_clauses`` / ``race_clauses`` / ``race_gates``
-counters, which are *excluded* from ``total_clauses`` and
-``total_gates`` so the paper-formula comparisons stay exact whether or
-not the monitor is on.
+:class:`EmmMemory` is the one memory model: the fall-through read
+records, the ``a_meminit`` pins and the equation-(6) pairs of Section
+4.2 live here for both encodings.  The purely circuit-based encoding
+(:class:`repro.emm.gates.GateEmmMemory`) subclasses it and replaces only
+the read-data chain — the part Section 3 compares.
 """
 
 from __future__ import annotations
@@ -74,21 +74,9 @@ class EmmCounters:
     addr_eq_cache_hits: int = 0
     #: address comparisons folded to a constant (zero clauses emitted)
     addr_eq_folded: int = 0
-    #: race-monitor comparator clauses (excluded from ``total_clauses``)
-    race_addr_eq_clauses: int = 0
-    #: race-monitor aggregation (OR / unit) clauses
-    race_clauses: int = 0
-    #: race-monitor 2-input gates (excluded from ``total_gates``)
-    race_gates: int = 0
-    #: race-monitor comparator cache hits / folds (own comparator: the
-    #: monitor never shares entries with the forwarding chain, so the
-    #: paper-formula counters are independent of ``check_races``)
-    race_addr_eq_cache_hits: int = 0
-    race_addr_eq_folded: int = 0
     #: comparator cache hits answered by an entry another memory encoded
-    #: (session-scoped registry); a subset of
-    #: ``addr_eq_cache_hits``/``race_addr_eq_cache_hits``, not a clause
-    #: counter — the clauses were booked by the founding memory.
+    #: (session-scoped registry); a subset of ``addr_eq_cache_hits``, not
+    #: a clause counter — the clauses were booked by the founding memory.
     cross_mem_cmp_hits: int = 0
     #: AIG structural-hashing savings attributed to this memory's
     #: constraint construction — fed by the gate encoding only; the
@@ -118,8 +106,7 @@ class EmmCounters:
 
     #: The clause counters summed by :attr:`total_clauses` and the
     #: per-frame ``"clauses"`` aggregate — one list so the two can never
-    #: desynchronize.  Race-monitor counters are deliberately excluded:
-    #: the monitor is an extension outside the Section 3/4 closed forms.
+    #: desynchronize.
     CLAUSE_COUNTERS = ("addr_eq_clauses", "rd_clauses", "valid_clauses",
                        "init_rd_clauses", "init_pin_clauses",
                        "init_rom_clauses", "init_addr_eq_clauses",
@@ -146,7 +133,7 @@ class EmmCounters:
         growth is directly comparable across encodings: besides the raw
         counter diffs it carries the ``"gates"`` / ``"clauses"``
         aggregates (paper-formula gate and clause totals added by the
-        frame, race monitor excluded).
+        frame).
         """
         frame = {key: getattr(self, key) - before[key] for key in before}
         frame["gates"] = frame["excl_gates"]
@@ -170,8 +157,8 @@ class _ReadRecord:
     satisfiability over design signals is unchanged.
 
     ``v_aig`` is the symbolic word's AIG input literals (gate encoding
-    only): merged reads seed their mux chains from it, which is what
-    keeps the chain a stable strash prefix across frames.
+    only, else None): merged reads seed their mux chains from it, which
+    is what keeps the chain a stable strash prefix across frames.
     """
 
     __slots__ = ("frame", "port", "addr", "n_lit", "v_vars", "guard_lit",
@@ -230,32 +217,6 @@ class InitReadRegistry:
             self._by_addr.setdefault((sig, tuple(record.addr)), record)
 
 
-def emit_init_consistency(new: _ReadRecord, records: list[_ReadRecord],
-                          addr_eq, const_value, emit,
-                          c: EmmCounters) -> None:
-    """Equation (6) between ``new`` and every existing record.
-
-    The single implementation behind both encoders'
-    ``_add_init_consistency`` / ``_consistency`` — the comparator
-    constructor (``addr_eq``) and clause sink (``emit``) differ per
-    encoder, the pair semantics must not.  A pair whose comparator
-    folds to constant FALSE is pruned outright: its ``2n`` data clauses
-    would only be absorbed by the solver at level 0, so pruning is
-    invisible to solving.  The fold-TRUE case never reaches this loop —
-    the read was merged before a record existed.
-    """
-    for old in records:
-        eq = addr_eq(new.addr, old.addr)
-        if const_value(eq) is False:
-            c.init_pairs_pruned += 1
-            continue
-        guard = [-eq, -new.guard_lit, -old.guard_lit]
-        for vb_new, vb_old in zip(new.v_vars, old.v_vars):
-            emit(guard + [-vb_new, vb_old])
-            emit(guard + [vb_new, -vb_old])
-        c.init_pairs += 1
-
-
 class EmmMemory:
     """EMM constraints for a single memory module across BMC depths.
 
@@ -286,7 +247,6 @@ class EmmMemory:
                  symbolic_init: bool = False,
                  a_meminit: Optional[int] = None,
                  kept_read_ports: Optional[frozenset[int]] = None,
-                 check_races: bool = False,
                  init_registry: Optional[InitReadRegistry] = None,
                  cmp_registry: Optional[SharedComparatorTables] = None,
                  ) -> None:
@@ -302,11 +262,6 @@ class EmmMemory:
         self.kept_read_ports = (frozenset(range(self.mem.num_read_ports))
                                 if kept_read_ports is None
                                 else frozenset(kept_read_ports))
-        #: Data-race monitoring (Section 4.1 mentions the extension): when
-        #: enabled, a literal per frame witnesses two write ports hitting
-        #: the same address with both enables active.
-        self.check_races = check_races
-        self.race_lits: list[int] = []
         #: When True, even known-init memories read a *symbolic* word on the
         #: initial fall-through, pinned to the declared init only under the
         #: ``a_meminit`` activation literal.  Required for sound backward
@@ -325,15 +280,6 @@ class EmmMemory:
         #: every memory a shared comparator served).
         self.addr_cmp = AddrComparator(solver, unroller.emitter,
                                        cmp_registry, owner=mem_name)
-        #: The race monitor books into dedicated counters, so it gets an
-        #: *isolated* comparator: sharing the forwarding cache would let
-        #: whichever consumer encodes a pair first steal the clause
-        #: booking, making ``addr_eq_clauses`` depend on ``check_races``.
-        self.race_cmp = AddrComparator(solver, unroller.emitter,
-                                       cmp_registry,
-                                       hit_counter="race_addr_eq_cache_hits",
-                                       fold_counter="race_addr_eq_folded",
-                                       owner=mem_name)
         self._writes: list[list[PortSignals]] = []  # [frame][write_port]
         #: Fall-through read registry; *shared across memories* when this
         #: memory is in a shared-initial-state group (the miter case:
@@ -361,8 +307,6 @@ class EmmMemory:
         writes = [un.write_port_signals(self.name, w, k)
                   for w in range(self.mem.num_write_ports)]
         self._writes.append(writes)
-        if self.check_races:
-            self._monitor_races(k, writes)
         for r in range(self.mem.num_read_ports):
             if r not in self.kept_read_ports:
                 continue  # abstracted port: RD left unconstrained
@@ -466,7 +410,7 @@ class EmmMemory:
             # record's (the comparator would fold TRUE) is merged into
             # it: same word, no new pins, no new pairs — only the 2n
             # read-data clauses and one guard clause.
-            v_vars = self._init_read_record(read.addr, n_lit, k, r)
+            v_vars = self._init_read_record(read.addr, n_lit, k, r).v_vars
             for b in range(n_bits):
                 self._clause([-n_lit, -read.data[b], v_vars[b]],
                              label_init, c, "init_rd_clauses")
@@ -474,28 +418,31 @@ class EmmMemory:
                              label_init, c, "init_rd_clauses")
 
     def _init_read_record(self, addr: list[int], n_lit: int, k: int,
-                          r: int) -> list[int]:
-        """Merge into or mint the fall-through read record; returns its word.
+                          r: int) -> _ReadRecord:
+        """Merge into or mint the fall-through read record; returns it.
 
         Merge lookup, guard emission, ``a_meminit`` pins, equation (6)
-        and registry insertion; the caller binds the returned symbolic
-        word to RD under ``n_lit``.
+        and registry insertion; the caller binds the record's symbolic
+        word to RD under ``n_lit``.  ``addr`` and ``n_lit`` are in the
+        encoder's own literal space; :meth:`_sat_lit` lowers them where
+        the CNF needs them.
         """
         mem = self.mem
         c = self.counters
         label_init = ("emm", self.name, "init")
-        merged = (self._reads.find_mergeable(addr, self._init_sig)
+        addr_sat = [self._sat_lit(b) for b in addr]
+        merged = (self._reads.find_mergeable(addr_sat, self._init_sig)
                   if self.init_consistency else None)
         if merged is not None:
             # Identical address cone *and* declared-init signature (both
             # are merge-key components): the record's pins already say
             # everything a_meminit would; pairs against every other
             # record stay valid through its guard.
-            self._clause([-n_lit, merged.guard_lit], label_init, c,
-                         "init_guard_clauses")
+            self._clause([-self._sat_lit(n_lit), merged.guard_lit],
+                         label_init, c, "init_guard_clauses")
             c.init_records_merged += 1
-            return merged.v_vars
-        v_vars = [self._new_var() for _ in range(mem.data_width)]
+            return merged
+        v_vars, v_aig = self._new_word(k, r)
         if mem.init is not None or mem.init_words:
             # Pin the symbols to the declared init under a_meminit, so
             # falsification / forward checks see the real initial memory
@@ -508,15 +455,15 @@ class EmmMemory:
             # ablation, sharing a symbolic word would re-introduce part
             # of the constraints the ablation drops.
             guard = self._new_var()
-            self._clause([-n_lit, guard], label_init, c,
+            self._clause([-self._sat_lit(n_lit), guard], label_init, c,
                          "init_guard_clauses")
-        record = _ReadRecord(k, r, list(addr), n_lit, v_vars,
-                             guard_lit=guard)
+        record = _ReadRecord(k, r, addr_sat, self._sat_lit(n_lit), v_vars,
+                             guard_lit=guard, v_aig=v_aig)
         if self.init_consistency:
             self._add_init_consistency(record, c)
         self._reads.add(record, index=self.init_consistency,
                         sig=self._init_sig)
-        return v_vars
+        return record
 
     def _pin_word(self, word: list[int], guard: int, addr: list[int],
                   label, c: EmmCounters, counter: str) -> None:
@@ -543,62 +490,45 @@ class EmmMemory:
                 lit = w if (mem.init >> b) & 1 else -w
                 self._clause([-guard] + e_vars + [lit], label, c, counter)
 
+    def _add_init_consistency(self, new: _ReadRecord, c: EmmCounters) -> None:
+        """Equation (6) between ``new`` and every existing record.
+
+        A pair whose comparator folds to constant FALSE is pruned
+        outright: its ``2n`` data clauses would only be absorbed by the
+        solver at level 0, so pruning is invisible to solving.  The
+        fold-TRUE case never reaches this loop — the read was merged
+        before a record existed.
+        """
+        label = ("emm", self.name, "init_consistency")
+        for old in self._reads.records:
+            eq = self._addr_eq(new.addr, old.addr, label, c,
+                               "init_addr_eq_clauses")
+            if self.addr_cmp.const_value(eq) is False:
+                c.init_pairs_pruned += 1
+                continue
+            guard = [-eq, -new.guard_lit, -old.guard_lit]
+            for vb_new, vb_old in zip(new.v_vars, old.v_vars):
+                self._clause(guard + [-vb_new, vb_old], label, c,
+                             "init_consistency_clauses")
+                self._clause(guard + [vb_new, -vb_old], label, c,
+                             "init_consistency_clauses")
+            c.init_pairs += 1
+
+    # -- encoding hooks (overridden by the gate encoding) ----------------
+
+    def _sat_lit(self, lit: int) -> int:
+        """SAT literal of one of the encoder's own literals (identity)."""
+        return lit
+
     def _addr_eq_const(self, addr: list[int], value: int, label,
                        c: EmmCounters) -> int:
         """E with E <-> (addr == value); at most m+1 clauses (cached)."""
         return self.addr_cmp.eq_const(addr, value, label, c,
                                       "init_rom_clauses")
 
-    def _add_init_consistency(self, new: _ReadRecord, c: EmmCounters) -> None:
-        """Equation (6): equal fresh-read addresses give equal symbols."""
-        label = ("emm", self.name, "init_consistency")
-        emit_init_consistency(
-            new, self._reads.records,
-            addr_eq=lambda a, b: self._addr_eq(a, b, label, c,
-                                               "init_addr_eq_clauses"),
-            const_value=self.addr_cmp.const_value,
-            emit=lambda lits: self._clause(lits, label, c,
-                                           "init_consistency_clauses"),
-            c=c)
-
-    def _monitor_races(self, k: int, writes: list[PortSignals]) -> None:
-        """OR over write-port pairs of (same address AND both enabled).
-
-        The paper assumes data races are absent; this monitor lets a user
-        discharge that assumption: verify the invariant "race literal is
-        never true" with the engine (see
-        :func:`repro.emm.races.find_data_race`).
-        """
-        label = ("emm", self.name, "race")
-        c = self.counters
-        pair_lits: list[int] = []
-        for i in range(len(writes)):
-            for j in range(i + 1, len(writes)):
-                eq = self.race_cmp.eq(writes[i].addr, writes[j].addr, label,
-                                      c, "race_addr_eq_clauses")
-                folded = self.emitter.const_value(eq)
-                if folded is False:
-                    continue  # distinct constant addresses: no race possible
-                both = self._and2(writes[i].en, writes[j].en, label,
-                                  gate_counter="race_gates")
-                if folded is True:
-                    pair_lits.append(both)  # same address cone: race = both
-                else:
-                    pair_lits.append(self._and2(eq, both, label,
-                                                gate_counter="race_gates"))
-        if not pair_lits:
-            # Single write port: a race is structurally impossible.
-            race = self._new_var()
-            self._clause([-race], label, c, "race_clauses")
-        elif len(pair_lits) == 1:
-            race = pair_lits[0]
-        else:
-            # race <-> OR(pairs), encoded one-directionally both ways.
-            race = self._new_var()
-            for p in pair_lits:
-                self._clause([-p, race], label, c, "race_clauses")
-            self._clause([-race] + pair_lits, label, c, "race_clauses")
-        self.race_lits.append(race)
+    def _new_word(self, k: int, r: int) -> tuple[list[int], None]:
+        """Fresh symbolic initial word of a fall-through read."""
+        return [self._new_var() for _ in range(self.mem.data_width)], None
 
     # -- low-level helpers ----------------------------------------------
 
@@ -624,14 +554,12 @@ class EmmMemory:
         """
         return self.addr_cmp.eq(a_bits, b_bits, label, c, counter)
 
-    def _and2(self, a: int, b: int, label,
-              gate_counter: str = "excl_gates") -> int:
+    def _and2(self, a: int, b: int, label) -> int:
         """A 2-input AND gate in CNF (counted as one gate, per the paper)."""
         v = self._new_var()
         s = self.solver
         s.add_clause([-v, a], label)
         s.add_clause([-v, b], label)
         s.add_clause([v, -a, -b], label)
-        setattr(self.counters, gate_counter,
-                getattr(self.counters, gate_counter) + 1)
+        self.counters.excl_gates += 1
         return v

@@ -4,7 +4,9 @@ Section 4.1 assumes data races are absent ("a memory location can be
 updated at any given cycle through only one write port") and notes the
 approach extends to checking for them.  This module is that extension: a
 bounded search for a reachable cycle in which two write ports of the same
-memory target the same address with both enables active.
+memory target the same address with both enables active.  It is a plain
+check on an :class:`~repro.bmc.session.EncodingSession`; the EMM
+encoders know nothing about it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.aig import Aig, CnfEmitter
-from repro.bmc.unroller import Unroller
 from repro.design.netlist import Design
-from repro.emm.forwarding import EmmMemory
-from repro.sat import Solver
 
 
 @dataclass
@@ -41,57 +39,48 @@ class RaceResult:
 
 def find_data_race(design: Design, mem_name: str,
                    max_depth: int = 20) -> RaceResult:
-    """Search depths 0..max_depth for a reachable write-write race."""
+    """Search depths 0..max_depth for a reachable write-write race.
+
+    The race predicate ``OR_{i<j}(WE_i & WE_j & WA_i == WA_j)`` over the
+    memory's write ports is checked at each depth under the session's
+    initial-state literals.  No property is registered, so the design's
+    fingerprint is unchanged.
+    """
+    # repro.bmc imports repro.emm, so the session is imported here.
+    from repro.bmc import BmcOptions, EncodingSession
+
     design.validate()
-    mem = design.memories[mem_name]
-    if mem.num_write_ports < 2:
+    ports = design.memories[mem_name].write_ports
+    if len(ports) < 2:
         return RaceResult(memory=mem_name, found=False, wall_time_s=0.0)
     t0 = time.monotonic()
-    solver = Solver(proof=False)
-    emitter = CnfEmitter(Aig(), solver)
-    unroller = Unroller(design, emitter)
-    emms = {
-        name: EmmMemory(solver, unroller, name,
-                        check_races=(name == mem_name))
-        for name in design.memories
-    }
+    race = design.or_many(p.en & q.en & p.addr.eq(q.addr)
+                          for i, p in enumerate(ports)
+                          for q in ports[i + 1:])
+    session = EncodingSession(design, BmcOptions(find_proof=False))
+    em = session.emitter
     for k in range(max_depth + 1):
-        unroller.add_frame()
-        if k == 0:
-            _assert_initial_state(design, unroller, emitter)
-        for emm in emms.values():
-            emm.add_frame(k)
-        race_lit = emms[mem_name].race_lits[k]
-        if solver.solve([race_lit]).sat:
-            inputs = _extract_inputs(design, unroller, emitter, solver, k)
+        session.extend_to(k)
+        em.set_label(("race", k))
+        race_k = em.sat_lit(session.unroller.lit(race, k))
+        if session.solver.solve([session.a_init, session.a_meminit,
+                                 race_k]).sat:
             return RaceResult(memory=mem_name, found=True, depth=k,
-                              inputs=inputs,
+                              inputs=_extract_inputs(session, k),
                               wall_time_s=time.monotonic() - t0)
     return RaceResult(memory=mem_name, found=False,
                       wall_time_s=time.monotonic() - t0)
 
 
-def _assert_initial_state(design: Design, unroller: Unroller,
-                          emitter: CnfEmitter) -> None:
-    for name, latch in design.latches.items():
-        if latch.init is None:
-            continue
-        word = unroller.latch_word(name, 0)
-        emitter.set_label(("init", name))
-        for b in range(latch.width):
-            lit = emitter.sat_lit(word[b])
-            emitter.add_clause([lit if (latch.init >> b) & 1 else -lit])
-
-
-def _extract_inputs(design, unroller, emitter, solver, depth) -> list[dict]:
+def _extract_inputs(session, depth: int) -> list[dict]:
     out = []
     for k in range(depth + 1):
         vec = {}
-        for name, inp in design.inputs.items():
+        for name in session.design.inputs:
             value = 0
-            for i, bit in enumerate(unroller.input_word(name, k)):
-                var = emitter.var_for(bit)
-                if var is not None and solver.model_value(var):
+            for i, bit in enumerate(session.unroller.input_word(name, k)):
+                var = session.emitter.var_for(bit)
+                if var is not None and session.solver.model_value(var):
                     value |= 1 << i
             vec[name] = value
         out.append(vec)

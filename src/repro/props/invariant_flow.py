@@ -46,7 +46,8 @@ def _finish_clone(design: Design, out: Design, rw: ExprRewriter,
         if mem.name == mem_name:
             continue
         clone = out.memory(mem.name, mem.addr_width, mem.data_width,
-                           mem.num_read_ports, mem.num_write_ports, mem.init)
+                           mem.num_read_ports, mem.num_write_ports, mem.init,
+                           mem.init_words)
         for port in mem.read_ports:
             rw.memread_map[(mem.name, port.index)] = clone.read(port.index).data
     for mem in design.memories.values():

@@ -7,8 +7,9 @@ streamed under a first-counterexample-wins policy.
 
 The service is fault tolerant: a :class:`PoolSupervisor` recovers from
 worker crashes and hangs (attribution, retry with capped backoff, pool
-rebuild), :class:`JobQuotas` degrade over-budget jobs to sound partial
-answers instead of killing them, and :class:`FaultPlan` injects worker
+rebuild), the quota fields of :class:`~repro.bmc.engine.BmcOptions`
+degrade over-budget jobs to sound partial answers instead of killing
+them, and :class:`FaultPlan` injects worker
 faults deterministically so the recovery machinery stays tested.
 """
 
@@ -17,7 +18,6 @@ from repro.service.faults import (ANY_WINDOW, FAULT_KINDS, FaultInjected,
                                   FaultPlan, FaultProbe, INJECTION_POINTS,
                                   Injection, POINT_ENTER, POINT_EXIT,
                                   POINT_SESSION)
-from repro.service.quota import JobQuotas
 from repro.service.service import (CANCELLED, FAILED, RETRY, ServiceJob,
                                    ServiceResult, VerificationService,
                                    merge_window_results, shard_depths)
@@ -29,7 +29,6 @@ __all__ = ["VerificationService", "ServiceJob", "ServiceResult",
            "merge_window_results", "shard_depths",
            "PoolSupervisor", "RetryPolicy", "JobRetry", "JobOutcome",
            "CRASH", "HANG", "ERROR",
-           "JobQuotas",
            "FaultPlan", "FaultProbe", "FaultInjected", "Injection",
            "POINT_ENTER", "POINT_SESSION", "POINT_EXIT",
            "INJECTION_POINTS", "FAULT_KINDS", "ANY_WINDOW"]

@@ -26,9 +26,10 @@ exceptions are attributed, retried under a
 :class:`~repro.service.supervisor.RetryPolicy` with capped exponential
 backoff, and surfaced as ``retry``/``failed`` lifecycle records in the
 stream — every planned job reaches exactly one terminal record, even
-when the pool has to be rebuilt mid-run.  Per-job resource budgets
-(:class:`repro.service.quota.JobQuotas`) degrade an over-budget job to
-a sound partial answer (:data:`repro.bmc.results.DEGRADED`) at depth
+when the pool has to be rebuilt mid-run.  Per-job resource budgets (the
+``mem_quota_mb`` / ``clause_var_quota`` / ``wall_quota_s`` fields of
+:class:`~repro.bmc.engine.BmcOptions`) degrade an over-budget job to a
+sound partial answer (:data:`repro.bmc.results.DEGRADED`) at depth
 granularity instead of killing it.
 
 Designs cross the process boundary as *factories* (a picklable
@@ -50,7 +51,6 @@ from repro.bmc.session import SessionCache
 from repro.design.netlist import Design
 from repro.service.faults import (FaultPlan, POINT_ENTER, POINT_EXIT,
                                   POINT_SESSION)
-from repro.service.quota import JobQuotas
 from repro.service.supervisor import (ERROR, JobOutcome, JobRetry,
                                       PoolSupervisor, RetryPolicy)
 
@@ -292,9 +292,9 @@ class VerificationService:
     and raised exceptions are retried per ``retry`` (default: 2 retries
     with capped exponential backoff), and with a ``job_timeout_s`` hung
     jobs are killed and retried too.  The inline path retries raised
-    exceptions under the same policy.  ``quotas`` applies per-job
-    resource budgets (jobs degrade, not die); ``fault_plan`` injects
-    worker faults for the recovery test suite.
+    exceptions under the same policy.  Per-job resource budgets are the
+    quota fields of ``options`` (jobs degrade, not die); ``fault_plan``
+    injects worker faults for the recovery test suite.
     """
 
     def __init__(self, design_factory: Callable[[], Design],
@@ -302,7 +302,6 @@ class VerificationService:
                  session_cache: Optional[SessionCache] = None,
                  retry: Optional[RetryPolicy] = None,
                  job_timeout_s: Optional[float] = None,
-                 quotas: Optional[JobQuotas] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         self.design_factory = design_factory
         self.options = options or BmcOptions()
@@ -310,7 +309,6 @@ class VerificationService:
         self.cache = session_cache if session_cache is not None else SessionCache()
         self.retry = retry if retry is not None else RetryPolicy()
         self.job_timeout_s = job_timeout_s
-        self.quotas = quotas
         self.fault_plan = fault_plan
         self._sup: Optional[PoolSupervisor] = None
         self._design: Optional[Design] = None
@@ -346,13 +344,9 @@ class VerificationService:
 
         Windows must be ascending and contiguous from depth 0 when given
         (see :func:`shard_depths`), else ValueError; properties default
-        to all of the design's, sorted.  The service's :attr:`quotas`
-        are folded into every job's options here (run knobs only — the
-        session-cache key is unchanged).
+        to all of the design's, sorted.
         """
         opts = options or self.options
-        if self.quotas:
-            opts = self.quotas.apply(opts)
         if properties is None:
             properties = sorted(self._get_design().properties)
         if depth_windows:

@@ -9,7 +9,7 @@ interpretation the repo has against each other:
 * **vector vs explicit expansion** — property verdicts of sampled lanes
   are cross-checked against the ``expand_memories`` oracle;
 * **BMC encodings vs the explicit model** — both EMM encodings
-  (:data:`BMC_CONFIGS`) are run through the existing
+  (:data:`ENCODINGS`) are run through the existing
   :class:`repro.service.VerificationService` and must reproduce the
   explicit-model verdict/depth with a validated trace;
 * **simulation witnesses lower-bound BMC** — any random lane that hits
@@ -19,7 +19,8 @@ interpretation the repo has against each other:
 Any divergence is captured as a :class:`Divergence` with an
 auto-shrunk reproducer (stimulus minimized while the two sides still
 disagree) and can be persisted to JSON for the CI artifact upload and
-replayed later with ``python -m repro.sim.fuzzfarm --replay FILE``.
+replayed later with ``python -m repro.sim.fuzzfarm --replay FILE`` (a
+BMC reproducer replays at the depth it was found at).
 
 The farm is seed-budgeted: give it a number of rounds, a trial target,
 and/or a wall-clock budget; every round is deterministic in
@@ -45,11 +46,10 @@ from repro.sim.oracle import (ExplicitOracle, Oracle, SimulatorOracle,
 from repro.sim.trace import Trace
 from repro.sim.vector import have_numpy
 
-#: The symbolic configurations the farm checks, as ``(emm_encoding,
-#: extra BmcOptions kwargs)``: both EMM encodings at their defaults.
+#: The EMM encodings the farm checks, each at its default options.
 #: Mirrors the differential matrix in
 #: ``tests/test_differential_matrix.py``.
-BMC_CONFIGS = (("hybrid", {}), ("gates", {}))
+ENCODINGS = ("hybrid", "gates")
 
 
 # -- random workloads (module level so service workers can pickle them) ----
@@ -157,10 +157,10 @@ class FarmConfig:
     #: sample) and lanes cross-checked against the explicit expansion.
     scalar_lanes: int = 4
     explicit_lanes: int = 2
-    #: Symbolic side of the differential: ``(encoding, options)`` cells
+    #: Symbolic side of the differential: one cell per EMM encoding
     #: through the VerificationService, against the explicit model.
     run_bmc: bool = True
-    bmc_configs: tuple = BMC_CONFIGS
+    encodings: tuple = ENCODINGS
     bmc_depth: int = 4
     #: Worker processes for the service runs (1 = inline).
     jobs: int = 1
@@ -188,13 +188,14 @@ class Divergence:
     detail: str
     prop: Optional[str] = None
     encoding: Optional[str] = None
-    options: Optional[dict] = None
+    #: BMC bound the divergence was found at (BMC kinds only).
+    bmc_depth: Optional[int] = None
     stimulus: Optional[dict] = None
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "detail": self.detail,
                 "prop": self.prop, "encoding": self.encoding,
-                "options": self.options, "stimulus": self.stimulus}
+                "bmc_depth": self.bmc_depth, "stimulus": self.stimulus}
 
 
 @dataclass
@@ -405,8 +406,8 @@ def _sim_divergence(kind: str, seed: int, design: Design, stimulus: Stimulus,
 
 def _run_bmc_matrix(config: FarmConfig, seed: int, design: Design,
                     traces: list[Trace], report: FarmReport) -> None:
-    """Every (encoding, options) cell must match the explicit model — and no
-    symbolic engine may miss a violation a random lane already found."""
+    """Every encoding must match the explicit model — and no symbolic
+    engine may miss a violation a random lane already found."""
     fast = default_oracle(design) if have_numpy() else \
         SimulatorOracle(design)
     depth = config.bmc_depth
@@ -424,8 +425,8 @@ def _run_bmc_matrix(config: FarmConfig, seed: int, design: Design,
                              jobs=config.jobs, retry=retry,
                              job_timeout_s=config.job_timeout_s) as svc:
         oracle_results = svc.run()
-    for encoding, combo in config.bmc_configs:
-        opts = BmcOptions(emm_encoding=encoding, **combo, **base)
+    for encoding in config.encodings:
+        opts = BmcOptions(emm_encoding=encoding, **base)
         with VerificationService(partial(build_fuzz_netlist, seed),
                                  opts, jobs=config.jobs, retry=retry,
                                  job_timeout_s=config.job_timeout_s) as svc:
@@ -435,11 +436,11 @@ def _run_bmc_matrix(config: FarmConfig, seed: int, design: Design,
             report.trials += 1
             want = oracle_results[prop]
             ctx = dict(seed=seed, prop=prop, encoding=encoding,
-                       options=dict(combo))
+                       bmc_depth=depth)
             if (r.status, r.depth) != (want.status, want.depth):
                 report.divergences.append(Divergence(
                     kind="bmc-verdict", detail=(
-                        f"{encoding}/{combo}: got {r.status}@{r.depth}, "
+                        f"{encoding}: got {r.status}@{r.depth}, "
                         f"explicit model says {want.status}@{want.depth}"),
                     **ctx))
                 continue
@@ -447,7 +448,7 @@ def _run_bmc_matrix(config: FarmConfig, seed: int, design: Design,
                 stim = Stimulus.from_trace(r.trace) if r.trace else None
                 report.divergences.append(Divergence(
                     kind="bmc-trace-invalid",
-                    detail=f"{encoding}/{combo}: counterexample trace "
+                    detail=f"{encoding}: counterexample trace "
                            f"failed simulator validation",
                     stimulus=stim.to_dict() if stim else None, **ctx))
                 continue
@@ -456,7 +457,7 @@ def _run_bmc_matrix(config: FarmConfig, seed: int, design: Design,
                                       or (r.depth or 0) > bound):
                 report.divergences.append(Divergence(
                     kind="bmc-missed-witness",
-                    detail=(f"{encoding}/{combo}: a random lane "
+                    detail=(f"{encoding}: a random lane "
                             f"violates at cycle {bound} but BMC "
                             f"reported {r.status}@{r.depth}"),
                     **ctx))
@@ -507,14 +508,14 @@ def replay_reproducer(path: str) -> bool:
             return not traces_equal(SimulatorOracle(design).replay(stim),
                                     default_oracle(design).replay(stim))
         return _explicit_differs(design, data["prop"])(stim)
-    # BMC kinds: re-run the single (encoding, options, prop) cell.
-    base = dict(find_proof=False, max_depth=4)
+    # BMC kinds: re-run the single (encoding, prop) cell at the bound it
+    # was found at (files written before the bound was recorded: 4).
+    base = dict(find_proof=False, max_depth=data.get("bmc_depth") or 4)
     from repro.bmc import verify
     want = verify(_build_explicit(seed), data["prop"],
                   BmcOptions(use_emm=False, **base))
     got = verify(design, data["prop"],
-                 BmcOptions(emm_encoding=data["encoding"],
-                            **(data.get("options") or {}), **base))
+                 BmcOptions(emm_encoding=data["encoding"], **base))
     if kind == "bmc-trace-invalid":
         return got.status == "cex" and got.trace_validated is not True
     return (got.status, got.depth) != (want.status, want.depth)

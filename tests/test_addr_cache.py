@@ -8,9 +8,8 @@ depths and traces must match the independent oracles of
 finishes, and simulator replay.  Separate tests pin down the
 accounting: recurring address cones produce cache hits, constant
 addresses produce folds, the const-vs-symbolic form costs m+1 clauses,
-the comparator clauses stay within the paper's fresh-comparator closed
-form, and the race monitor books into its dedicated counters without
-touching the paper-formula ones.
+and the comparator clauses stay within the paper's fresh-comparator
+closed form.
 """
 
 import random
@@ -19,10 +18,8 @@ import pytest
 
 from repro.aig import Aig, CnfEmitter
 from repro.bmc import BmcOptions, EncodingSession, bmc3, verify
-from repro.bmc.unroller import Unroller
 from repro.design import Design
-from repro.emm import (AddrComparator, EmmMemory, SharedComparatorTables,
-                       accounting)
+from repro.emm import AddrComparator, SharedComparatorTables, accounting
 from repro.sat import Solver
 from tests.bmc_oracle import assert_matches_oracle
 
@@ -185,7 +182,7 @@ class TestComparatorUnit:
 
 
 # ---------------------------------------------------------------------------
-# Race-monitor accounting: dedicated counters, paper formulas untouched.
+# Race detection: a session check, independent of the comparator cache.
 # ---------------------------------------------------------------------------
 
 def racy_two_port_design(aw=3, dw=2):
@@ -202,70 +199,8 @@ def racy_two_port_design(aw=3, dw=2):
     return d
 
 
-def run_emm(design, depth, **kw):
-    solver = Solver(proof=False)
-    emitter = CnfEmitter(Aig(), solver)
-    unroller = Unroller(design, emitter)
-    emm = EmmMemory(solver, unroller, "m", **kw)
-    for k in range(depth + 1):
-        unroller.add_frame()
-        emm.add_frame(k)
-    return emm
-
-
 class TestRaceAccounting:
-    def test_race_clauses_have_dedicated_counters(self):
-        emm = run_emm(racy_two_port_design(), 4, check_races=True)
-        c = emm.counters
-        assert c.race_addr_eq_clauses > 0
-        assert c.race_gates > 0
-        # 5 frames, one write-pair comparator each: 4m+1 clauses apiece
-        # (fresh address inputs every frame, so the cache never hits).
-        assert c.race_addr_eq_clauses == 5 * accounting.addr_eq_clauses_full(3)
-        assert c.race_gates == 5 * 2  # both-enables AND + pair AND per frame
-
-    def test_race_monitor_does_not_skew_paper_counters(self):
-        plain = run_emm(racy_two_port_design(), 4)
-        raced = run_emm(racy_two_port_design(), 4, check_races=True)
-        c0, c1 = plain.counters, raced.counters
-        assert c1.addr_eq_clauses == c0.addr_eq_clauses
-        assert c1.excl_gates == c0.excl_gates
-        assert c1.total_clauses == c0.total_clauses
-        assert c1.total_gates == c0.total_gates
-
     def test_race_detection_still_works_with_dedup(self):
         from repro.emm import find_data_race
         r = find_data_race(racy_two_port_design(), "m", max_depth=3)
         assert r.found
-
-    def test_paper_counters_independent_of_races_under_dedup(self):
-        """The race monitor has its own comparator cache: even when a
-        read shares an address cone with a write port (so the monitor
-        and the forwarding chain request identical comparisons), the
-        paper-formula counters must not depend on check_races."""
-        def build():
-            d = Design("overlap")
-            t = d.latch("t", 2, init=0)
-            t.next = t.expr + 1
-            mem = d.memory("m", 3, 2, read_ports=1, write_ports=2, init=0)
-            wa = d.input("wa", 3)
-            # Write 0 and the read share one cone; write 1 is constant,
-            # so the race pair (wa, const) is exactly the comparison the
-            # forwarding chain needs one frame later.
-            mem.write(0).connect(addr=wa, data=d.input("wd0", 2),
-                                 en=d.input("we0", 1))
-            mem.write(1).connect(addr=d.const(5, 3), data=d.input("wd1", 2),
-                                 en=d.input("we1", 1))
-            mem.read(0).connect(addr=wa, en=1)
-            d.invariant("p", mem.read(0).data.ule(3))
-            return d
-
-        plain = run_emm(build(), 3)
-        raced = run_emm(build(), 3, check_races=True)
-        c0, c1 = plain.counters, raced.counters
-        assert c1.addr_eq_clauses == c0.addr_eq_clauses
-        assert c1.addr_eq_cache_hits == c0.addr_eq_cache_hits
-        assert c1.addr_eq_folded == c0.addr_eq_folded
-        assert c1.total_clauses == c0.total_clauses
-        assert c1.vars_added > c0.vars_added  # races do cost something
-        assert c1.race_addr_eq_clauses > 0

@@ -425,8 +425,8 @@ class TestSuffixSharingAccounting:
     def test_gate_total_clauses_not_double_counted(self):
         """The blanket CNF delta must exclude init-booked clauses: the
         totals reconcile with the clauses the EMM frames really added to
-        the solver (the pre-existing double-booking of pin/consistency
-        clauses into ``rd_clauses`` is fixed)."""
+        the solver (pin/consistency clauses are not counted a second
+        time in ``rd_clauses``)."""
         solver = Solver(proof=False)
         emitter = CnfEmitter(Aig(), solver)
         unroller = Unroller(build_const_pair(3, 3), emitter)

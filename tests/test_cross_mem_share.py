@@ -5,9 +5,8 @@ registry lets two memories whose address cones lower to the same SAT
 literals share one comparator encoding.  Soundness rests on per-clause
 multi-labels: a hit joins the calling memory's label onto the entry's
 clauses, so an unsat core through a shared comparator names *both*
-memories.  These tests pin the registry mechanics, the label joining,
-the PBA attribution end to end, and the booking-class isolation of the
-race monitor.
+memories.  These tests pin the registry mechanics, the label joining
+and the PBA attribution end to end.
 """
 
 import pytest
@@ -50,13 +49,13 @@ def two_mem_design(same_cones=True, init=0):
     return d
 
 
-def fresh_cmp_pair(registry, **kw):
+def fresh_cmp_pair(registry):
     """Two comparators for different memories over one solver/registry."""
     solver = Solver()
     em = CnfEmitter(Aig(), solver)
     ca, cb = EmmCounters(), EmmCounters()
-    a = AddrComparator(solver, em, registry, owner="ma", **kw)
-    b = AddrComparator(solver, em, registry, owner="mb", **kw)
+    a = AddrComparator(solver, em, registry, owner="ma")
+    b = AddrComparator(solver, em, registry, owner="mb")
     return solver, a, b, ca, cb
 
 
@@ -103,25 +102,6 @@ class TestRegistry:
         assert ("emm", "ma", "addr_eq") in labels
         assert ("emm", "mb", "addr_eq") in labels
         assert solver.core_unlabeled_count() == 0
-
-    def test_booking_classes_isolated(self):
-        """Race-class comparators never see forwarding-class entries."""
-        reg = SharedComparatorTables()
-        solver = Solver()
-        em = CnfEmitter(Aig(), solver)
-        c = EmmCounters()
-        fwd = AddrComparator(solver, em, reg, owner="ma")
-        race = AddrComparator(solver, em, reg, owner="ma",
-                              hit_counter="race_addr_eq_cache_hits",
-                              fold_counter="race_addr_eq_folded")
-        x, y = word(solver, 3), word(solver, 3)
-        fwd.eq(x, y, ("emm", "ma", "addr_eq"), c, "addr_eq_clauses")
-        race.eq(x, y, ("emm", "ma", "race"), c, "race_addr_eq_clauses")
-        # Second encoding, not a hit: the tables are per booking class.
-        assert c.addr_eq_cache_hits == 0
-        assert c.race_addr_eq_cache_hits == 0
-        assert c.race_addr_eq_clauses > 0
-        assert fwd.size == 1 and race.size == 1
 
     def test_no_registry_keeps_per_memory_scope(self):
         """Encoders built without a session make their own registry: the

@@ -29,13 +29,13 @@ from repro.casestudies.cache import CacheParams, build_cache
 from repro.casestudies.fifo import FifoParams, build_fifo
 from repro.casestudies.stack_machine import StackMachineParams, build_stack_machine
 from repro.design import Design, build_miter
-from repro.sim.fuzzfarm import BMC_CONFIGS
+from repro.sim.fuzzfarm import ENCODINGS
 from tests.bmc_oracle import (assert_matches_oracle, assert_verdict,
                               explicit_falsify, verdict_of)
 
-#: The matrix cells, as ``(emm_encoding, extra BmcOptions kwargs)``:
-#: both encodings at their defaults — the same cells the fuzz farm runs.
-MATRIX = BMC_CONFIGS
+#: The matrix cells: both EMM encodings at their defaults — the same
+#: cells the fuzz farm runs.
+MATRIX = ENCODINGS
 
 
 def random_netlist(seed):
@@ -98,10 +98,8 @@ def falsify(design, prop, depth, **options):
 def run_matrix(design, prop, depth):
     """Bounded falsification of every matrix cell."""
     out = {}
-    for encoding, combo in MATRIX:
-        key = (encoding,) + tuple(sorted(combo.items()))
-        out[key] = falsify(design, prop, depth, emm_encoding=encoding,
-                           **combo)
+    for encoding in MATRIX:
+        out[encoding] = falsify(design, prop, depth, emm_encoding=encoding)
     return out
 
 

@@ -241,8 +241,8 @@ class TestHybridStrashAccounting:
     """The init-consistency guard/prune counters must be exact and
     independent of the forwarding chain's form (the exclusive chain or
     the naive eq-(3) ablation), and the counters must reconcile with the
-    clauses that really reached the solver (no double-booking through
-    ``EmmCounters.frame_delta``)."""
+    clauses that really reached the solver (no clause counted twice
+    through ``EmmCounters.frame_delta``)."""
 
     @pytest.mark.parametrize("exclusivity", [True, False])
     @pytest.mark.parametrize("depth", [1, 4, 7])

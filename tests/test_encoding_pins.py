@@ -1,17 +1,20 @@
-"""Pinned sizes and solver effort of the default encoding.
+"""Pinned sizes and solver effort of fixed encoding sessions.
 
-The default encoding must stay literal-for-literal stable across
-refactors of the layers beneath it (AIG, Tseitin, comparator cache,
-chain builders).  These tests pin the exact solver clauses+variables and
-the CDCL counters of two fixed runs; any change to what the encoders
-emit, or to the order they emit it in, moves at least one number.  A
-deliberate encoding change must update the pins in the same change.
+The encodings must stay literal-for-literal stable across refactors of
+the layers beneath them (AIG, Tseitin, comparator cache, chain builders,
+the shared initial-state machinery).  These tests pin the exact solver
+clauses+variables, and the CDCL or EMM counters, of fixed runs; any
+change to what the encoders emit, or to the order they emit it in,
+moves at least one number.  A deliberate encoding change must update
+the pins in the same change.
 """
 
 from repro.bmc import BmcOptions, EncodingSession, verify_many
 from repro.bmc.engine import BmcEngine
-from repro.casestudies import (MultiportSocParams, QuicksortParams,
-                               build_multiport_soc, build_quicksort)
+from repro.casestudies import (CpuParams, MultiportSocParams,
+                               QuicksortParams, build_cpu,
+                               build_multiport_soc, build_quicksort,
+                               memcpy_program)
 
 
 def test_multiport_soc_shared_session_pinned():
@@ -45,3 +48,22 @@ def test_quicksort_pba_session_pinned():
         {"arr_raddr", "hi", "i", "j", "pc", "sp", "stk_raddr", "stk_re",
          "stk_waddr", "stk_wdata", "stk_we"})
     assert r.memory_reasons[-1] == frozenset({"stack"})
+
+
+def test_cpu_gate_encoding_rom_pinned():
+    """The gate encoding on a ROM design: cpu memcpy (pc 5, addr 3,
+    data 4), all properties on one session, BMC-3 to depth 12.  The
+    program ROM exercises the inherited initial-state machinery (pins
+    and equation (6)) under the gate encoding's AIG ROM-hit cones."""
+    params = CpuParams(pc_width=5, addr_width=3, data_width=4)
+    design = build_cpu(memcpy_program(2, src=0, dst=4, params=params), params)
+    opts = BmcOptions(max_depth=12, emm_encoding="gates")
+    session = EncodingSession(design, opts)
+    results = verify_many(design, options=opts, session=session)
+    assert {p: (r.status, r.depth) for p, r in results.items()} == {
+        "halts": ("cex", 12), "halted_acc_one": ("bounded", 12),
+        "pc_in_bounds": ("bounded", 12)}
+    assert session.clause_var_total() == 25654
+    imem = session.emms["imem"].counters
+    assert (imem.init_pin_clauses, imem.init_consistency_clauses) == (1755,
+                                                                      1404)

@@ -8,11 +8,12 @@ farm notices, minimizes and round-trips the reproducer.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.sim import fuzzfarm
-from repro.sim.fuzzfarm import (BMC_CONFIGS, Divergence, FarmConfig,
+from repro.sim.fuzzfarm import (ENCODINGS, Divergence, FarmConfig,
                                 FarmReport, build_fuzz_netlist,
                                 persist_divergences, random_stimulus,
                                 replay_reproducer, run_farm,
@@ -56,7 +57,7 @@ class TestFarmRuns:
         assert report.ok
         assert report.rounds == 2
         assert report.sim_trials == 32
-        assert report.bmc_trials == len(BMC_CONFIGS) * 3 * 2
+        assert report.bmc_trials == len(ENCODINGS) * 3 * 2
         assert report.trials > report.sim_trials + report.bmc_trials
         assert "0 divergences" in report.summary()
 
@@ -124,8 +125,7 @@ class TestShrinkStimulus:
 class TestReproducers:
     def test_bmc_kind_roundtrip(self, tmp_path):
         div = Divergence(kind="bmc-verdict", seed=2, detail="synthetic",
-                         prop="hit", encoding="hybrid",
-                         options={})
+                         prop="hit", encoding="hybrid", bmc_depth=4)
         paths = persist_divergences([div], str(tmp_path))
         assert len(paths) == 1
         # Healthy code: the synthetic BMC divergence does not reproduce.
@@ -143,10 +143,37 @@ class TestReproducers:
 
     def test_cli_replay(self, tmp_path, capsys):
         div = Divergence(kind="bmc-verdict", seed=1, detail="synthetic",
-                         prop="hit", encoding="gates", options={})
+                         prop="hit", encoding="gates", bmc_depth=3)
         [path] = persist_divergences([div], str(tmp_path))
         assert fuzzfarm.main(["--replay", path]) == 0
         assert "no longer diverges" in capsys.readouterr().out
+
+    def test_bmc_replay_uses_recorded_depth(self, tmp_path, monkeypatch):
+        """A reproducer found at ``--bmc-depth 6`` must replay at 6: the
+        rigged explicit model disagrees only from depth 6 on.  Files
+        without a recorded depth replay at the old fixed bound 4."""
+        import repro.bmc
+        bounds = []
+
+        def fake_verify(design, prop, options):
+            bounds.append(options.max_depth)
+            if not options.use_emm and options.max_depth >= 6:
+                return SimpleNamespace(status="cex", depth=6)
+            return SimpleNamespace(status="bounded", depth=options.max_depth)
+
+        monkeypatch.setattr(repro.bmc, "verify", fake_verify)
+        div = Divergence(kind="bmc-verdict", seed=1, detail="synthetic",
+                         prop="hit", encoding="hybrid", bmc_depth=6)
+        [path] = persist_divergences([div], str(tmp_path))
+        assert replay_reproducer(path) is True
+        assert bounds == [6, 6]
+        old = tmp_path / "old.json"
+        data = json.loads(open(path).read())
+        del data["bmc_depth"]
+        old.write_text(json.dumps(data))
+        bounds.clear()
+        assert replay_reproducer(str(old)) is False
+        assert bounds == [4, 4]
 
 
 class TestCli:

@@ -104,11 +104,6 @@ class TestGateSpecifics:
         assert g.status == "bounded"   # forced 0: unreachable
         assert h.status == "cex"       # free: spuriously reachable
 
-    def test_race_monitoring_rejected(self):
-        from repro.emm.gates import GateEmmMemory
-        with pytest.raises(ValueError, match="hybrid"):
-            GateEmmMemory(None, None, "m", check_races=True)
-
     def test_unknown_encoding_rejected(self):
         d, __ = scratchpad()
         d.invariant("p", d.const(1, 1))

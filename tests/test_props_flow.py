@@ -103,3 +103,30 @@ class TestPipeline:
             invariant_options=BmcOptions(max_depth=5))
         assert not flow.all_proved
         assert flow.reduced_design is None
+
+    def test_other_memories_keep_init_words(self):
+        """The reduced design must keep the other memories' ROM words:
+        rebuilt with ``init`` only, ``rom`` would read 0 at address 1
+        and the flow would report an unsound PROOF."""
+        d = Design("rom_clone")
+        zero = d.memory("zero", 2, 4, init=0)
+        zero.write(0).connect(addr=d.input("wa", 2), data=0,
+                              en=d.input("we", 1))
+        rz = zero.read(0).connect(addr=d.input("ra", 2), en=1)
+        rom = d.memory("rom", 2, 4, init=0, init_words={1: 5})
+        rom.write(0).connect(addr=0, data=0, en=0)
+        rd = rom.read(0).connect(addr=1, en=1)
+        d.invariant("zero_reads_0", rz.eq(0))
+        d.invariant("rom1_is_0", rd.eq(0) | rz.ne(0))
+        direct = verify(d, "rom1_is_0", BmcOptions(max_depth=5))
+        assert (direct.status, direct.depth) == ("cex", 0)
+        flow = prove_with_memory_invariant(
+            d, "zero", invariant_name="zero_reads_0",
+            property_names=["rom1_is_0"],
+            invariant_options=BmcOptions(max_depth=5),
+            property_options=BmcOptions(max_depth=5))
+        assert flow.invariant_result.proved
+        assert flow.reduced_design.memories["rom"].init_words == {1: 5}
+        r = flow.property_results["rom1_is_0"]
+        assert (r.status, r.depth) == ("cex", 0)
+        assert not flow.all_proved

@@ -20,8 +20,8 @@ from repro.casestudies.fifo import FifoParams, build_fifo
 from repro.design import Design
 from repro.casestudies.multiport_soc import (MultiportSocParams,
                                              build_multiport_soc)
-from repro.service import (JobQuotas, VerificationService,
-                           merge_window_results, shard_depths)
+from repro.service import (VerificationService, merge_window_results,
+                           shard_depths)
 
 
 def tiny_fifo():
@@ -121,29 +121,14 @@ class TestDegradedSemantics:
 
 
 # ---------------------------------------------------------------------------
-# JobQuotas bundle.
+# Quotas through the service: the quota fields of the service's options.
 # ---------------------------------------------------------------------------
 
 
-class TestJobQuotas:
-    def test_apply_sets_only_given_fields(self):
-        opts = BmcOptions(max_depth=9, timeout_s=3.0)
-        q = JobQuotas(mem_quota_mb=128.0, wall_quota_s=2.0)
-        applied = q.apply(opts)
-        assert applied.mem_quota_mb == 128.0
-        assert applied.wall_quota_s == 2.0
-        assert applied.clause_var_quota is None
-        assert applied.max_depth == 9 and applied.timeout_s == 3.0
-
-    def test_empty_quotas_are_falsy_noop(self):
-        opts = BmcOptions()
-        assert not JobQuotas()
-        assert JobQuotas().apply(opts) is opts
-        assert JobQuotas(wall_quota_s=1.0)
-
+class TestServiceQuotas:
     def test_service_applies_quotas_to_every_job(self):
-        svc = VerificationService(tiny_fifo, BmcOptions(max_depth=8),
-                                  quotas=JobQuotas(clause_var_quota=150))
+        svc = VerificationService(
+            tiny_fifo, BmcOptions(max_depth=8, clause_var_quota=150))
         for job in svc.plan():
             assert job.options.clause_var_quota == 150
         results = svc.run()
@@ -257,8 +242,8 @@ class TestMergeWindowResults:
         base = VerificationService(tiny_fifo, opts).run(
             ["count_bounded"], depth_windows=windows)["count_bounded"]
         assert base.status == BOUNDED and base.depth == 8
-        svc = VerificationService(tiny_fifo, opts,
-                                  quotas=JobQuotas(clause_var_quota=400))
+        svc = VerificationService(tiny_fifo,
+                                  replace(opts, clause_var_quota=400))
         merged = svc.run(["count_bounded"],
                          depth_windows=windows)["count_bounded"]
         assert merged.status == DEGRADED
