@@ -43,11 +43,36 @@ def test_quicksort_pba_session_pinned():
     r = BmcEngine(design, "P2", opts, session=session).run()
     assert (r.status, r.depth) == ("bounded", 5)
     assert session.clause_var_total() == 19816
-    assert session.solver.stats.conflicts == 40
+    stats = session.solver.stats
+    assert (stats.conflicts, stats.decisions, stats.propagations,
+            stats.learned, stats.trail_saved_levels) == (40, 1968, 56069, 40,
+                                                         0)
     assert r.latch_reasons[-1] == frozenset(
         {"arr_raddr", "hi", "i", "j", "pc", "sp", "stk_raddr", "stk_re",
          "stk_waddr", "stk_wdata", "stk_we"})
     assert r.memory_reasons[-1] == frozenset({"stack"})
+
+
+def test_cpu_hybrid_session_pinned():
+    """The default (hybrid) encoding on cpu memcpy (pc 5, addr 3,
+    data 4), all properties on one session, BMC-3 to depth 20: the
+    longest CDCL search among the pins, with forward proofs and a kept
+    assumption trail."""
+    params = CpuParams(pc_width=5, addr_width=3, data_width=4)
+    design = build_cpu(memcpy_program(2, src=0, dst=4, params=params), params)
+    opts = BmcOptions(max_depth=20)
+    session = EncodingSession(design, opts)
+    results = verify_many(design, options=opts, session=session)
+    assert {p: (r.status, r.depth, r.method)
+            for p, r in results.items()} == {
+        "halts": ("cex", 12, None),
+        "halted_acc_one": ("proof", 13, "forward"),
+        "pc_in_bounds": ("proof", 13, "forward")}
+    assert session.clause_var_total() == 24934
+    stats = session.solver.stats
+    assert (stats.conflicts, stats.decisions, stats.propagations,
+            stats.learned, stats.trail_saved_levels) == (338, 17765, 237068,
+                                                         338, 25)
 
 
 def test_cpu_gate_encoding_rom_pinned():
