@@ -10,11 +10,16 @@ original clauses sufficient for unsatisfiability — the paper's
 ``SAT_Get_Refutation`` step (Figure 1, line 10) that feeds proof-based
 abstraction.
 
-The propagation machinery is MiniSat-2.2/Glucose-class: a dedicated
+The data layout is MiniSat's (Een & Sorensson, SAT 2003): truth values
+live in one list indexed by internal literal, so a watch visit reads
+``vals[lit]`` with no sign arithmetic; each long-clause watch list is
+one flat list of ``cid, blocker`` slot pairs, so satisfied clauses are
+skipped on the blocker alone and propagation allocates nothing; the
+VSIDS order heap is sifted inline on decisions and backtracks.  The
+propagation machinery is MiniSat-2.2/Glucose-class: a dedicated
 binary-implication watch list that propagates 2-literal clauses (the
-EMM-dominant shape) without touching clause objects, ``(cid, blocker)``
-pairs in the long-clause watch lists so satisfied clauses are skipped on
-the blocker alone, LBD (glue) scoring with a tiered clause-database
+EMM-dominant shape) without touching clause objects, LBD (glue)
+scoring with a tiered clause-database
 reduction (glue <= 2 pinned), root-level shrinking of learned clauses
 against permanent level-0 units, and assumption-trail reuse — a solve
 whose assumption list shares a prefix with the previous solve keeps the
@@ -49,7 +54,11 @@ class _VarOrder:
 
     Position tracking keeps each variable in the heap at most once, so
     backtracking re-inserts cheaply and decisions never wade through
-    stale duplicates.
+    stale duplicates.  The hot operations live inline in the solver:
+    :meth:`Solver.new_var` appends (activity 0.0 never outranks a
+    parent), :meth:`Solver._cancel_until` re-inserts with a sift-up and
+    :meth:`Solver._pick_branch` pops with a sift-down.  Only the bump
+    after an activity increase goes through here.
     """
 
     __slots__ = ("activity", "heap", "pos")
@@ -59,39 +68,12 @@ class _VarOrder:
         self.heap: list[int] = []
         self.pos: list[int] = [-1]
 
-    def grow(self) -> None:
-        self.pos.append(-1)
-
-    def insert(self, var: int) -> None:
-        if self.pos[var] != -1:
-            return
-        self.heap.append(var)
-        self.pos[var] = len(self.heap) - 1
-        self._sift_up(len(self.heap) - 1)
-
     def bumped(self, var: int) -> None:
-        p = self.pos[var]
-        if p != -1:
-            self._sift_up(p)
-
-    def pop_max(self) -> int:
-        heap = self.heap
-        top = heap[0]
-        self.pos[top] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            self.pos[last] = 0
-            self._sift_down(0)
-        return top
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-    def _sift_up(self, i: int) -> None:
+        i = self.pos[var]
+        if i == -1:
+            return
         heap, pos, act = self.heap, self.pos, self.activity
-        v = heap[i]
-        a = act[v]
+        a = act[var]
         while i > 0:
             parent = (i - 1) >> 1
             pv = heap[parent]
@@ -100,28 +82,9 @@ class _VarOrder:
             heap[i] = pv
             pos[pv] = i
             i = parent
-        heap[i] = v
-        pos[v] = i
+        heap[i] = var
+        pos[var] = i
 
-    def _sift_down(self, i: int) -> None:
-        heap, pos, act = self.heap, self.pos, self.activity
-        n = len(heap)
-        v = heap[i]
-        a = act[v]
-        while True:
-            left = 2 * i + 1
-            if left >= n:
-                break
-            right = left + 1
-            child = right if right < n and act[heap[right]] > act[heap[left]] else left
-            cv = heap[child]
-            if a >= act[cv]:
-                break
-            heap[i] = cv
-            pos[cv] = i
-            i = child
-        heap[i] = v
-        pos[v] = i
 
 UNASSIGNED = -1
 
@@ -167,6 +130,8 @@ class SolverStats:
     time_analyze_s: float = 0.0
     time_reduce_s: float = 0.0
     time_simplify_s: float = 0.0
+    #: Decision picks: the VSIDS pop and the assumption decisions.
+    time_decide_s: float = 0.0
 
     def snapshot(self) -> dict:
         return dict(self.__dict__)
@@ -220,15 +185,20 @@ class Solver:
         #: :class:`SolverStats` (``time_*_s`` fields).  Off by default —
         #: flipped by the engine under ``BmcOptions.profile``.
         self.profile = False
+        # Truth value of every internal literal (indices 0 and 1 belong
+        # to the unused variable 0): assigning writes both literals of
+        # the variable, unassigning resets both.
+        self._vals: list[int] = [UNASSIGNED, UNASSIGNED]
         # Variable state (index 0 unused so var numbers match list index).
-        self._assigns: list[int] = [UNASSIGNED]
         self._levels: list[int] = [0]
         self._reasons: list[int] = [-1]
         self._activity: list[float] = [0.0]
-        self._saved_phase: list[int] = [_FALSE]
-        # Watches indexed by internal literal: ``(cid, blocker)`` pairs of
-        # the clauses (3+ literals) watching it.
-        self._watches: list[list[tuple[int, int]]] = [[], []]
+        #: Sign bit of the literal each variable last held (1 = negated,
+        #: the initial phase), tried first when the search decides it.
+        self._saved_phase: list[int] = [1]
+        # Watches indexed by internal literal: the clauses (3+ literals)
+        # watching it, as flat ``cid, blocker`` slot pairs.
+        self._watches: list[list[int]] = [[], []]
         # 2-literal clauses live here as ``(cid, other_lit)`` and are
         # propagated without touching the clause object.
         self._bin_watches: list[list[tuple[int, int]]] = [[], []]
@@ -282,24 +252,27 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable (positive integer)."""
-        self._assigns.append(UNASSIGNED)
+        self._vals.append(UNASSIGNED)
+        self._vals.append(UNASSIGNED)
         self._levels.append(0)
         self._reasons.append(-1)
         self._activity.append(0.0)
-        self._saved_phase.append(_FALSE)
+        self._saved_phase.append(1)
         self._watches.append([])
         self._watches.append([])
         self._bin_watches.append([])
         self._bin_watches.append([])
         self._seen.append(False)
-        var = len(self._assigns) - 1
-        self._order.grow()
-        self._order.insert(var)
+        var = len(self._levels) - 1
+        # Activity 0.0 never outranks a parent: the new leaf stays put.
+        heap = self._order.heap
+        heap.append(var)
+        self._order.pos.append(len(heap) - 1)
         return var
 
     @property
     def num_vars(self) -> int:
-        return len(self._assigns) - 1
+        return len(self._levels) - 1
 
     @property
     def num_clauses(self) -> int:
@@ -331,11 +304,6 @@ class Solver:
         """
         if self._broken:
             return -1
-        ilits = [_to_internal(lt) for lt in lits]
-        nvars = self.num_vars
-        for lt in ilits:
-            if not 1 <= (lt >> 1) <= nvars:
-                raise ValueError(f"literal {_to_external(lt)} references unknown variable")
         if self._trail_lim:
             if not self.proof_logging:
                 # Keep the leading assumption levels (and everything they
@@ -354,41 +322,64 @@ class Solver:
             if confl != -1:
                 self._mark_broken(self._conflict_core_at_level0(confl))
                 return -1
-        # Simplify against level-0 assignments and duplicates.  The ids of
-        # the unit chains that falsified removed literals become part of
-        # this clause's "derivation" so cores stay sufficient.  Literals
-        # false above level 0 (a kept trail) stay in the clause, after
-        # the ones that are not false, so those come first as watches.
+        # One pass: convert, range-check, deduplicate and simplify
+        # against level-0 assignments.  The ids of the unit chains that
+        # falsified removed literals become part of this clause's
+        # "derivation" so cores stay sufficient.  Literals false above
+        # level 0 (a kept trail) stay in the clause, after the ones that
+        # are not false, so those come first as watches.  A literal's
+        # value tells which list may hold its duplicate or negation.  An
+        # absorbed clause still range-checks its other literals:
+        # iterating ``lits`` again yields the rest of an iterator and all
+        # of a sequence (checked twice, harmlessly).
+        vals = self._vals
         levels = self._levels
+        top = len(vals) - 1
         out: list[int] = []
         late: list[int] = []
-        seen: set[int] = set()
+        dropped: list[int] = []
         simplify_deps: list[int] = []
-        for lt in ilits:
-            if (lt ^ 1) in seen:
-                return -1  # tautology
-            if lt in seen:
-                continue
-            v = self._lit_value(lt)
-            if v != UNASSIGNED and levels[lt >> 1] == 0:
+        for x in lits:
+            lt = x << 1 if x > 0 else (-x) << 1 | 1
+            if not 2 <= lt <= top:
+                raise ValueError(f"literal {x} references unknown variable")
+            v = vals[lt]
+            if v == UNASSIGNED:
+                if lt in out:
+                    continue
+                if lt ^ 1 in out:
+                    return self._absorb(lits)  # tautology
+                out.append(lt)
+            elif levels[lt >> 1] == 0:
                 if v == _TRUE:
-                    return -1  # clause already satisfied at level 0
+                    # Clause already satisfied at level 0.
+                    return self._absorb(lits)
                 if self.proof_logging:
                     simplify_deps.extend(self._explain_level0(lt >> 1))
-                continue
-            seen.add(lt)
-            if v == _FALSE:
-                late.append(lt)
-            else:
+                dropped.append(lt)
+            elif v == _TRUE:
+                if lt in out:
+                    continue
+                if lt ^ 1 in late:
+                    return self._absorb(lits)  # tautology
                 out.append(lt)
+            else:
+                if lt in late:
+                    continue
+                if lt ^ 1 in out:
+                    return self._absorb(lits)  # tautology
+                late.append(lt)
         open_lits = len(out)
-        out.extend(late)
-        cid = len(self._clauses)
-        self._clauses.append(out if out else list(ilits))
-        self._labels[cid] = label
+        if late:
+            out += late
+        clauses = self._clauses
+        cid = len(clauses)
+        # All literals false at level 0: store them as given.
+        clauses.append(out if out else dropped)
+        if label is not None:
+            self._labels[cid] = label
         self._n_original += 1
         if not out:
-            # All literals false at level 0.
             core = {cid}
             core.update(simplify_deps)
             self._mark_broken(self._expand_to_originals(core))
@@ -401,7 +392,8 @@ class Solver:
             self._simplify_deps[cid] = tuple(set(simplify_deps))
         if self._trail_lim and open_lits < 2 and self._place_under_trail(cid):
             return cid
-        if len(out) == 1:
+        n = len(out)
+        if n == 1:
             if not self._enqueue(out[0], cid):
                 raise AssertionError("unit enqueue cannot conflict after simplification")
             confl = self._propagate()
@@ -409,8 +401,28 @@ class Solver:
                 core = self._conflict_core_at_level0(confl)
                 self._mark_broken(core)
             return cid
-        self._attach(cid)
+        l0 = out[0]
+        l1 = out[1]
+        if n == 2:
+            bins = self._bin_watches
+            bins[l0].append((cid, l1))
+            bins[l1].append((cid, l0))
+        else:
+            w = self._watches[l0]
+            w.append(cid)
+            w.append(l1)
+            w = self._watches[l1]
+            w.append(cid)
+            w.append(l0)
         return cid
+
+    def _absorb(self, rest: Iterable[int]) -> int:
+        """Range-check the literals of an absorbed clause; returns -1."""
+        nvars = self.num_vars
+        for x in rest:
+            if not 1 <= abs(x) <= nvars:
+                raise ValueError(f"literal {x} references unknown variable")
+        return -1
 
     #: A solve under a deadline polls the wall clock once per this many
     #: conflicts — frequent enough to stop a hard check within a fraction
@@ -479,6 +491,7 @@ class Solver:
         self.stats.trail_saved_levels += keep
         prof = self.profile
         st = self.stats
+        vals = self._vals
         if prof:
             t0 = time.perf_counter()
         confl = self._propagate()
@@ -566,25 +579,28 @@ class Solver:
                 if prof:
                     st.time_reduce_s += time.perf_counter() - t0
             # Assumption decisions come first, in order.
-            lvl = self._decision_level()
+            if prof:
+                t0 = time.perf_counter()
+            lvl = len(self._trail_lim)
             if lvl < len(iassumps):
                 p = iassumps[lvl]
-                v = self._lit_value(p)
-                if v == _TRUE:
-                    # Already satisfied: open an empty decision level so
-                    # the index into `iassumps` keeps advancing.
-                    self._trail_lim.append(len(self._trail))
-                    self._assump_levels.append(p)
-                    continue
+                v = vals[p]
                 if v == _FALSE:
                     self._analyze_final(p)
                     return self._result(False)
-                self.stats.decisions += 1
                 self._trail_lim.append(len(self._trail))
                 self._assump_levels.append(p)
-                self._enqueue(p, -1)
+                # Already satisfied: the empty decision level keeps the
+                # index into `iassumps` advancing.
+                if v != _TRUE:
+                    st.decisions += 1
+                    self._enqueue(p, -1)
+                if prof:
+                    st.time_decide_s += time.perf_counter() - t0
                 continue
             p = self._pick_branch()
+            if prof:
+                st.time_decide_s += time.perf_counter() - t0
             if p == -1:
                 return self._result(True)
             self.stats.decisions += 1
@@ -606,13 +622,14 @@ class Solver:
         Variables the search never assigned (possible for variables created
         but not constrained) read as False.
         """
-        return self._lit_value(_to_internal(lit)) == _TRUE
+        return self._vals[_to_internal(lit)] == _TRUE
 
     def model(self) -> dict[int, bool]:
         """Full model as ``{var: bool}`` for all assigned variables."""
         out = {}
+        vals = self._vals
         for var in range(1, self.num_vars + 1):
-            a = self._assigns[var]
+            a = vals[var << 1]
             if a != UNASSIGNED:
                 out[var] = a == _TRUE
         return out
@@ -744,12 +761,6 @@ class Solver:
         return SolveResult(sat=sat, failed_assumptions=self._last_failed,
                            stats=self.stats.snapshot())
 
-    def _lit_value(self, ilit: int) -> int:
-        a = self._assigns[ilit >> 1]
-        if a == UNASSIGNED:
-            return UNASSIGNED
-        return a ^ (ilit & 1)
-
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
@@ -760,20 +771,28 @@ class Solver:
         # in the watch entry.
         lits = self._clauses[cid]
         assert lits is not None and len(lits) >= 2
+        l0 = lits[0]
+        l1 = lits[1]
         if len(lits) == 2:
-            self._bin_watches[lits[0]].append((cid, lits[1]))
-            self._bin_watches[lits[1]].append((cid, lits[0]))
+            self._bin_watches[l0].append((cid, l1))
+            self._bin_watches[l1].append((cid, l0))
         else:
-            self._watches[lits[0]].append((cid, lits[1]))
-            self._watches[lits[1]].append((cid, lits[0]))
+            w = self._watches[l0]
+            w.append(cid)
+            w.append(l1)
+            w = self._watches[l1]
+            w.append(cid)
+            w.append(l0)
 
     def _enqueue(self, ilit: int, reason: int) -> bool:
-        v = self._lit_value(ilit)
+        vals = self._vals
+        v = vals[ilit]
         if v != UNASSIGNED:
             return v == _TRUE
+        vals[ilit] = _TRUE
+        vals[ilit ^ 1] = _FALSE
         var = ilit >> 1
-        self._assigns[var] = (ilit & 1) ^ 1
-        self._levels[var] = self._decision_level()
+        self._levels[var] = len(self._trail_lim)
         self._reasons[var] = reason
         self._trail.append(ilit)
         return True
@@ -786,8 +805,9 @@ class Solver:
         levels stay, and :meth:`_cancel_until` keeps the literal and
         re-queues it for propagation at whatever level remains.
         """
+        self._vals[ilit] = _TRUE
+        self._vals[ilit ^ 1] = _FALSE
         var = ilit >> 1
-        self._assigns[var] = (ilit & 1) ^ 1
         self._levels[var] = 0
         self._reasons[var] = reason
         self._trail.append(ilit)
@@ -805,11 +825,11 @@ class Solver:
         caller's level-0 path takes over.
         """
         lits = self._clauses[cid]
-        assigns = self._assigns
+        vals = self._vals
         levels = self._levels
         if len(lits) == 1:
             u = lits[0]
-            v = self._lit_value(u)
+            v = vals[u]
             if v == _TRUE:
                 # Promote in place: the literal becomes a root fact.
                 levels[u >> 1] = 0
@@ -826,8 +846,7 @@ class Solver:
         top = len(self._trail_lim) + 1
 
         def rank(lt: int) -> int:
-            a = assigns[lt >> 1]
-            if a == UNASSIGNED or (a ^ (lt & 1)) == _TRUE:
+            if vals[lt] != _FALSE:
                 return top
             return levels[lt >> 1]
 
@@ -844,7 +863,7 @@ class Solver:
                 return True
         # lits[0] is the only literal not false; the rest imply it at r1.
         u = lits[0]
-        if self._lit_value(u) == _TRUE and levels[u >> 1] <= r1:
+        if vals[u] == _TRUE and levels[u >> 1] <= r1:
             self._attach(cid)
             return True
         self._cancel_until(r1)
@@ -859,85 +878,89 @@ class Solver:
         """
         trail = self._trail
         clauses = self._clauses
-        assigns = self._assigns
+        vals = self._vals
         watches = self._watches
         bins = self._bin_watches
         levels = self._levels
         reasons = self._reasons
         qhead = self._qhead
+        lvl = len(self._trail_lim)
         nprops = 0
         while qhead < len(trail):
             p = trail[qhead]
             qhead += 1
             nprops += 1
             false_lit = p ^ 1
-            lvl = len(self._trail_lim)
             # Binary implications: no clause-object access at all.
             for cid, other in bins[false_lit]:
-                a = assigns[other >> 1]
+                a = vals[other]
                 if a == UNASSIGNED:
+                    vals[other] = _TRUE
+                    vals[other ^ 1] = _FALSE
                     var = other >> 1
-                    assigns[var] = (other & 1) ^ 1
                     levels[var] = lvl
                     reasons[var] = cid
                     trail.append(other)
-                elif (a ^ (other & 1)) == _FALSE:
+                elif a == _FALSE:
                     self._qhead = len(trail)
                     self.stats.propagations += nprops
                     return cid
+            # Long clauses: ``cid, blocker`` slot pairs, compacted in
+            # place (j trails i) as watches move to other literals.
             wl = watches[false_lit]
             i = 0
             j = 0
             n = len(wl)
             while i < n:
-                cid, blocker = wl[i]
-                i += 1
-                ab = assigns[blocker >> 1]
-                if ab != UNASSIGNED and (ab ^ (blocker & 1)) == _TRUE:
+                cid = wl[i]
+                blocker = wl[i + 1]
+                i += 2
+                if vals[blocker] == _TRUE:
                     # Satisfied via the blocker: keep the watch untouched.
-                    wl[j] = (cid, blocker)
-                    j += 1
+                    wl[j] = cid
+                    wl[j + 1] = blocker
+                    j += 2
                     continue
                 lits = clauses[cid]
                 if lits is None:
                     continue  # deleted clause; watcher dropped
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                a0 = assigns[first >> 1]
-                if a0 != UNASSIGNED and (a0 ^ (first & 1)) == _TRUE:
-                    wl[j] = (cid, first)
-                    j += 1
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                a0 = vals[first]
+                if a0 == _TRUE:
+                    wl[j] = cid
+                    wl[j + 1] = first
+                    j += 2
                     continue
-                moved = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
-                    ak = assigns[lk >> 1]
-                    if ak == UNASSIGNED or (ak ^ (lk & 1)) == _TRUE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watches[lits[1]].append((cid, first))
-                        moved = True
+                    if vals[lk] != _FALSE:
+                        lits[k] = lits[1]
+                        lits[1] = lk
+                        w = watches[lk]
+                        w.append(cid)
+                        w.append(first)
                         break
-                if moved:
-                    continue
-                wl[j] = (cid, first)
-                j += 1
-                if a0 == UNASSIGNED:
-                    var = first >> 1
-                    assigns[var] = (first & 1) ^ 1
-                    levels[var] = lvl
-                    reasons[var] = cid
-                    trail.append(first)
                 else:
-                    # Conflict: keep remaining watchers, stop.
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    del wl[j:]
-                    self._qhead = len(trail)
-                    self.stats.propagations += nprops
-                    return cid
+                    wl[j] = cid
+                    wl[j + 1] = first
+                    j += 2
+                    if a0 == UNASSIGNED:
+                        vals[first] = _TRUE
+                        vals[first ^ 1] = _FALSE
+                        var = first >> 1
+                        levels[var] = lvl
+                        reasons[var] = cid
+                        trail.append(first)
+                    else:
+                        # Conflict: keep remaining watchers, stop.
+                        del wl[j:i]
+                        self._qhead = len(trail)
+                        self.stats.propagations += nprops
+                        return cid
             del wl[j:]
         self._qhead = qhead
         self.stats.propagations += nprops
@@ -1074,7 +1097,7 @@ class Solver:
         if self.proof_logging:
             self._derivations[cid] = tuple(set(used))
         if len(learnt) == 1:
-            if self._lit_value(learnt[0]) != UNASSIGNED:
+            if self._vals[learnt[0]] != UNASSIGNED:
                 raise AssertionError("asserting unit conflicts after backtrack")
             self._enqueue_root(learnt[0], cid)
         else:
@@ -1131,30 +1154,40 @@ class Solver:
         return self._expand_to_originals(cids)
 
     def _analyze_final(self, p: int) -> None:
-        """Assumption ``p`` is falsified: build failed set and core."""
+        """Assumption ``p`` is falsified: build failed set and core.
+
+        Walks the implication graph behind ``p`` back to its decisions.
+        Level-0 variables are never decisions and their reasons lead
+        only to other level-0 variables, so without proof logging (no
+        core to collect) the walk skips them.
+        """
         failed_internal = {p}
         cids: set[int] = set()
         seen_vars: set[int] = {p >> 1}
         stack = [p >> 1]
+        reasons = self._reasons
+        levels = self._levels
+        clauses = self._clauses
+        min_level = 0 if self.proof_logging else 1
         while stack:
             v = stack.pop()
-            r = self._reasons[v]
+            r = reasons[v]
             if r == -1:
-                if self._levels[v] > 0:
+                if levels[v] > 0:
                     # A decision: under assumption-first search this is an
                     # assumption literal (the value actually decided).
-                    a = self._assigns[v]
-                    lit = v << 1 | (0 if a == _TRUE else 1)
+                    lit = v << 1 | (0 if self._vals[v << 1] == _TRUE else 1)
                     failed_internal.add(lit)
                 continue
             cids.add(r)
-            lits = self._clauses[r]
+            lits = clauses[r]
             assert lits is not None
             for q in lits:
                 w = q >> 1
                 if w not in seen_vars:
                     seen_vars.add(w)
-                    stack.append(w)
+                    if levels[w] >= min_level:
+                        stack.append(w)
         self._last_failed = tuple(sorted(_to_external(lt) for lt in failed_internal))
         if self.proof_logging:
             self._unsat_core_cids = self._expand_to_originals(cids)
@@ -1195,11 +1228,14 @@ class Solver:
             return
         bound = self._trail_lim[level]
         trail = self._trail
-        assigns = self._assigns
+        vals = self._vals
         saved = self._saved_phase
         reasons = self._reasons
-        insert = self._order.insert
         levels = self._levels
+        order = self._order
+        heap = order.heap
+        pos = order.pos
+        act = order.activity
         kept: list[int] = []
         for i in range(len(trail) - 1, bound - 1, -1):
             ilit = trail[i]
@@ -1207,10 +1243,25 @@ class Solver:
             if levels[var] == 0:
                 kept.append(ilit)
                 continue
-            saved[var] = assigns[var]
-            assigns[var] = UNASSIGNED
+            saved[var] = ilit & 1
+            vals[ilit] = UNASSIGNED
+            vals[ilit ^ 1] = UNASSIGNED
             reasons[var] = -1
-            insert(var)
+            if pos[var] == -1:
+                # Re-insert into the order heap: append, sift up.
+                a = act[var]
+                j = len(heap)
+                heap.append(var)
+                while j > 0:
+                    parent = (j - 1) >> 1
+                    pv = heap[parent]
+                    if act[pv] >= a:
+                        break
+                    heap[j] = pv
+                    pos[pv] = j
+                    j = parent
+                heap[j] = var
+                pos[var] = j
         del trail[bound:]
         kept.reverse()
         trail.extend(kept)
@@ -1234,7 +1285,7 @@ class Solver:
         if fixed == self._simplified_fixed:
             return
         self._simplified_fixed = fixed
-        assigns = self._assigns
+        vals = self._vals
         proof = self.proof_logging
         locked = {self._reasons[lt >> 1] for lt in self._trail}
         keep: list[int] = []
@@ -1248,10 +1299,10 @@ class Solver:
             sat = False
             nfalse = 0
             for lt in lits:
-                a = assigns[lt >> 1]
+                a = vals[lt]
                 if a == UNASSIGNED:
                     continue
-                if (a ^ (lt & 1)) == _TRUE:
+                if a == _TRUE:
                     sat = True
                     break
                 nfalse += 1
@@ -1267,15 +1318,14 @@ class Solver:
                 # Watched positions (0, 1) cannot be root-false in an
                 # unsatisfied clause after level-0 propagation; guard
                 # anyway and leave such a clause untouched.
-                if (assigns[lits[0] >> 1] != UNASSIGNED
-                        or assigns[lits[1] >> 1] != UNASSIGNED):
+                if (vals[lits[0]] != UNASSIGNED
+                        or vals[lits[1]] != UNASSIGNED):
                     keep.append(cid)
                     continue
                 deps: list[int] = []
                 new: list[int] = []
                 for lt in lits:
-                    a = assigns[lt >> 1]
-                    if a != UNASSIGNED and (a ^ (lt & 1)) == _FALSE:
+                    if vals[lt] == _FALSE:
                         if proof:
                             deps.extend(self._explain_level0(lt >> 1))
                         continue
@@ -1327,12 +1377,41 @@ class Solver:
         self._cla_inc *= self._cla_decay
 
     def _pick_branch(self) -> int:
+        """Pop the most active unassigned variable; -1 when none is left.
+
+        The decision literal takes the variable's saved phase.
+        """
         order = self._order
-        assigns = self._assigns
-        while len(order):
-            var = order.pop_max()
-            if assigns[var] == UNASSIGNED:
-                return var << 1 | (1 if self._saved_phase[var] == _FALSE else 0)
+        heap = order.heap
+        pos = order.pos
+        act = order.activity
+        vals = self._vals
+        while heap:
+            var = heap[0]
+            pos[var] = -1
+            last = heap.pop()
+            n = len(heap)
+            if n:
+                # Sift ``last`` down from the root.
+                a = act[last]
+                i = 0
+                while True:
+                    child = 2 * i + 1
+                    if child >= n:
+                        break
+                    right = child + 1
+                    if right < n and act[heap[right]] > act[heap[child]]:
+                        child = right
+                    cv = heap[child]
+                    if a >= act[cv]:
+                        break
+                    heap[i] = cv
+                    pos[cv] = i
+                    i = child
+                heap[i] = last
+                pos[last] = i
+            if vals[var << 1] == UNASSIGNED:
+                return var << 1 | self._saved_phase[var]
         return -1
 
     def _reduce_db(self) -> None:

@@ -69,6 +69,9 @@ class TestCli:
         lines = re.findall(r"profile encode\s+([0-9.]+)s \(n=(\d+)\)", out)
         assert len(lines) == len(re.findall(r"^\S.*: ", out, re.M)) > 1
         assert all(n == "4" and float(secs) > 0 for secs, n in lines)
+        # The solver split names decision picks next to propagation.
+        assert "profile solver.decide" in out
+        assert "profile solver.propagate" in out
 
     def test_ablation_flags(self, capsys):
         rc = main(["verify", "stack_machine", "--property", "can_reach_depth3",

@@ -221,6 +221,21 @@ class TestProfile:
         assert plain.stats.solver["time_propagate_s"] \
             == profiled.stats.solver["time_propagate_s"]
 
+    def test_profile_times_decisions_without_moving_the_search(self):
+        counters = ("conflicts", "decisions", "propagations", "learned",
+                    "restarts", "trail_saved_levels")
+        stats = {}
+        for profile in (False, True):
+            opts = BmcOptions(max_depth=6, find_proof=False, profile=profile)
+            session = EncodingSession(small_soc(), opts)
+            verify_many(session.design, options=opts, session=session)
+            stats[profile] = session.solver.stats
+        assert ([getattr(stats[True], c) for c in counters]
+                == [getattr(stats[False], c) for c in counters])
+        assert stats[True].decisions > 0
+        assert stats[True].time_decide_s > 0
+        assert stats[False].time_decide_s == 0
+
     def test_shared_encode_is_timed_for_every_property(self, monkeypatch):
         sleep_s = 0.01
         extend_to = EncodingSession.extend_to

@@ -79,9 +79,11 @@ def _check_answer(s, clauses, assumps, res, proof):
         assert check_core(s, assumps)
 
 
-def _run_session(seed, proof):
+def _run_session(seed, proof, instrument=None):
     rng = random.Random(seed)
     s = Solver(proof=proof)
+    if instrument is not None:
+        instrument(s)
     for _ in range(NVARS):
         s.new_var()
     clauses = []
@@ -121,6 +123,51 @@ def test_kept_trail_matches_fresh_solver(seed):
 @pytest.mark.parametrize("seed", range(50))
 def test_kept_trail_with_proof_logging_certifies(seed):
     _run_session(7000 + seed, proof=True)
+
+
+def _full_walk_failed(s, p):
+    """Failed assumptions behind falsified assumption ``p``, walking the
+    whole implication graph, level-0 facts included."""
+    failed = {p}
+    seen = {p >> 1}
+    stack = [p >> 1]
+    level0 = 0
+    while stack:
+        v = stack.pop()
+        r = s._reasons[v]
+        if s._levels[v] == 0:
+            level0 += 1
+        if r == -1:
+            if s._levels[v] > 0:
+                failed.add(v << 1 | (s._vals[v << 1] != 1))
+            continue
+        for q in s._clauses[r]:
+            if q >> 1 not in seen:
+                seen.add(q >> 1)
+                stack.append(q >> 1)
+    ext = tuple(sorted(-(lt >> 1) if lt & 1 else lt >> 1 for lt in failed))
+    return ext, level0
+
+
+def test_failed_assumptions_skip_level0_walk():
+    """Without proof logging the final-conflict walk skips level-0
+    variables; the failed assumptions must equal the full walk's."""
+    level0_walked = 0
+    for seed in range(60):
+        def instrument(s):
+            analyze_final = s._analyze_final
+
+            def checked(p):
+                nonlocal level0_walked
+                expected, level0 = _full_walk_failed(s, p)
+                level0_walked += level0
+                analyze_final(p)
+                assert s.failed_assumptions() == expected
+
+            s._analyze_final = checked
+
+        _run_session(seed, proof=False, instrument=instrument)
+    assert level0_walked > 0
 
 
 def _prefixed_solver(proof):
