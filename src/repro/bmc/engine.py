@@ -103,7 +103,7 @@ class BmcOptions:
     #: Collect wall-clock phase breakdowns into
     #: :attr:`repro.bmc.results.BmcRunStats.profile`: scheduler-level
     #: encode vs solve, plus the solver's internal
-    #: propagate/analyze/reduce/simplify split.  A *run* knob (CLI
+    #: propagate/analyze/decide/reduce/simplify split.  A *run* knob (CLI
     #: ``--profile``): it changes what is measured, never what is
     #: encoded, so it is excluded from :meth:`encoding_key`.
     profile: bool = False

@@ -81,7 +81,7 @@ class BmcRunStats:
     #: Wall-clock phase breakdown, populated only under
     #: ``BmcOptions.profile`` (CLI ``--profile``): scheduler-level
     #: ``encode`` vs ``solve`` phases as ``{"s": seconds, "n": calls}``,
-    #: plus the solver's internal propagate/analyze/reduce/simplify
+    #: plus the solver's internal propagate/analyze/decide/reduce/simplify
     #: times under ``solver_*`` keys.  Empty when profiling is off.
     profile: dict = field(default_factory=dict)
     #: Which abort limit fired on a TIMEOUT outcome: ``"wall"``

@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("--profile", action="store_true",
                           help="measure wall-clock phases (encode vs "
                                "solve, and the solver's propagate/"
-                               "analyze/reduce/simplify split)")
+                               "analyze/decide/reduce/simplify split)")
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="worker processes for multi-property "
                                "verification (1 = in-process on one "

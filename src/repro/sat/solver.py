@@ -49,43 +49,6 @@ from typing import Hashable, Iterable, Optional, Sequence
 from repro.utils.luby import luby
 
 
-class _VarOrder:
-    """Indexed max-heap over variable activities (MiniSat's order heap).
-
-    Position tracking keeps each variable in the heap at most once, so
-    backtracking re-inserts cheaply and decisions never wade through
-    stale duplicates.  The hot operations live inline in the solver:
-    :meth:`Solver.new_var` appends (activity 0.0 never outranks a
-    parent), :meth:`Solver._cancel_until` re-inserts with a sift-up and
-    :meth:`Solver._pick_branch` pops with a sift-down.  Only the bump
-    after an activity increase goes through here.
-    """
-
-    __slots__ = ("activity", "heap", "pos")
-
-    def __init__(self, activity: list[float]) -> None:
-        self.activity = activity
-        self.heap: list[int] = []
-        self.pos: list[int] = [-1]
-
-    def bumped(self, var: int) -> None:
-        i = self.pos[var]
-        if i == -1:
-            return
-        heap, pos, act = self.heap, self.pos, self.activity
-        a = act[var]
-        while i > 0:
-            parent = (i - 1) >> 1
-            pv = heap[parent]
-            if act[pv] >= a:
-                break
-            heap[i] = pv
-            pos[pv] = i
-            i = parent
-        heap[i] = var
-        pos[var] = i
-
-
 UNASSIGNED = -1
 
 _TRUE = 1
@@ -235,7 +198,12 @@ class Solver:
         self._var_decay = 1.0 / 0.95
         self._cla_inc = 1.0
         self._cla_decay = 1.0 / 0.999
-        self._order = _VarOrder(self._activity)
+        # VSIDS order: an indexed max-heap over ``_activity`` (MiniSat's
+        # order heap).  ``_heap_pos[var]`` is the variable's heap index,
+        # -1 when it is out of the heap, so each variable sits in the
+        # heap at most once.  Unassigned variables are always in it.
+        self._heap: list[int] = []
+        self._heap_pos: list[int] = [-1]
         self._max_learnts = 4000.0
         self._learnt_growth = 1.1
         # Terminal state.
@@ -265,9 +233,8 @@ class Solver:
         self._seen.append(False)
         var = len(self._levels) - 1
         # Activity 0.0 never outranks a parent: the new leaf stays put.
-        heap = self._order.heap
-        heap.append(var)
-        self._order.pos.append(len(heap) - 1)
+        self._heap_pos.append(len(self._heap))
+        self._heap.append(var)
         return var
 
     @property
@@ -1232,10 +1199,9 @@ class Solver:
         saved = self._saved_phase
         reasons = self._reasons
         levels = self._levels
-        order = self._order
-        heap = order.heap
-        pos = order.pos
-        act = order.activity
+        heap = self._heap
+        pos = self._heap_pos
+        act = self._activity
         kept: list[int] = []
         for i in range(len(trail) - 1, bound - 1, -1):
             ilit = trail[i]
@@ -1342,12 +1308,29 @@ class Solver:
     # -- heuristics ----------------------------------------------------
 
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, len(self._activity)):
-                self._activity[v] *= 1e-100
+        act = self._activity
+        act[var] += self._var_inc
+        if act[var] > 1e100:
+            for v in range(1, len(act)):
+                act[v] *= 1e-100
             self._var_inc *= 1e-100
-        self._order.bumped(var)
+        i = self._heap_pos[var]
+        if i == -1:
+            return
+        # Sift up to the variable's new rank.
+        heap = self._heap
+        pos = self._heap_pos
+        a = act[var]
+        while i > 0:
+            parent = (i - 1) >> 1
+            pv = heap[parent]
+            if act[pv] >= a:
+                break
+            heap[i] = pv
+            pos[pv] = i
+            i = parent
+        heap[i] = var
+        pos[var] = i
 
     def _bump_clause(self, cid: int) -> None:
         act = self._clause_act.get(cid)
@@ -1381,10 +1364,9 @@ class Solver:
 
         The decision literal takes the variable's saved phase.
         """
-        order = self._order
-        heap = order.heap
-        pos = order.pos
-        act = order.activity
+        heap = self._heap
+        pos = self._heap_pos
+        act = self._activity
         vals = self._vals
         while heap:
             var = heap[0]

@@ -54,15 +54,14 @@ def check_layout(s):
     for cid, lits in enumerate(s._clauses):
         if lits is not None and len(lits) >= 2 and not s.is_broken:
             assert {lits[0], lits[1]} <= watched.get(cid, set()), (cid, lits)
-    order = s._order
-    for i, var in enumerate(order.heap):
-        assert order.pos[var] == i
+    heap, pos, act = s._heap, s._heap_pos, s._activity
+    for i, var in enumerate(heap):
+        assert pos[var] == i
         if i:
-            parent = order.heap[(i - 1) >> 1]
-            assert order.activity[parent] >= order.activity[var]
+            assert act[heap[(i - 1) >> 1]] >= act[var]
     for v in range(1, s.num_vars + 1):
         if vals[2 * v] == UNASSIGNED:
-            assert order.pos[v] != -1, v
+            assert pos[v] != -1, v
     return stale
 
 
