@@ -8,6 +8,10 @@ constraints, never expanded — which is also how the test-suite
 cross-validates EMM against the explicit expansion: the miter of a
 design and ``expand_memories(design)`` must be unfalsifiable.
 
+Each side is a :class:`repro.design.rewrite.DesignCopy` of its design
+with every latch and memory renamed ``a::name`` / ``b::name``; the
+primary inputs are declared once, after both sides' state, and shared.
+
 Arbitrary-initial-state memories need care: by default each side's
 memory starts with its *own* arbitrary contents, so a miter of two
 sorters over uninitialized arrays is trivially falsifiable.  Passing
@@ -23,54 +27,10 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.design.netlist import Design, Expr
-from repro.design.rewrite import ExprRewriter
+from repro.design.rewrite import DesignCopy
 
 #: Separator used when prefixing per-side state names inside the miter.
 SIDE_SEP = "::"
-
-
-class MiterSide:
-    """One copied design inside the miter, with its rewriter."""
-
-    def __init__(self, product: Design, source: Design, prefix: str) -> None:
-        self.source = source
-        self.prefix = prefix
-        self.rewriter = ExprRewriter(
-            source, product,
-            latch_rename=lambda n: f"{prefix}{SIDE_SEP}{n}")
-        self._declare(product)
-
-    def _declare(self, product: Design) -> None:
-        pre = self.prefix
-        for latch in self.source.latches.values():
-            product.latch(f"{pre}{SIDE_SEP}{latch.name}", latch.width,
-                          latch.init)
-        for mem in self.source.memories.values():
-            copy = product.memory(
-                f"{pre}{SIDE_SEP}{mem.name}", mem.addr_width, mem.data_width,
-                read_ports=mem.num_read_ports,
-                write_ports=mem.num_write_ports, init=mem.init,
-                init_words=mem.init_words)
-            for port in mem.read_ports:
-                self.rewriter.memread_map[(mem.name, port.index)] = \
-                    copy.read(port.index).data
-
-    def finish(self, product: Design) -> None:
-        """Wire next-state functions and memory ports (post input decl)."""
-        rw = self.rewriter
-        pre = self.prefix
-        for mem in self.source.memories.values():
-            copy = product.memories[f"{pre}{SIDE_SEP}{mem.name}"]
-            for port in mem.read_ports:
-                copy.read(port.index).connect(
-                    addr=rw.rewrite(port.addr), en=rw.rewrite(port.en))
-            for port in mem.write_ports:
-                copy.write(port.index).connect(
-                    addr=rw.rewrite(port.addr), data=rw.rewrite(port.data),
-                    en=rw.rewrite(port.en))
-        for latch in self.source.latches.values():
-            product.latches[f"{pre}{SIDE_SEP}{latch.name}"].next = \
-                rw.rewrite(latch.next)
 
 
 def build_miter(a: Design, b: Design,
@@ -93,12 +53,12 @@ def build_miter(a: Design, b: Design,
     if not outputs:
         raise ValueError("no output pairs to compare")
     product = Design(name or f"miter({a.name},{b.name})")
-    side_a = MiterSide(product, a, "a")
-    side_b = MiterSide(product, b, "b")
+    side_a = DesignCopy(a, product, prefix=f"a{SIDE_SEP}")
+    side_b = DesignCopy(b, product, prefix=f"b{SIDE_SEP}")
     for inp in a.inputs.values():
         product.input(inp.name, inp.width)
-    side_a.finish(product)
-    side_b.finish(product)
+    side_a.finish(properties=False)
+    side_b.finish(properties=False)
     checks = []
     for i, (ea, eb) in enumerate(outputs):
         if ea.design is not a or eb.design is not b:
@@ -106,7 +66,7 @@ def build_miter(a: Design, b: Design,
         if ea.width != eb.width:
             raise ValueError(f"output pair {i} width mismatch "
                              f"({ea.width} vs {eb.width})")
-        eq = side_a.rewriter.rewrite(ea).eq(side_b.rewriter.rewrite(eb))
+        eq = side_a.rewrite(ea).eq(side_b.rewrite(eb))
         product.invariant(f"equiv_{i}", eq)
         checks.append(eq)
     product.invariant("equiv", product.and_many(checks))

@@ -12,8 +12,8 @@ which is what makes BMC blow up and motivates EMM.
 
 from __future__ import annotations
 
-from repro.design.netlist import Design, Expr
-from repro.design.rewrite import ExprRewriter
+from repro.design.netlist import Design, Expr, Memory
+from repro.design.rewrite import DesignCopy
 
 
 def word_latch_name(mem_name: str, address: int) -> str:
@@ -27,32 +27,24 @@ def expand_memories(design: Design) -> Design:
     out = Design(f"{design.name}__explicit")
     for inp in design.inputs.values():
         out.input(inp.name, inp.width)
-    for latch in design.latches.values():
-        out.latch(latch.name, latch.width, latch.init)
-    word_latches: dict[str, list] = {}
-    for mem in design.memories.values():
-        words = [
-            out.latch(word_latch_name(mem.name, a), mem.data_width,
-                      mem.initial_word(a))
-            for a in range(mem.num_words)
-        ]
-        word_latches[mem.name] = words
+    copy = DesignCopy(design, out, replaced=frozenset(design.memories))
+    word_latches = {
+        mem.name: [out.latch(word_latch_name(mem.name, a), mem.data_width,
+                             mem.initial_word(a))
+                   for a in range(mem.num_words)]
+        for mem in design.memories.values()
+    }
 
-    rw = ExprRewriter(design, out)
+    def read_data(mem: Memory, port_index: int) -> Expr:
+        addr = copy.rewrite(mem.read_ports[port_index].addr)
+        return _mux_tree(out, [w.expr for w in word_latches[mem.name]], addr)
 
-    # Resolve read ports in dependency order so chained reads (port B's
-    # address uses port A's data) rewrite correctly.
-    for mem_name, port_index in design.port_evaluation_order():
-        mem = design.memories[mem_name]
-        port = mem.read_ports[port_index]
-        addr = rw.rewrite(port.addr)
-        data = _mux_tree(out, [w.expr for w in word_latches[mem_name]], addr)
-        rw.memread_map[(mem_name, port_index)] = data
+    copy.finish(read_data)
 
     # Word latch next-state: write decoders chained over write ports.
     for mem in design.memories.values():
         writes = [
-            (rw.rewrite(p.addr), rw.rewrite(p.en), rw.rewrite(p.data))
+            (copy.rewrite(p.addr), copy.rewrite(p.en), copy.rewrite(p.data))
             for p in mem.write_ports
         ]
         for a, word in enumerate(word_latches[mem.name]):
@@ -61,16 +53,6 @@ def expand_memories(design: Design) -> Design:
                 hit = en & addr.eq(a)
                 nxt = hit.ite(data, nxt)
             word.next = nxt
-
-    for latch in design.latches.values():
-        out.latches[latch.name].next = rw.rewrite(latch.next)
-
-    for prop in design.properties.values():
-        expr = rw.rewrite(prop.expr)
-        if prop.kind == "invariant":
-            out.invariant(prop.name, expr)
-        else:
-            out.reach(prop.name, expr)
     out.validate()
     return out
 

@@ -18,57 +18,26 @@ Steps, mirroring Section 5 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.bmc.engine import BmcOptions, verify, verify_many
 from repro.bmc.results import PROOF, BmcResult
-from repro.design.netlist import Design
-from repro.design.rewrite import ExprRewriter
+from repro.design.netlist import Design, Expr, Memory
+from repro.design.rewrite import DesignCopy
 
 
-def _clone_without_memory(design: Design, mem_name: str,
-                          suffix: str) -> tuple[Design, ExprRewriter]:
+def _replace_memory(design: Design, mem_name: str, suffix: str,
+                    read_data: Callable[[Design, Memory, int], Expr]
+                    ) -> Design:
+    """Copy of ``design`` without memory ``mem_name``; each of its read
+    ports reads ``read_data(copy, mem, port_index)`` instead."""
     if mem_name not in design.memories:
         raise KeyError(f"no memory named {mem_name!r}")
     out = Design(f"{design.name}__{suffix}")
     for inp in design.inputs.values():
         out.input(inp.name, inp.width)
-    for latch in design.latches.values():
-        out.latch(latch.name, latch.width, latch.init)
-    rw = ExprRewriter(design, out)
-    return out, rw
-
-
-def _finish_clone(design: Design, out: Design, rw: ExprRewriter,
-                  mem_name: str) -> Design:
-    # Keep all other memories intact.
-    for mem in design.memories.values():
-        if mem.name == mem_name:
-            continue
-        clone = out.memory(mem.name, mem.addr_width, mem.data_width,
-                           mem.num_read_ports, mem.num_write_ports, mem.init,
-                           mem.init_words)
-        for port in mem.read_ports:
-            rw.memread_map[(mem.name, port.index)] = clone.read(port.index).data
-    for mem in design.memories.values():
-        if mem.name == mem_name:
-            continue
-        clone = out.memories[mem.name]
-        for port in mem.read_ports:
-            clone.read(port.index).connect(addr=rw.rewrite(port.addr),
-                                           en=rw.rewrite(port.en))
-        for port in mem.write_ports:
-            clone.write(port.index).connect(addr=rw.rewrite(port.addr),
-                                            data=rw.rewrite(port.data),
-                                            en=rw.rewrite(port.en))
-    for latch in design.latches.values():
-        out.latches[latch.name].next = rw.rewrite(latch.next)
-    for prop in design.properties.values():
-        expr = rw.rewrite(prop.expr)
-        if prop.kind == "invariant":
-            out.invariant(prop.name, expr)
-        else:
-            out.reach(prop.name, expr)
+    DesignCopy(design, out, replaced=frozenset({mem_name})).finish(
+        lambda mem, index: read_data(out, mem, index))
     out.validate()
     return out
 
@@ -81,12 +50,9 @@ def abstract_memory_reads(design: Design, mem_name: str,
     ``read_value`` at read time (e.g. zero-initialised and only ever
     written with zero).
     """
-    out, rw = _clone_without_memory(design, mem_name, f"rd_const{read_value}")
-    mem = design.memories[mem_name]
-    for port in mem.read_ports:
-        rw.memread_map[(mem_name, port.index)] = out.const(read_value,
-                                                           mem.data_width)
-    return _finish_clone(design, out, rw, mem_name)
+    return _replace_memory(
+        design, mem_name, f"rd_const{read_value}",
+        lambda out, mem, index: out.const(read_value, mem.data_width))
 
 
 def free_memory_reads(design: Design, mem_name: str) -> Design:
@@ -95,12 +61,10 @@ def free_memory_reads(design: Design, mem_name: str) -> Design:
     Over-approximates (reads can return anything), so witnesses found on
     the result may be spurious — the paper's depth-7 experience.
     """
-    out, rw = _clone_without_memory(design, mem_name, "rd_free")
-    mem = design.memories[mem_name]
-    for port in mem.read_ports:
-        free = out.input(f"{mem_name}_rd{port.index}_free", mem.data_width)
-        rw.memread_map[(mem_name, port.index)] = free
-    return _finish_clone(design, out, rw, mem_name)
+    return _replace_memory(
+        design, mem_name, "rd_free",
+        lambda out, mem, index: out.input(
+            f"{mem_name}_rd{index}_free", mem.data_width))
 
 
 @dataclass
