@@ -177,11 +177,26 @@ class PoolSupervisor:
         return len(self._inflight) + len(self._backlog)
 
     def close(self, cancel_futures: bool = True) -> None:
-        """Shut the pool down; queued work is cancelled, workers reaped."""
+        """Shut the pool down; queued work is cancelled, workers reaped.
+
+        A worker that died while idle may have died holding the call
+        queue's read lock: the other workers then never take their stop
+        sentinel, and the executor's shutdown would wait for them
+        forever. Once any worker has died, the rest are terminated.
+        """
         self._backlog.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=cancel_futures)
-            self._pool = None
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        procs = list((pool._processes or {}).values())
+        manager = pool._executor_manager_thread
+        pool.shutdown(wait=False, cancel_futures=cancel_futures)
+        while manager is not None and manager.is_alive():
+            manager.join(self.poll_s)
+            if any(p.exitcode not in (None, 0) for p in procs):
+                for p in procs:
+                    if p.is_alive():
+                        p.terminate()
 
     def terminate(self) -> None:
         """Hard stop: drop queued work, kill workers, reap the pool.
@@ -190,12 +205,9 @@ class PoolSupervisor:
         awaited — the abandoned-stream path, where nobody will consume
         their results and waiting could block indefinitely.
         """
-        self._backlog.clear()
         self._inflight.clear()
         self._kill_workers()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        self.close()
 
     # -- cancellation (first-CEX-wins) -------------------------------------
 

@@ -354,6 +354,34 @@ class TestSupervisor:
         assert outcomes[0].attempts == 2
         assert outcomes[0].failures == ["error", "error"]
 
+    def test_close_survives_workers_killed_during_shutdown(self):
+        """Idle workers wait on the call queue, one of them holding its
+        read lock.  A worker killed while the pool shuts down must not
+        hang ``close()``, even when it held that lock.  All workers but
+        one are stopped before the shutdown and killed during it; each
+        round spares a different worker, so at most one round spares
+        the lock holder."""
+        def submit(pool, job, attempt):
+            return pool.submit(_flaky, job, attempt, 0)
+
+        for spared in range(4):
+            sup = PoolSupervisor(submit, max_workers=4)
+            assert len(list(sup.run(["a", "b", "c", "d"]))) == 4
+            procs = sorted(sup._pool._processes.values(), key=lambda p: p.pid)
+            assert len(procs) == 4
+            victims = procs[:spared] + procs[spared + 1:]
+            time.sleep(0.2)  # every worker back in the call queue's get()
+            for proc in victims:
+                os.kill(proc.pid, signal.SIGSTOP)
+            closer = threading.Thread(target=sup.close, daemon=True)
+            closer.start()
+            time.sleep(0.2)  # the shutdown is under way
+            for proc in victims:
+                os.kill(proc.pid, signal.SIGKILL)
+            closer.join(timeout=20.0)
+            assert not closer.is_alive(), "close() hung on a dead worker"
+        wait_no_children()
+
     def test_backoff_is_deterministic_and_capped(self):
         policy = RetryPolicy(max_retries=5, backoff_base_s=0.1,
                              backoff_cap_s=0.3, jitter=0.25)
