@@ -39,6 +39,7 @@ from repro.bmc.session import EncodingSession, QuotaExceededError
 from repro.design.netlist import Design
 from repro.perf import (PhaseTimers, current_rss_mb, peak_rss_mb,
                         solver_phase_times)
+from repro.sat import solver as solver_mod
 
 
 @dataclass(frozen=True)
@@ -387,6 +388,7 @@ class BmcEngine:
             stats.profile = {
                 "phases": self._timers.snapshot(),
                 "solver": solver_phase_times(stats.solver),
+                "kernel": "python" if solver_mod._kernel is None else "native",
             }
         trace = None
         validated = None

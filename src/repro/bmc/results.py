@@ -81,8 +81,10 @@ class BmcRunStats:
     #: Wall-clock phase breakdown, populated only under
     #: ``BmcOptions.profile`` (CLI ``--profile``): scheduler-level
     #: ``encode`` vs ``solve`` phases as ``{"s": seconds, "n": calls}``,
-    #: plus the solver's internal propagate/analyze/decide/reduce/simplify
-    #: times under ``solver_*`` keys.  Empty when profiling is off.
+    #: plus the solver's internal propagate/analyze/decide/backtrack/
+    #: reduce/simplify times under ``solver``, and under ``kernel``
+    #: whether its hot loops ran compiled (``"native"``) or in Python
+    #: (``"python"``).  Empty when profiling is off.
     profile: dict = field(default_factory=dict)
     #: Which abort limit fired on a TIMEOUT outcome: ``"wall"``
     #: (``BmcOptions.timeout_s``, enforced as an in-check deadline) or

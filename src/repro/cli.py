@@ -164,6 +164,7 @@ def _print_profile(profile: dict) -> None:
     for phase, secs in sorted(profile.get("solver", {}).items(),
                               key=lambda kv: -kv[1]):
         print(f"  profile solver.{phase:<11s} {secs:8.3f}s")
+    print(f"  profile {'solver.kernel':<18s} {profile['kernel']}")
 
 
 def cmd_verify(args) -> int:

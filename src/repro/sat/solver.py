@@ -38,15 +38,82 @@ each literal's reason.
 Answers are checkable independently of the search: models against the
 clauses, UNSAT answers by RUP over the learned clauses plus a re-solve
 of the core (:mod:`repro.sat.proofcheck`).
+
+The three hot loops — unit propagation, the unassign / heap re-insert
+loop of backtracking and the heap pop of a decision — also exist in C,
+in ``_kernel.c``: the same algorithms, decision for decision, working
+in place on the solver's own lists (packed into context tuples once in
+``__init__``; none of them is ever rebound).  On import the module
+loads ``__pycache__/_kernel_<sha1 of the source>.<ext suffix>``,
+compiling it with ``gcc -O2 -shared -fPIC`` on a miss (to a private
+file moved into place, so concurrent imports never see half a build;
+editing the source rebuilds it).  Where that fails — not CPython, no
+compiler or ``Python.h``, a tree that cannot be written — ``_kernel`` is
+None, ``_kernel_error`` says why, and the pure-Python loops run: the
+package needs nothing beyond the standard library.  Both give the same
+search, so setting ``_kernel`` to None only makes the solver slower.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence
 
 from repro.utils.luby import luby
+
+
+def _load_kernel():
+    """Build (once per source hash) and load the compiled hot loops.
+
+    Returns ``(module, None)``, or ``(None, reason)`` when the kernel
+    cannot be had here: not CPython, no C compiler or ``Python.h``, or a
+    package directory that cannot be written.
+    """
+    try:
+        if sys.implementation.name != "cpython":
+            return None, "not CPython"
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(here, "_kernel.c")
+        with open(src, "rb") as f:
+            digest = hashlib.sha1(f.read()).hexdigest()[:12]
+        path = os.path.join(here, "__pycache__", f"_kernel_{digest}"
+                            + importlib.machinery.EXTENSION_SUFFIXES[0])
+        if not os.path.exists(path):
+            import sysconfig
+
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            # Build under a private name, then move it into place, so a
+            # concurrent import never loads a half-written file.
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                proc = subprocess.run(
+                    ["gcc", "-O2", "-shared", "-fPIC",
+                     "-I" + sysconfig.get_paths()["include"], src, "-o", tmp],
+                    capture_output=True, text=True)
+                if proc.returncode != 0:
+                    return None, proc.stderr.strip() or "gcc failed"
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+        spec = importlib.util.spec_from_file_location("repro.sat._kernel", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module, None
+    except Exception as exc:  # no compiler, read-only tree, bad build
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+#: The compiled propagate / unassign / pick loops (``_kernel.c``), or
+#: None to run the pure-Python loops; ``_kernel_error`` says why not.
+_kernel, _kernel_error = _load_kernel()
 
 
 UNASSIGNED = -1
@@ -95,6 +162,9 @@ class SolverStats:
     time_simplify_s: float = 0.0
     #: Decision picks: the VSIDS pop and the assumption decisions.
     time_decide_s: float = 0.0
+    #: Backtracks of the search loop: after conflicts, at restarts and
+    #: to the kept assumption prefix on entry.
+    time_backtrack_s: float = 0.0
 
     def snapshot(self) -> dict:
         return dict(self.__dict__)
@@ -213,6 +283,16 @@ class Solver:
         self.stats = SolverStats()
         # Scratch used by analyze.
         self._seen: list[bool] = [False]
+        # The lists the compiled kernel works on, packed once: none of
+        # them is ever rebound.
+        self._prop_ctx = (self._trail, self._clauses, self._vals,
+                          self._watches, self._bin_watches, self._levels,
+                          self._reasons)
+        self._unassign_ctx = (self._trail, self._vals, self._saved_phase,
+                              self._reasons, self._levels, self._heap,
+                              self._heap_pos, self._activity)
+        self._pick_ctx = (self._heap, self._heap_pos, self._activity,
+                          self._vals, self._saved_phase)
 
     # ------------------------------------------------------------------
     # Public API
@@ -454,11 +534,11 @@ class Solver:
         limit = min(len(al), len(iassumps))
         while keep < limit and al[keep] == iassumps[keep]:
             keep += 1
-        self._cancel_until(keep)
-        self.stats.trail_saved_levels += keep
         prof = self.profile
         st = self.stats
         vals = self._vals
+        self._backtrack(keep)
+        st.trail_saved_levels += keep
         if prof:
             t0 = time.perf_counter()
         confl = self._propagate()
@@ -496,7 +576,7 @@ class Solver:
                 levels = self._levels
                 clvl = max(levels[q >> 1] for q in self._clauses[confl])
                 if clvl < self._decision_level():
-                    self._cancel_until(clvl)
+                    self._backtrack(clvl)
                 if self._decision_level() == 0:
                     self._mark_broken(self._conflict_core_at_level0(confl))
                     return self._result(False)
@@ -519,7 +599,11 @@ class Solver:
                 if prof:
                     t0 = time.perf_counter()
                 learnt, bt_level, used, lbd = self._analyze(confl)
-                self._cancel_until(bt_level)
+                if prof:
+                    st.time_analyze_s += time.perf_counter() - t0
+                self._backtrack(bt_level)
+                if prof:
+                    t0 = time.perf_counter()
                 self._record_learnt(learnt, used, lbd)
                 if prof:
                     st.time_analyze_s += time.perf_counter() - t0
@@ -532,7 +616,7 @@ class Solver:
                 conflicts_budget = luby(restart_n) * 100
                 conflicts_here = 0
                 self.stats.restarts += 1
-                self._cancel_until(0)
+                self._backtrack(0)
                 if prof:
                     t0 = time.perf_counter()
                 self._simplify_learned()
@@ -843,6 +927,11 @@ class Solver:
 
         Binary implication lists first, then blocker-checked long clauses.
         """
+        if _kernel is not None:
+            confl, self._qhead, nprops = _kernel.propagate(
+                self._prop_ctx, self._qhead, len(self._trail_lim))
+            self.stats.propagations += nprops
+            return confl
         trail = self._trail
         clauses = self._clauses
         vals = self._vals
@@ -1184,6 +1273,15 @@ class Solver:
         if self.proof_logging:
             self._unsat_core_cids = core
 
+    def _backtrack(self, level: int) -> None:
+        """:meth:`_cancel_until`, timed as ``backtrack`` under profile."""
+        if self.profile:
+            t0 = time.perf_counter()
+            self._cancel_until(level)
+            self.stats.time_backtrack_s += time.perf_counter() - t0
+        else:
+            self._cancel_until(level)
+
     def _cancel_until(self, level: int) -> None:
         """Backtrack to ``level``.
 
@@ -1194,6 +1292,17 @@ class Solver:
         if self._decision_level() <= level:
             return
         bound = self._trail_lim[level]
+        if _kernel is not None:
+            _kernel.unassign(self._unassign_ctx, bound)
+        else:
+            self._unassign(bound)
+        del self._trail_lim[level:]
+        del self._assump_levels[level:]
+        if self._qhead > bound:
+            self._qhead = bound
+
+    def _unassign(self, bound: int) -> None:
+        """Unassign the trail above ``bound`` (the kernel's ``unassign``)."""
         trail = self._trail
         vals = self._vals
         saved = self._saved_phase
@@ -1231,10 +1340,6 @@ class Solver:
         del trail[bound:]
         kept.reverse()
         trail.extend(kept)
-        del self._trail_lim[level:]
-        del self._assump_levels[level:]
-        if self._qhead > bound:
-            self._qhead = bound
 
     def _simplify_learned(self) -> None:
         """Shrink learned clauses against permanent level-0 assignments.
@@ -1364,6 +1469,8 @@ class Solver:
 
         The decision literal takes the variable's saved phase.
         """
+        if _kernel is not None:
+            return _kernel.pick(self._pick_ctx)
         heap = self._heap
         pos = self._heap_pos
         act = self._activity

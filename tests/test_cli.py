@@ -69,9 +69,14 @@ class TestCli:
         lines = re.findall(r"profile encode\s+([0-9.]+)s \(n=(\d+)\)", out)
         assert len(lines) == len(re.findall(r"^\S.*: ", out, re.M)) > 1
         assert all(n == "4" and float(secs) > 0 for secs, n in lines)
-        # The solver split names decision picks next to propagation.
+        # The solver split names decision picks and backtracks next to
+        # propagation, and which implementation ran the hot loops.
         assert "profile solver.decide" in out
         assert "profile solver.propagate" in out
+        assert "profile solver.backtrack" in out
+        kernels = re.findall(r"profile solver\.kernel\s+(\w+)$", out, re.M)
+        assert len(kernels) == len(lines)
+        assert set(kernels) <= {"native", "python"}
 
     def test_ablation_flags(self, capsys):
         rc = main(["verify", "stack_machine", "--property", "can_reach_depth3",

@@ -6,8 +6,12 @@ the shared initial-state machinery).  These tests pin the exact solver
 clauses+variables, and the CDCL or EMM counters, of fixed runs; any
 change to what the encoders emit, or to the order they emit it in,
 moves at least one number.  A deliberate encoding change must update
-the pins in the same change.
+the pins in the same change.  Every pin also holds with the pure-Python
+solver loops in place of the compiled kernel: the two search
+identically.
 """
+
+import pytest
 
 from repro.bmc import BmcOptions, EncodingSession, verify_many
 from repro.bmc.engine import BmcEngine
@@ -92,3 +96,13 @@ def test_cpu_gate_encoding_rom_pinned():
     imem = session.emms["imem"].counters
     assert (imem.init_pin_clauses, imem.init_consistency_clauses) == (1755,
                                                                       1404)
+
+
+@pytest.mark.parametrize("pin", [
+    test_multiport_soc_shared_session_pinned,
+    test_quicksort_pba_session_pinned,
+    test_cpu_hybrid_session_pinned,
+    test_cpu_gate_encoding_rom_pinned,
+], ids=lambda pin: pin.__name__[len("test_"):])
+def test_pin_holds_in_each_solver_mode(pin, solver_mode):
+    pin()

@@ -222,6 +222,8 @@ class TestProfile:
             == profiled.stats.solver["time_propagate_s"]
 
     def test_profile_times_decisions_without_moving_the_search(self):
+        # Backtracks are timed apart from analysis; neither timer moves
+        # the search.
         counters = ("conflicts", "decisions", "propagations", "learned",
                     "restarts", "trail_saved_levels")
         stats = {}
@@ -235,6 +237,9 @@ class TestProfile:
         assert stats[True].decisions > 0
         assert stats[True].time_decide_s > 0
         assert stats[False].time_decide_s == 0
+        assert stats[True].conflicts > 0
+        assert stats[True].time_backtrack_s > 0
+        assert stats[False].time_backtrack_s == 0
 
     def test_shared_encode_is_timed_for_every_property(self, monkeypatch):
         sleep_s = 0.01

@@ -125,6 +125,20 @@ def test_kept_trail_with_proof_logging_certifies(seed):
     _run_session(7000 + seed, proof=True)
 
 
+# The sessions above run the compiled kernel when it is built; these run
+# the same seeds on the pure-Python loops.
+@pytest.mark.parametrize("solver_mode", ["python"], indirect=True)
+@pytest.mark.parametrize("seed", range(150))
+def test_kept_trail_without_kernel(seed, solver_mode):
+    _run_session(seed, proof=False)
+
+
+@pytest.mark.parametrize("solver_mode", ["python"], indirect=True)
+@pytest.mark.parametrize("seed", range(50))
+def test_kept_trail_proof_logging_without_kernel(seed, solver_mode):
+    _run_session(7000 + seed, proof=True)
+
+
 def _full_walk_failed(s, p):
     """Failed assumptions behind falsified assumption ``p``, walking the
     whole implication graph, level-0 facts included."""

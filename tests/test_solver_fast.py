@@ -116,6 +116,30 @@ def test_assumption_sequence_answers_are_certified(seed):
                          ctx=(seed, rnd, assumps))
 
 
+# The tests above run the compiled kernel when it is built; these run
+# the same instances on the pure-Python loops.
+without_kernel = pytest.mark.parametrize("solver_mode", ["python"],
+                                         indirect=True)
+
+
+@without_kernel
+@pytest.mark.parametrize("seed", range(25))
+def test_random_cnf_without_kernel(seed, solver_mode):
+    test_random_cnf_answers_are_certified(seed)
+
+
+@without_kernel
+@pytest.mark.parametrize("seed", range(8))
+def test_hard_3sat_without_kernel(seed, solver_mode):
+    test_hard_3sat_answers_are_certified(seed)
+
+
+@without_kernel
+@pytest.mark.parametrize("seed", range(12))
+def test_assumption_sequence_without_kernel(seed, solver_mode):
+    test_assumption_sequence_answers_are_certified(seed)
+
+
 def test_assumption_trail_reuse_keeps_verdicts_and_saves_levels():
     clauses = random_cnf(18, nvars=20)  # seed chosen SAT under the prefix
     s = build(clauses, proof=False)
@@ -297,3 +321,10 @@ def test_verify_many_shares_assumption_trail():
     saved = max(r.stats.solver["trail_saved_levels"]
                 for r in results.values())
     assert saved > 0
+
+
+@without_kernel
+@pytest.mark.parametrize("seed", range(4))
+def test_bmc_oracles_without_kernel(seed, solver_mode):
+    test_bmc_verify_matches_independent_oracle(seed)
+    test_verify_many_matches_independent_oracle(seed)

@@ -10,7 +10,8 @@ restarts (forced every few conflicts), clause-database reductions
 no glue tier pinned) and
 root-level shrinking.  Every answer is checked against the truth table
 in ``tests/sat_oracle.py`` and the layout invariants are checked after
-every solve.
+every solve.  The compiled kernel and the pure-Python loops must leave
+the same layout behind, slot for slot.
 """
 
 import random
@@ -33,6 +34,17 @@ def _random_clause(rng, widths=(1, 2, 2, 3, 3, 3, 3, 4, 5)):
 def check_layout(s):
     """Assert the flat-layout invariants; returns the number of watch
     slots still naming a deleted clause."""
+    # The kernel's context tuples hold the live lists, never copies.
+    for ctx, live in (
+            (s._prop_ctx, (s._trail, s._clauses, s._vals, s._watches,
+                           s._bin_watches, s._levels, s._reasons)),
+            (s._unassign_ctx, (s._trail, s._vals, s._saved_phase,
+                               s._reasons, s._levels, s._heap, s._heap_pos,
+                               s._activity)),
+            (s._pick_ctx, (s._heap, s._heap_pos, s._activity, s._vals,
+                           s._saved_phase))):
+        assert len(ctx) == len(live)
+        assert all(a is b for a, b in zip(ctx, live))
     vals = s._vals
     for v in range(1, s.num_vars + 1):
         pos, neg = vals[2 * v], vals[2 * v + 1]
@@ -78,7 +90,7 @@ def _check_answer(s, clauses, assumps, res):
 
 
 def run_session(seed, proof, monkeypatch):
-    """One randomized session; returns coverage counters."""
+    """One randomized session; returns the solver and coverage counters."""
     # Restart after every one or two conflicts; let every reduction
     # delete half of the learned clauses longer than two literals.
     monkeypatch.setattr(solver_mod, "luby", lambda n: 0.01 * (1 + n % 2))
@@ -122,14 +134,43 @@ def run_session(seed, proof, monkeypatch):
     if proof and not s.is_broken:
         assert check_all_learned(s).ok
     st = s.stats
-    return {"stale": stale_seen, "restarts": st.restarts,
-            "deleted": st.deleted, "saved": st.trail_saved_levels}
+    return s, {"stale": stale_seen, "restarts": st.restarts,
+               "deleted": st.deleted, "saved": st.trail_saved_levels}
 
 
 @pytest.mark.parametrize("proof", [False, True])
 @pytest.mark.parametrize("seed", range(12))
 def test_flat_layout_session(seed, proof, monkeypatch):
     run_session(seed, proof, monkeypatch)
+
+
+@pytest.mark.parametrize("solver_mode", ["python"], indirect=True)
+@pytest.mark.parametrize("proof", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_flat_layout_session_without_kernel(seed, proof, solver_mode,
+                                            monkeypatch):
+    run_session(seed, proof, monkeypatch)
+
+
+def _search_state(s):
+    """Everything the search decides: counters, clause database (literal
+    order included), trail, watches, order heap and saved phases."""
+    counters = {k: v for k, v in s.stats.snapshot().items()
+                if not k.startswith("time_")}
+    return (counters, s._clauses, s._trail, s._watches, s._bin_watches,
+            s._heap, s._heap_pos, s._saved_phase, s._qhead)
+
+
+@pytest.mark.parametrize("proof", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_and_python_loops_search_identically(seed, proof,
+                                                    monkeypatch):
+    if solver_mod._kernel is None:
+        pytest.skip(f"no compiled solver kernel: {solver_mod._kernel_error}")
+    native, _ = run_session(seed, proof, monkeypatch)
+    monkeypatch.setattr(solver_mod, "_kernel", None)
+    python, _ = run_session(seed, proof, monkeypatch)
+    assert _search_state(native) == _search_state(python)
 
 
 @pytest.mark.slow
@@ -144,6 +185,6 @@ def test_sessions_reach_the_stressed_paths(monkeypatch):
     leaves deleted clauses in the watch lists."""
     total = {"stale": 0, "restarts": 0, "deleted": 0, "saved": 0}
     for seed in range(12):
-        for key, n in run_session(seed, False, monkeypatch).items():
+        for key, n in run_session(seed, False, monkeypatch)[1].items():
             total[key] += n
     assert all(n > 0 for n in total.values()), total
