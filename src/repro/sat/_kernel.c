@@ -1,6 +1,6 @@
 /* Compiled CDCL hot loops for repro.sat.solver.
  *
- * Three functions, each the same algorithm as the pure-Python loop it
+ * Six functions, each the same algorithm as the pure-Python loop it
  * stands in for, decision for decision:
  *
  *   propagate(ctx, qhead, level) -> (conflict cid or -1, qhead, props)
@@ -13,11 +13,30 @@
  *   pick(ctx) -> decision literal or -1
  *       the heap pop of Solver._pick_branch; ctx = (heap, heap_pos,
  *       activity, vals, saved_phase).
+ *   intake(ctx, lits, proof) -> clause id, -1 (absorbed) or None
+ *       the one-pass simplify of Solver.add_clause plus the clause append
+ *       and watch attach, for a list or tuple of ints that leaves at
+ *       least two literals not false; None (nothing changed) sends every
+ *       other clause down the Python path; ctx = (vals, levels, clauses,
+ *       watches, bin_watches).
+ *   analyze(ctx, confl, level, var_inc, proof)
+ *           -> (learnt, bt, used, lbd, bumps, var_inc)
+ *       Solver._analyze: the 1UIP walk with its VSIDS bumps, the
+ *       recursive minimisation of Solver._redundant, the level-0 unit
+ *       chains of Solver._explain_level0, glue and backjump level.  The
+ *       learned clauses whose activity the walk bumps come back in
+ *       `bumps`, in walk order, for Solver._bump_clause; ctx = (clauses,
+ *       trail, levels, reasons, activity, heap, heap_pos, seen, l0_memo,
+ *       clause_act).
+ *   analyze_final(ctx, p, proof) -> (failed literals, reason cids)
+ *       the implication walk of Solver._final_walk behind falsified
+ *       assumption p; ctx = (clauses, levels, reasons, vals, seen).
  *
  * They read and write the solver's own lists in place through the list
  * item arrays, with the reference counting the Python statements they
  * replace would do, so either implementation can continue the other's
- * search.  Every index read from a list is range-checked against the
+ * search.  Their scratch space is per call, apart from the solver's
+ * `seen` bytearray, whose flags every call leaves clear.  Every index read from a list is range-checked against the
  * list it indexes; a bad value raises instead of reading out of bounds.
  */
 #define PY_SSIZE_T_CLEAN
@@ -93,11 +112,13 @@ act_of(PyObject *o)
     return PyFloat_CheckExact(o) ? PyFloat_AS_DOUBLE(o) : PyFloat_AsDouble(o);
 }
 
-/* Unpack a context tuple of n lists into out[]. */
+/* Unpack a context tuple into out[]: one slot per character of `kinds`,
+ * 'l' for a list, 'd' for a dict and 'b' for a bytearray. */
 static int
 unpack(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want_args,
-       Py_ssize_t n, PyObject **out)
+       const char *kinds, PyObject **out)
 {
+    Py_ssize_t n = (Py_ssize_t)strlen(kinds);
     if (nargs != want_args || !PyTuple_Check(args[0])
             || PyTuple_GET_SIZE(args[0]) != n) {
         PyErr_SetString(PyExc_TypeError, "bad solver kernel arguments");
@@ -105,8 +126,10 @@ unpack(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want_args,
     }
     for (Py_ssize_t i = 0; i < n; i++) {
         out[i] = PyTuple_GET_ITEM(args[0], i);
-        if (!PyList_CheckExact(out[i])) {
-            PyErr_SetString(PyExc_TypeError, "solver context holds a non-list");
+        if (kinds[i] == 'l' ? !PyList_CheckExact(out[i])
+                : kinds[i] == 'd' ? !PyDict_CheckExact(out[i])
+                : !PyByteArray_CheckExact(out[i])) {
+            PyErr_SetString(PyExc_TypeError, "solver context slot of the wrong type");
             return -1;
         }
     }
@@ -126,10 +149,10 @@ assign(PyObject *trail, PyObject *vals, PyObject *levels, PyObject *reasons,
 }
 
 static PyObject *
-k_propagate(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+k_propagate(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *c[7];
-    if (unpack(args, nargs, 3, 7, c) < 0)
+    if (unpack(args, nargs, 3, "lllllll", c) < 0)
         return NULL;
     PyObject *trail = c[0], *clauses = c[1], *vals = c[2], *watches = c[3],
              *bins = c[4], *levels = c[5], *reasons = c[6];
@@ -272,10 +295,10 @@ bad_watch:
 }
 
 static PyObject *
-k_unassign(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+k_unassign(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *c[8];
-    if (unpack(args, nargs, 2, 8, c) < 0)
+    if (unpack(args, nargs, 2, "llllllll", c) < 0)
         return NULL;
     PyObject *trail = c[0], *vals = c[1], *saved = c[2], *reasons = c[3],
              *levels = c[4], *heap = c[5], *pos = c[6], *act = c[7];
@@ -349,10 +372,10 @@ k_unassign(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-k_pick(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+k_pick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *c[5];
-    if (unpack(args, nargs, 1, 5, c) < 0)
+    if (unpack(args, nargs, 1, "lllll", c) < 0)
         return NULL;
     PyObject *heap = c[0], *pos = c[1], *act = c[2], *vals = c[3],
              *saved = c[4];
@@ -417,6 +440,736 @@ k_pick(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     return PyLong_FromLong(-1);
 }
 
+/* Growable index vectors for the intake and analysis functions: the
+ * first SMALL entries live in the vector itself, so most calls allocate
+ * nothing.  Each call owns its vectors (never copied by value) and
+ * frees them with drop(). */
+#define SMALL 32
+
+typedef struct {
+    Py_ssize_t *a;
+    Py_ssize_t n, cap;
+    Py_ssize_t small[SMALL];
+} ivec;
+
+#define IVEC_INIT(v) ((v).a = (v).small, (v).n = 0, (v).cap = SMALL)
+
+static int
+push(ivec *v, Py_ssize_t x)
+{
+    if (v->n == v->cap) {
+        Py_ssize_t cap = 2 * v->cap;
+        Py_ssize_t *a = v->a == v->small
+            ? PyMem_Malloc((size_t)cap * sizeof *a)
+            : PyMem_Realloc(v->a, (size_t)cap * sizeof *a);
+        if (a == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        if (v->a == v->small)
+            memcpy(a, v->small, sizeof v->small);
+        v->a = a;
+        v->cap = cap;
+    }
+    v->a[v->n++] = x;
+    return 0;
+}
+
+static void
+drop(ivec *v)
+{
+    if (v->a != v->small)
+        PyMem_Free(v->a);
+}
+
+static inline int
+holds(const ivec *v, Py_ssize_t x)
+{
+    for (Py_ssize_t i = 0; i < v->n; i++)
+        if (v->a[i] == x)
+            return 1;
+    return 0;
+}
+
+/* Flags in the solver's `_seen` bytearray, one byte per variable, all
+ * clear between calls: SEEN marks analyze's variables (as the Python
+ * loop's `seen[v] = True` does), VISITED the variables of an
+ * implication walk. */
+#define SEEN 1
+#define VISITED 2
+
+static void
+clear(unsigned char *marks, const ivec *vars, Py_ssize_t from, int flag)
+{
+    for (Py_ssize_t i = from; i < vars->n; i++)
+        marks[vars->a[i]] &= (unsigned char)~flag;
+}
+
+/* The bytes of the `_seen` bytearray, checked to cover nvar variables. */
+static unsigned char *
+marks_of(PyObject *seen, Py_ssize_t nvar)
+{
+    if (PyByteArray_GET_SIZE(seen) < nvar) {
+        PyErr_SetString(PyExc_ValueError, "solver lists out of step");
+        return NULL;
+    }
+    return (unsigned char *)PyByteArray_AS_STRING(seen);
+}
+
+/* The clause list stored under clause id object `cid`; NULL with an
+ * exception set when the id is out of range or the slot holds no list. */
+static PyObject *
+clause_at(PyObject *clauses, PyObject *cid)
+{
+    Py_ssize_t ci = index_of(cid, LEN(clauses));
+    if (ci < 0)
+        return NULL;
+    PyObject *lits = ITEMS(clauses)[ci];
+    if (!PyList_CheckExact(lits)) {
+        PyErr_SetString(PyExc_TypeError, "reason or conflict clause is not live");
+        return NULL;
+    }
+    return lits;
+}
+
+/* A reason item: 1 when it is -1 (no reason), 0 otherwise, -1 on error. */
+static inline int
+no_reason(PyObject *r)
+{
+    if (r == V_UNDEF)
+        return 1;
+    long v = PyLong_AsLong(r);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    return v == -1;
+}
+
+/* Internal literal of the exact int `x`, or -1 with ValueError set when
+ * it names no variable in 1..maxvar. */
+static inline Py_ssize_t
+literal_of(PyObject *x, Py_ssize_t maxvar)
+{
+    int ovf;
+    long v = PyLong_AsLongAndOverflow(x, &ovf);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (ovf || v == 0 || v > maxvar || v < -maxvar) {
+        PyErr_Format(PyExc_ValueError,
+                     "literal %S references unknown variable", x);
+        return -1;
+    }
+    return v > 0 ? (Py_ssize_t)v << 1 : (Py_ssize_t)(-v) << 1 | 1;
+}
+
+static PyObject *
+k_intake(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *c[5];
+    if (unpack(args, nargs, 3, "lllll", c) < 0)
+        return NULL;
+    PyObject *vals = c[0], *levels = c[1], *clauses = c[2], *watches = c[3],
+             *bins = c[4];
+    PyObject *seq = args[1];
+    int proof = PyObject_IsTrue(args[2]);
+    if (proof < 0)
+        return NULL;
+    if (!PyList_CheckExact(seq) && !PyTuple_CheckExact(seq))
+        Py_RETURN_NONE;
+    Py_ssize_t nlit = LEN(vals), maxvar = nlit / 2 - 1;
+    if (nlit % 2 || 2 * LEN(levels) < nlit || LEN(watches) < nlit
+            || LEN(bins) < nlit) {
+        PyErr_SetString(PyExc_ValueError, "solver lists out of step");
+        return NULL;
+    }
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), i;
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    PyObject *res = NULL;
+    ivec out, late;
+    IVEC_INIT(out);
+    IVEC_INIT(late);
+    for (i = 0; i < n; i++) {
+        PyObject *x = items[i];
+        if (!PyLong_CheckExact(x))
+            goto defer;
+        Py_ssize_t lt = literal_of(x, maxvar);
+        if (lt < 0)
+            goto done;
+        long v = val_of(ITEMS(vals)[lt]);
+        ivec *into;
+        if (v == -1) {
+            if (holds(&out, lt))
+                continue;
+            if (holds(&out, lt ^ 1))
+                goto absorb;  /* tautology */
+            into = &out;
+        }
+        else if (val_of(ITEMS(levels)[lt >> 1]) == 0) {
+            if (v == 1)
+                goto absorb;  /* satisfied at level 0 */
+            if (proof)
+                goto defer;  /* its unit chain joins the derivation */
+            continue;  /* false at level 0: dropped */
+        }
+        else if (v == 1) {
+            if (holds(&out, lt))
+                continue;
+            if (holds(&late, lt ^ 1))
+                goto absorb;
+            into = &out;
+        }
+        else {
+            if (holds(&late, lt))
+                continue;
+            if (holds(&out, lt ^ 1))
+                goto absorb;
+            into = &late;
+        }
+        if (push(into, lt) < 0)
+            goto done;
+    }
+    if (PyErr_Occurred())
+        goto done;
+    /* Units, all-false clauses and clauses with fewer than two open
+     * literals on a kept trail take the Python path. */
+    if (out.n < 2)
+        goto defer;
+    Py_ssize_t total = out.n + late.n;
+    PyObject *wl = total == 2 ? bins : watches;
+    PyObject *w0 = ITEMS(wl)[out.a[0]], *w1 = ITEMS(wl)[out.a[1]];
+    if (!PyList_CheckExact(w0) || !PyList_CheckExact(w1)) {
+        PyErr_SetString(PyExc_TypeError, "malformed watch list");
+        goto done;
+    }
+    PyObject *cl = PyList_New(total);
+    if (cl == NULL)
+        goto done;
+    for (i = 0; i < total; i++) {
+        PyObject *o = PyLong_FromSsize_t(i < out.n ? out.a[i]
+                                                   : late.a[i - out.n]);
+        if (o == NULL) {
+            Py_DECREF(cl);
+            goto done;
+        }
+        PyList_SET_ITEM(cl, i, o);
+    }
+    PyObject *cid = PyLong_FromSsize_t(LEN(clauses));
+    if (cid == NULL || PyList_Append(clauses, cl) < 0) {
+        Py_XDECREF(cid);
+        Py_DECREF(cl);
+        goto done;
+    }
+    Py_DECREF(cl);
+    /* Watch the first two literals: a 2-literal clause as `(cid, other)`
+     * implications, a longer one as `cid, blocker` slot pairs. */
+    PyObject *l0 = ITEMS(cl)[0], *l1 = ITEMS(cl)[1];
+    int err;
+    if (total == 2) {
+        PyObject *t0 = PyTuple_Pack(2, cid, l1), *t1 = PyTuple_Pack(2, cid, l0);
+        err = t0 == NULL || t1 == NULL || PyList_Append(w0, t0) < 0
+            || PyList_Append(w1, t1) < 0;
+        Py_XDECREF(t0);
+        Py_XDECREF(t1);
+    }
+    else
+        err = PyList_Append(w0, cid) < 0 || PyList_Append(w0, l1) < 0
+            || PyList_Append(w1, cid) < 0 || PyList_Append(w1, l0) < 0;
+    if (err)
+        Py_DECREF(cid);
+    else
+        res = cid;
+    goto done;
+
+absorb:
+    /* Absorbed: the remaining literals are still range-checked. */
+    for (i++; i < n; i++) {
+        if (!PyLong_CheckExact(items[i]))
+            goto defer;
+        if (literal_of(items[i], maxvar) < 0)
+            goto done;
+    }
+    res = PyLong_FromLong(-1);
+    goto done;
+
+defer:
+    res = Py_NewRef(Py_None);
+done:
+    drop(&out);
+    drop(&late);
+    return res;
+}
+
+/* The lists, dicts and marks analyze works on. */
+typedef struct {
+    PyObject *clauses, *trail, *levels, *reasons, *act, *heap, *pos, *memo,
+        *clause_act;
+    unsigned char *marks;
+    ivec *cleanup;  /* the SEEN variables */
+    Py_ssize_t nvar;
+    int proof;
+} actx;
+
+/* Solver._explain_level0: the memoised tuple of clause ids whose units
+ * explain the level-0 value of `var` (a new reference).  The result
+ * set is filled in the Python loop's order, so the tuple's order is the
+ * same too. */
+static PyObject *
+explain(actx *x, Py_ssize_t var)
+{
+    PyObject *key = PyLong_FromSsize_t(var);
+    if (key == NULL)
+        return NULL;
+    PyObject *got = PyDict_GetItemWithError(x->memo, key);
+    if (got != NULL || PyErr_Occurred()) {
+        Py_XINCREF(got);
+        Py_DECREF(key);
+        return got;
+    }
+    PyObject *result = PySet_New(NULL), *out = NULL;
+    ivec stack, visited;
+    IVEC_INIT(stack);
+    IVEC_INIT(visited);
+    if (result == NULL || push(&stack, var) < 0)
+        goto done;
+    while (stack.n) {
+        Py_ssize_t v = stack.a[--stack.n];
+        if (x->marks[v] & VISITED)
+            continue;
+        if (push(&visited, v) < 0)
+            goto done;
+        x->marks[v] |= VISITED;
+        PyObject *vo = PyLong_FromSsize_t(v);
+        if (vo == NULL)
+            goto done;
+        PyObject *cached = PyDict_GetItemWithError(x->memo, vo);
+        Py_DECREF(vo);
+        if (cached != NULL) {
+            if (!PyTuple_CheckExact(cached)) {
+                PyErr_SetString(PyExc_TypeError, "level-0 explanation is not a tuple");
+                goto done;
+            }
+            for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(cached); i++)
+                if (PySet_Add(result, PyTuple_GET_ITEM(cached, i)) < 0)
+                    goto done;
+            continue;
+        }
+        if (PyErr_Occurred())
+            goto done;
+        PyObject *r = ITEMS(x->reasons)[v];
+        int none = no_reason(r);
+        if (none < 0)
+            goto done;
+        if (none)
+            continue;
+        if (PySet_Add(result, r) < 0)
+            goto done;
+        Py_ssize_t ci = index_of(r, LEN(x->clauses));
+        if (ci < 0)
+            goto done;
+        PyObject *lits = ITEMS(x->clauses)[ci];
+        if (lits == Py_None)
+            continue;
+        if (!PyList_CheckExact(lits)) {
+            PyErr_SetString(PyExc_TypeError, "malformed clause");
+            goto done;
+        }
+        for (Py_ssize_t k = 0; k < LEN(lits); k++) {
+            Py_ssize_t q = index_of(ITEMS(lits)[k], 2 * x->nvar);
+            if (q < 0)
+                goto done;
+            if (q >> 1 != v && push(&stack, q >> 1) < 0)
+                goto done;
+        }
+    }
+    if (PyErr_Occurred())
+        goto done;
+    out = PySequence_Tuple(result);
+    if (out != NULL && PyDict_SetItem(x->memo, key, out) < 0)
+        Py_CLEAR(out);
+done:
+    clear(x->marks, &visited, 0, VISITED);
+    drop(&stack);
+    drop(&visited);
+    Py_XDECREF(result);
+    Py_DECREF(key);
+    return out;
+}
+
+/* Append the level-0 unit chain of `var` to `used`. */
+static int
+explain_into(actx *x, Py_ssize_t var, PyObject *used)
+{
+    PyObject *t = explain(x, var);
+    if (t == NULL)
+        return -1;
+    int err = !PyTuple_CheckExact(t);
+    if (err)
+        PyErr_SetString(PyExc_TypeError, "level-0 explanation is not a tuple");
+    for (Py_ssize_t i = 0; !err && i < PyTuple_GET_SIZE(t); i++)
+        err = PyList_Append(used, PyTuple_GET_ITEM(t, i)) < 0;
+    Py_DECREF(t);
+    return err ? -1 : 0;
+}
+
+/* Solver._bump_var: bump `var`'s activity (rescaling every activity and
+ * *inc past 1e100) and sift it up the order heap. */
+static int
+bump_var(actx *x, Py_ssize_t var, double *inc)
+{
+    PyObject *act = x->act, *heap = x->heap, *pos = x->pos;
+    double a = act_of(ITEMS(act)[var]) + *inc;
+    PyObject *f = PyFloat_FromDouble(a);
+    if (f == NULL || PyErr_Occurred()) {
+        Py_XDECREF(f);
+        return -1;
+    }
+    set_item(act, var, f);
+    Py_DECREF(f);
+    if (a > 1e100) {
+        for (Py_ssize_t u = 1; u < LEN(act); u++) {
+            f = PyFloat_FromDouble(act_of(ITEMS(act)[u]) * 1e-100);
+            if (f == NULL)
+                return -1;
+            set_item(act, u, f);
+            Py_DECREF(f);
+        }
+        *inc *= 1e-100;
+        a = act_of(ITEMS(act)[var]);
+    }
+    Py_ssize_t i = PyLong_AsSsize_t(ITEMS(pos)[var]);
+    if (i == -1)
+        return PyErr_Occurred() ? -1 : 0;
+    if (i < 0 || i >= LEN(heap)) {
+        PyErr_SetString(PyExc_IndexError, "heap position out of range");
+        return -1;
+    }
+    PyObject *vo = ITEMS(heap)[i];
+    Py_INCREF(vo);
+    while (i > 0) {
+        Py_ssize_t parent = (i - 1) >> 1;
+        PyObject *po = ITEMS(heap)[parent];
+        Py_ssize_t pv = index_of(po, x->nvar);
+        if (pv < 0 || act_of(ITEMS(act)[pv]) >= a)
+            break;
+        set_item(heap, i, po);
+        if (set_index(pos, pv, i) < 0)
+            break;
+        i = parent;
+    }
+    set_item(heap, i, vo);
+    Py_DECREF(vo);
+    if (PyErr_Occurred() || set_index(pos, var, i) < 0)
+        return -1;
+    return 0;
+}
+
+/* Solver._redundant: 1 when literal `lit` of the learnt clause is implied
+ * by the other marked literals, 0 when not, -1 on error.  Its reasons
+ * and newly marked variables go straight to `used` and x->cleanup, and
+ * are taken back when the literal turns out not redundant. */
+static int
+redundant(actx *x, Py_ssize_t lit, PyObject *used)
+{
+    int none = no_reason(ITEMS(x->reasons)[lit >> 1]);
+    if (none)
+        return none < 0 ? -1 : 0;
+    Py_ssize_t umark = LEN(used), cmark = x->cleanup->n;
+    int res = -1;
+    ivec stack;
+    IVEC_INIT(stack);
+    if (push(&stack, lit) < 0)
+        goto done;
+    while (stack.n) {
+        Py_ssize_t lt = stack.a[--stack.n];
+        PyObject *r = ITEMS(x->reasons)[lt >> 1];
+        if ((none = no_reason(r)))
+            goto not_redundant;
+        PyObject *lits = clause_at(x->clauses, r);
+        if (lits == NULL || PyList_Append(used, r) < 0)
+            goto done;
+        for (Py_ssize_t k = 0; k < LEN(lits); k++) {
+            Py_ssize_t q = index_of(ITEMS(lits)[k], 2 * x->nvar);
+            if (q < 0)
+                goto done;
+            Py_ssize_t v = q >> 1;
+            if (v == lt >> 1 || x->marks[v] & SEEN)
+                continue;
+            if (val_of(ITEMS(x->levels)[v]) == 0) {
+                if (x->proof && explain_into(x, v, used) < 0)
+                    goto done;
+                continue;
+            }
+            if ((none = no_reason(ITEMS(x->reasons)[v])))
+                goto not_redundant;
+            if (push(x->cleanup, v) < 0 || push(&stack, q) < 0)
+                goto done;
+            x->marks[v] |= SEEN;
+        }
+    }
+    res = PyErr_Occurred() ? -1 : 1;
+    goto done;
+
+not_redundant:
+    if (none > 0) {
+        clear(x->marks, x->cleanup, cmark, SEEN);
+        x->cleanup->n = cmark;
+        res = PyList_SetSlice(used, umark, LEN(used), NULL) < 0 ? -1 : 0;
+    }
+done:
+    drop(&stack);
+    return res;
+}
+
+static int
+cmp_index(const void *a, const void *b)
+{
+    Py_ssize_t x = *(const Py_ssize_t *)a, y = *(const Py_ssize_t *)b;
+    return (x > y) - (x < y);
+}
+
+static PyObject *
+k_analyze(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *c[10];
+    if (unpack(args, nargs, 5, "lllllllbdd", c) < 0)
+        return NULL;
+    ivec learnt, cleanup, levels;
+    actx x = {c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[8], c[9], NULL,
+              &cleanup, LEN(c[2]), PyObject_IsTrue(args[4])};
+    PyObject *confl = args[1];
+    Py_ssize_t level = PyLong_AsSsize_t(args[2]);
+    double var_inc = PyFloat_AsDouble(args[3]);
+    if (x.proof < 0 || PyErr_Occurred())
+        return NULL;
+    Py_ssize_t nvar = x.nvar, nlit = 2 * nvar;
+    if (LEN(x.reasons) < nvar || LEN(x.act) < nvar || LEN(x.pos) < nvar) {
+        PyErr_SetString(PyExc_ValueError, "solver lists out of step");
+        return NULL;
+    }
+    if ((x.marks = marks_of(c[7], nvar)) == NULL)
+        return NULL;
+    /* The learnt clause as literal indices, and in `out` as the literal
+     * objects of the clauses it came from, as the Python loop keeps
+     * them (slot 0 is filled in last). */
+    PyObject *used = PyList_New(0), *bumps = PyList_New(0),
+             *out = PyList_New(0), *res = NULL;
+    IVEC_INIT(learnt);
+    IVEC_INIT(cleanup);
+    IVEC_INIT(levels);
+    if (used == NULL || bumps == NULL || out == NULL
+            || PyList_Append(used, confl) < 0 || push(&learnt, 0) < 0
+            || PyList_Append(out, Py_None) < 0)
+        goto done;
+    /* The 1UIP walk back along the trail. */
+    Py_ssize_t path = 0, p = -1, index = LEN(x.trail), i, k;
+    PyObject *reason = confl;
+    for (;;) {
+        PyObject *lits = clause_at(x.clauses, reason);
+        if (lits == NULL)
+            goto done;
+        int learned = PyDict_Contains(x.clause_act, reason);
+        if (learned < 0 || (learned && PyList_Append(bumps, reason) < 0))
+            goto done;
+        for (k = p == -1 ? 0 : 1; k < LEN(lits); k++) {
+            Py_ssize_t q = index_of(ITEMS(lits)[k], nlit);
+            if (q < 0)
+                goto done;
+            Py_ssize_t v = q >> 1;
+            if (x.marks[v] & SEEN)
+                continue;
+            long lv = val_of(ITEMS(x.levels)[v]);
+            if (lv > 0) {
+                if (push(&cleanup, v) < 0)
+                    goto done;
+                x.marks[v] |= SEEN;
+                if (bump_var(&x, v, &var_inc) < 0)
+                    goto done;
+                if (lv >= level)
+                    path++;
+                else if (push(&learnt, q) < 0
+                         || PyList_Append(out, ITEMS(lits)[k]) < 0)
+                    goto done;
+            }
+            else if (x.proof && explain_into(&x, v, used) < 0)
+                goto done;
+        }
+        if (PyErr_Occurred())
+            goto done;
+        do {
+            if (--index < 0) {
+                PyErr_SetString(PyExc_RuntimeError, "conflict walk ran off the trail");
+                goto done;
+            }
+            p = index_of(ITEMS(x.trail)[index], nlit);
+            if (p < 0)
+                goto done;
+        } while (!(x.marks[p >> 1] & SEEN));
+        path--;
+        x.marks[p >> 1] &= ~SEEN;
+        if (path == 0)
+            break;
+        reason = ITEMS(x.reasons)[p >> 1];
+        int none = no_reason(reason);
+        if (none) {
+            if (none > 0)
+                PyErr_SetString(PyExc_RuntimeError, "implied literal without a reason");
+            goto done;
+        }
+        if (PyList_Append(used, reason) < 0)
+            goto done;
+        /* The implied literal moves to the front of its reason. */
+        PyObject *rl = clause_at(x.clauses, reason);
+        if (rl == NULL)
+            goto done;
+        for (k = 0; k < LEN(rl); k++) {
+            Py_ssize_t q = index_of(ITEMS(rl)[k], nlit);
+            if (q < 0)
+                goto done;
+            if (q == p)
+                break;
+        }
+        if (k == LEN(rl)) {
+            PyErr_SetString(PyExc_ValueError, "implied literal not in its reason");
+            goto done;
+        }
+        swap_items(rl, 0, k);
+    }
+    learnt.a[0] = p ^ 1;
+    PyObject *asserting = PyLong_FromSsize_t(p ^ 1);
+    if (asserting == NULL)
+        goto done;
+    set_item(out, 0, asserting);
+    Py_DECREF(asserting);
+    /* Recursive minimisation (self-subsumption through reasons). */
+    Py_ssize_t n = 1;
+    for (i = 1; i < learnt.n; i++) {
+        int red = redundant(&x, learnt.a[i], used);
+        if (red < 0)
+            goto done;
+        if (!red) {
+            learnt.a[n] = learnt.a[i];
+            swap_items(out, n++, i);
+        }
+    }
+    learnt.n = n;
+    if (PyList_SetSlice(out, n, LEN(out), NULL) < 0)
+        goto done;
+    /* Glue: the number of distinct levels, counted over sorted levels. */
+    Py_ssize_t lbd = 0, bt;
+    if (n > 1) {
+        for (i = 0; i < n; i++)
+            if (push(&levels, val_of(ITEMS(x.levels)[learnt.a[i] >> 1])) < 0)
+                goto done;
+        qsort(levels.a, (size_t)n, sizeof *levels.a, cmp_index);
+        for (i = 0; i < n; i++)
+            lbd += i == 0 || levels.a[i] != levels.a[i - 1];
+    }
+    if (n == 1) {
+        /* The unit is asserted at the root (see Solver._enqueue_root). */
+        bt = level - 1;
+    }
+    else {
+        Py_ssize_t max_i = 1;
+        long best = val_of(ITEMS(x.levels)[learnt.a[1] >> 1]);
+        for (i = 2; i < n; i++) {
+            long li = val_of(ITEMS(x.levels)[learnt.a[i] >> 1]);
+            if (li > best) {
+                best = li;
+                max_i = i;
+            }
+        }
+        swap_items(out, 1, max_i);
+        bt = best;
+    }
+    if (!PyErr_Occurred())
+        res = Py_BuildValue("(OnOnOd)", out, bt, used, lbd, bumps, var_inc);
+done:
+    clear(x.marks, &cleanup, 0, SEEN);
+    drop(&learnt);
+    drop(&cleanup);
+    drop(&levels);
+    Py_XDECREF(used);
+    Py_XDECREF(bumps);
+    Py_XDECREF(out);
+    return res;
+}
+
+static PyObject *
+k_analyze_final(PyObject *Py_UNUSED(mod), PyObject *const *args,
+                Py_ssize_t nargs)
+{
+    PyObject *c[5];
+    if (unpack(args, nargs, 3, "llllb", c) < 0)
+        return NULL;
+    PyObject *clauses = c[0], *levels = c[1], *reasons = c[2], *vals = c[3];
+    Py_ssize_t nvar = LEN(levels);
+    int proof = PyObject_IsTrue(args[2]);
+    if (proof < 0)
+        return NULL;
+    if (LEN(reasons) < nvar || LEN(vals) < 2 * nvar) {
+        PyErr_SetString(PyExc_ValueError, "solver lists out of step");
+        return NULL;
+    }
+    unsigned char *marks = marks_of(c[4], nvar);
+    Py_ssize_t p = marks == NULL ? -1 : index_of(args[1], 2 * nvar);
+    if (p < 0)
+        return NULL;
+    PyObject *failed = PyList_New(0), *cids = PySet_New(NULL), *res = NULL;
+    long min_level = proof ? 0 : 1;
+    ivec stack, visited;
+    IVEC_INIT(stack);
+    IVEC_INIT(visited);
+    if (failed == NULL || cids == NULL || PyList_Append(failed, args[1]) < 0
+            || push(&visited, p >> 1) < 0 || push(&stack, p >> 1) < 0)
+        goto done;
+    marks[p >> 1] |= VISITED;
+    while (stack.n) {
+        Py_ssize_t v = stack.a[--stack.n];
+        PyObject *r = ITEMS(reasons)[v];
+        int none = no_reason(r);
+        if (none < 0)
+            goto done;
+        if (none) {
+            if (val_of(ITEMS(levels)[v]) > 0) {
+                /* A decision: the assumption literal actually decided. */
+                PyObject *lit = PyLong_FromSsize_t(
+                    v << 1 | (val_of(ITEMS(vals)[v << 1]) == 1 ? 0 : 1));
+                int err = lit == NULL || PyList_Append(failed, lit) < 0;
+                Py_XDECREF(lit);
+                if (err)
+                    goto done;
+            }
+            continue;
+        }
+        if (proof && PySet_Add(cids, r) < 0)
+            goto done;
+        PyObject *lits = clause_at(clauses, r);
+        if (lits == NULL)
+            goto done;
+        for (Py_ssize_t k = 0; k < LEN(lits); k++) {
+            Py_ssize_t q = index_of(ITEMS(lits)[k], 2 * nvar);
+            if (q < 0)
+                goto done;
+            Py_ssize_t w = q >> 1;
+            if (marks[w] & VISITED)
+                continue;
+            if (push(&visited, w) < 0)
+                goto done;
+            marks[w] |= VISITED;
+            if (val_of(ITEMS(levels)[w]) >= min_level && push(&stack, w) < 0)
+                goto done;
+        }
+    }
+    if (!PyErr_Occurred())
+        res = PyTuple_Pack(2, failed, cids);
+done:
+    clear(marks, &visited, 0, VISITED);
+    drop(&stack);
+    drop(&visited);
+    Py_XDECREF(failed);
+    Py_XDECREF(cids);
+    return res;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"propagate", (PyCFunction)(void (*)(void))k_propagate, METH_FASTCALL,
      "Unit propagation over the solver's lists; (confl, qhead, props)."},
@@ -424,6 +1177,12 @@ static PyMethodDef kernel_methods[] = {
      "Unassign the trail above bound, re-inserting variables in the heap."},
     {"pick", (PyCFunction)(void (*)(void))k_pick, METH_FASTCALL,
      "Pop the most active unassigned variable; its decision literal or -1."},
+    {"intake", (PyCFunction)(void (*)(void))k_intake, METH_FASTCALL,
+     "Simplify and attach a new clause; its id, -1 if absorbed, None to defer."},
+    {"analyze", (PyCFunction)(void (*)(void))k_analyze, METH_FASTCALL,
+     "First-UIP conflict analysis; (learnt, bt, used, lbd, bumps, var_inc)."},
+    {"analyze_final", (PyCFunction)(void (*)(void))k_analyze_final,
+     METH_FASTCALL, "Walk back from a failed assumption; (failed, cids)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -39,19 +39,27 @@ Answers are checkable independently of the search: models against the
 clauses, UNSAT answers by RUP over the learned clauses plus a re-solve
 of the core (:mod:`repro.sat.proofcheck`).
 
-The three hot loops — unit propagation, the unassign / heap re-insert
-loop of backtracking and the heap pop of a decision — also exist in C,
-in ``_kernel.c``: the same algorithms, decision for decision, working
-in place on the solver's own lists (packed into context tuples once in
-``__init__``; none of them is ever rebound).  On import the module
-loads ``__pycache__/_kernel_<sha1 of the source>.<ext suffix>``,
-compiling it with ``gcc -O2 -shared -fPIC`` on a miss (to a private
-file moved into place, so concurrent imports never see half a build;
-editing the source rebuilds it).  Where that fails — not CPython, no
-compiler or ``Python.h``, a tree that cannot be written — ``_kernel`` is
-None, ``_kernel_error`` says why, and the pure-Python loops run: the
-package needs nothing beyond the standard library.  Both give the same
-search, so setting ``_kernel`` to None only makes the solver slower.
+The per-propagation, per-conflict and per-clause loops also exist in
+C, in ``_kernel.c``: ``propagate`` (unit propagation), ``unassign``
+(the unassign / heap re-insert loop of backtracking), ``pick`` (the
+heap pop of a decision), ``intake`` (the simplify-and-attach pass of
+:meth:`Solver.add_clause` for a clause left with at least two literals
+that are not false; every other clause goes to the Python body, with
+nothing changed), ``analyze`` (1UIP conflict analysis with its
+minimisation, VSIDS bumps and level-0 unit chains; the clause-activity
+bumps are handed back) and ``analyze_final`` (the walk behind a failed
+assumption).  They are the same algorithms, decision for decision,
+working in place on the solver's own lists and dicts (packed into
+context tuples once in ``__init__``; none of them is ever rebound).  On
+import the module loads ``__pycache__/_kernel_<sha1 of the
+source>.<ext suffix>``, compiling it with ``gcc -O2 -shared -fPIC`` on
+a miss (to a private file moved into place, so concurrent imports never
+see half a build; editing the source rebuilds it and removes the older
+build).  Where that fails — not CPython, no compiler or ``Python.h``, a
+tree that cannot be written — ``_kernel`` is None, ``_kernel_error``
+says why, and the pure-Python loops run: the package needs nothing
+beyond the standard library.  Both give the same search, so setting
+``_kernel`` to None only makes the solver slower.
 """
 
 from __future__ import annotations
@@ -69,22 +77,28 @@ from typing import Hashable, Iterable, Optional, Sequence
 from repro.utils.luby import luby
 
 
-def _load_kernel():
+def _load_kernel(here: Optional[str] = None):
     """Build (once per source hash) and load the compiled hot loops.
 
-    Returns ``(module, None)``, or ``(None, reason)`` when the kernel
-    cannot be had here: not CPython, no C compiler or ``Python.h``, or a
-    package directory that cannot be written.
+    ``here`` is the directory holding ``_kernel.c`` (this package's by
+    default); the build goes to its ``__pycache__``.  A fresh build
+    removes the builds of older sources for the same interpreter there,
+    never another process's unfinished ``.tmp`` file.  Returns
+    ``(module, None)``, or ``(None, reason)`` when the kernel cannot be
+    had here: not CPython, no C compiler or ``Python.h``, or a package
+    directory that cannot be written.
     """
     try:
         if sys.implementation.name != "cpython":
             return None, "not CPython"
-        here = os.path.dirname(os.path.abspath(__file__))
+        if here is None:
+            here = os.path.dirname(os.path.abspath(__file__))
         src = os.path.join(here, "_kernel.c")
         with open(src, "rb") as f:
             digest = hashlib.sha1(f.read()).hexdigest()[:12]
-        path = os.path.join(here, "__pycache__", f"_kernel_{digest}"
-                            + importlib.machinery.EXTENSION_SUFFIXES[0])
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        cache = os.path.join(here, "__pycache__")
+        path = os.path.join(cache, f"_kernel_{digest}{suffix}")
         if not os.path.exists(path):
             import sysconfig
 
@@ -103,6 +117,13 @@ def _load_kernel():
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
+            for name in os.listdir(cache):
+                if (name.startswith("_kernel_") and name.endswith(suffix)
+                        and name != os.path.basename(path)):
+                    try:
+                        os.remove(os.path.join(cache, name))
+                    except OSError:  # another process removed it first
+                        pass
         spec = importlib.util.spec_from_file_location("repro.sat._kernel", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -111,8 +132,8 @@ def _load_kernel():
         return None, f"{type(exc).__name__}: {exc}"
 
 
-#: The compiled propagate / unassign / pick loops (``_kernel.c``), or
-#: None to run the pure-Python loops; ``_kernel_error`` says why not.
+#: The compiled solver loops (``_kernel.c``), or None to run the
+#: pure-Python loops; ``_kernel_error`` says why not.
 _kernel, _kernel_error = _load_kernel()
 
 
@@ -281,8 +302,9 @@ class Solver:
         self._unsat_core_cids: Optional[frozenset[int]] = None
         self._last_failed: tuple[int, ...] = ()
         self.stats = SolverStats()
-        # Scratch used by analyze.
-        self._seen: list[bool] = [False]
+        # Scratch used by analyze: one byte per variable, zero between
+        # calls (the kernel keeps its flags in it too).
+        self._seen = bytearray(1)
         # The lists the compiled kernel works on, packed once: none of
         # them is ever rebound.
         self._prop_ctx = (self._trail, self._clauses, self._vals,
@@ -293,6 +315,14 @@ class Solver:
                               self._heap_pos, self._activity)
         self._pick_ctx = (self._heap, self._heap_pos, self._activity,
                           self._vals, self._saved_phase)
+        self._intake_ctx = (self._vals, self._levels, self._clauses,
+                            self._watches, self._bin_watches)
+        self._analyze_ctx = (self._clauses, self._trail, self._levels,
+                             self._reasons, self._activity, self._heap,
+                             self._heap_pos, self._seen, self._l0_memo,
+                             self._clause_act)
+        self._final_ctx = (self._clauses, self._levels, self._reasons,
+                           self._vals, self._seen)
 
     # ------------------------------------------------------------------
     # Public API
@@ -310,7 +340,7 @@ class Solver:
         self._watches.append([])
         self._bin_watches.append([])
         self._bin_watches.append([])
-        self._seen.append(False)
+        self._seen.append(0)
         var = len(self._levels) - 1
         # Activity 0.0 never outranks a parent: the new leaf stays put.
         self._heap_pos.append(len(self._heap))
@@ -369,6 +399,16 @@ class Solver:
             if confl != -1:
                 self._mark_broken(self._conflict_core_at_level0(confl))
                 return -1
+        if _kernel is not None:
+            # The kernel takes the common case and returns None, having
+            # changed nothing, for every clause the Python body handles.
+            cid = _kernel.intake(self._intake_ctx, lits, self.proof_logging)
+            if cid is not None:
+                if cid >= 0:
+                    if label is not None:
+                        self._labels[cid] = label
+                    self._n_original += 1
+                return cid
         # One pass: convert, range-check, deduplicate and simplify
         # against level-0 assignments.  The ids of the unit chains that
         # falsified removed literals become part of this clause's
@@ -1032,6 +1072,16 @@ class Solver:
         levels in the learned clause) is computed here, while every
         literal is still assigned.
         """
+        if _kernel is not None:
+            learnt, bt, used, lbd, bumps, self._var_inc = _kernel.analyze(
+                self._analyze_ctx, confl, len(self._trail_lim),
+                self._var_inc, self.proof_logging)
+            # Clause activities are independent of the variable
+            # activities the kernel bumped, so bumping them after the
+            # walk gives the same values.
+            for cid in bumps:
+                self._bump_clause(cid)
+            return learnt, bt, used, lbd
         seen = self._seen
         learnt: list[int] = [0]  # slot 0 reserved for the asserting literal
         used: list[int] = [confl]
@@ -1105,7 +1155,7 @@ class Solver:
             bt = self._levels[learnt[1] >> 1]
         return learnt, bt, used, lbd
 
-    def _redundant(self, ilit: int, seen: list[bool], used: list[int],
+    def _redundant(self, ilit: int, seen: bytearray, used: list[int],
                    cleanup: list[int]) -> bool:
         """True if ``ilit`` is implied by other marked literals."""
         if self._reasons[ilit >> 1] == -1:
@@ -1217,6 +1267,19 @@ class Solver:
         only to other level-0 variables, so without proof logging (no
         core to collect) the walk skips them.
         """
+        if _kernel is not None:
+            failed, cids = _kernel.analyze_final(self._final_ctx, p,
+                                                 self.proof_logging)
+        else:
+            failed, cids = self._final_walk(p)
+        self._last_failed = tuple(sorted(_to_external(lt) for lt in failed))
+        if self.proof_logging:
+            self._unsat_core_cids = self._expand_to_originals(cids)
+
+    def _final_walk(self, p: int) -> tuple[set[int], set[int]]:
+        """The walk of :meth:`_analyze_final` (the kernel's
+        ``analyze_final``): the failed internal literals and the reason
+        cids met on the way."""
         failed_internal = {p}
         cids: set[int] = set()
         seen_vars: set[int] = {p >> 1}
@@ -1244,9 +1307,7 @@ class Solver:
                     seen_vars.add(w)
                     if levels[w] >= min_level:
                         stack.append(w)
-        self._last_failed = tuple(sorted(_to_external(lt) for lt in failed_internal))
-        if self.proof_logging:
-            self._unsat_core_cids = self._expand_to_originals(cids)
+        return failed_internal, cids
 
     def _expand_to_originals(self, cids: set[int]) -> frozenset[int]:
         out: set[int] = set()

@@ -7,7 +7,9 @@ pure-Python loops.
 """
 
 import gc
+import importlib.machinery
 import os
+import random
 import shutil
 import sysconfig
 import tracemalloc
@@ -17,6 +19,7 @@ import pytest
 import repro.sat.solver as solver_mod
 from repro.bmc import BmcOptions, EncodingSession, verify_many
 from repro.casestudies import CpuParams, build_cpu, memcpy_program
+from repro.sat import Solver
 
 
 def test_kernel_is_built_where_a_toolchain_exists():
@@ -28,28 +31,82 @@ def test_kernel_is_built_where_a_toolchain_exists():
     assert solver_mod._kernel is not None, solver_mod._kernel_error
 
 
-def _cpu_memcpy_session():
+def test_stale_builds_are_pruned(tmp_path):
+    """A fresh build removes the builds of older sources for the same
+    interpreter, and leaves other interpreters' builds and another
+    process's unfinished temp file alone."""
+    if solver_mod._kernel is None:
+        pytest.skip(f"no compiled solver kernel: {solver_mod._kernel_error}")
+    shutil.copy(os.path.join(os.path.dirname(solver_mod.__file__),
+                             "_kernel.c"), tmp_path)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    stale = cache / f"_kernel_000000000000{suffix}"
+    other_python = cache / "_kernel_000000000000.cpython-399-other.so"
+    in_flight = cache / f"_kernel_111111111111{suffix}.4242.tmp"
+    for f in (stale, other_python, in_flight):
+        f.write_bytes(b"not a shared object")
+    module, error = solver_mod._load_kernel(str(tmp_path))
+    assert module is not None, error
+    assert not stale.exists()
+    assert other_python.exists() and in_flight.exists()
+    builds = [f.name for f in cache.iterdir() if f.name.endswith(suffix)]
+    assert builds == [os.path.basename(module.__file__)]
+
+
+def _cpu_memcpy_session(pba):
     """The cpu memcpy session of the encoding pins: kept-trail conflicts
-    and order-heap re-inserts."""
+    and order-heap re-inserts; with ``pba`` the solver logs proofs, so
+    conflict analysis collects the antecedents and level-0 unit chains
+    of every learned clause."""
     params = CpuParams(pc_width=5, addr_width=3, data_width=4)
     design = build_cpu(memcpy_program(2, src=0, dst=4, params=params), params)
-    opts = BmcOptions(max_depth=20)
+    opts = BmcOptions(max_depth=20, pba=pba)
     session = EncodingSession(design, opts)
     verify_many(design, options=opts, session=session)
     assert session.solver.stats.conflicts > 0
+    assert bool(session.solver._derivations) == pba
+
+
+def _level0_chain_session():
+    """Conflict analysis over level-0 unit chains, with proof logging.
+
+    Random 3-SAT clauses each carry one more literal, the negation of a
+    link of an implication chain 301 -> 302 -> ... -> 420.  The unit that
+    starts the chain comes last, so the stored clauses keep those
+    literals, now false at level 0, and every conflict through them
+    collects the link's unit chain (the BMC sessions above never do).
+    """
+    rng = random.Random(3)
+    s = Solver(proof=True)
+    for _ in range(420):
+        s.new_var()
+    for v in range(301, 420):
+        s.add_clause([-v, v + 1])
+    for _ in range(516):
+        lits = [v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, 121), 3)]
+        s.add_clause(lits + [-rng.randrange(301, 421)])
+    s.add_clause([301])
+    s.solve()
+    assert len(s._l0_memo) > 50
 
 
 def test_kernel_leaks_no_references():
-    """Three sessions on fresh solvers hold no more traced memory after
-    the third than after the first.  A reference the kernel forgets to
-    drop leaks megabytes per run here."""
+    """Three rounds of sessions on fresh solvers, without and with proof
+    logging, hold no more traced memory after the third round than after
+    the first.  A reference the kernel forgets to drop leaks megabytes
+    per round here."""
     if solver_mod._kernel is None:
         pytest.skip(f"no compiled solver kernel: {solver_mod._kernel_error}")
     tracemalloc.start()
     try:
         traced = []
         for _ in range(3):
-            _cpu_memcpy_session()
+            _cpu_memcpy_session(pba=False)
+            _cpu_memcpy_session(pba=True)
+            _level0_chain_session()
             gc.collect()
             traced.append(tracemalloc.get_traced_memory()[0])
     finally:

@@ -42,9 +42,18 @@ def check_layout(s):
                                s._reasons, s._levels, s._heap, s._heap_pos,
                                s._activity)),
             (s._pick_ctx, (s._heap, s._heap_pos, s._activity, s._vals,
-                           s._saved_phase))):
+                           s._saved_phase)),
+            (s._intake_ctx, (s._vals, s._levels, s._clauses, s._watches,
+                             s._bin_watches)),
+            (s._analyze_ctx, (s._clauses, s._trail, s._levels, s._reasons,
+                              s._activity, s._heap, s._heap_pos, s._seen,
+                              s._l0_memo, s._clause_act)),
+            (s._final_ctx, (s._clauses, s._levels, s._reasons, s._vals,
+                            s._seen))):
         assert len(ctx) == len(live)
         assert all(a is b for a, b in zip(ctx, live))
+    # Conflict analysis leaves its scratch flags clear.
+    assert len(s._seen) == len(s._levels) and not any(s._seen)
     vals = s._vals
     for v in range(1, s.num_vars + 1):
         pos, neg = vals[2 * v], vals[2 * v + 1]
@@ -89,8 +98,16 @@ def _check_answer(s, clauses, assumps, res):
         assert not brute_force_sat(NVARS, clauses, res.failed_assumptions)
 
 
-def run_session(seed, proof, monkeypatch):
-    """One randomized session; returns the solver and coverage counters."""
+def _label(i):
+    """No label, one tag or a tag set, so core labels have members."""
+    return (None, i, frozenset((i, -i)))[i % 3]
+
+
+def run_session(seed, proof, monkeypatch, answers=None):
+    """One randomized session; returns the solver and coverage counters.
+
+    ``answers`` collects the failed assumptions and core labels of every
+    UNSAT answer."""
     # Restart after every one or two conflicts; let every reduction
     # delete half of the learned clauses longer than two literals.
     monkeypatch.setattr(solver_mod, "luby", lambda n: 0.01 * (1 + n % 2))
@@ -106,7 +123,7 @@ def run_session(seed, proof, monkeypatch):
     for _ in range(rng.randrange(80, 88)):
         c = _random_clause(rng, widths=(3,))
         clauses.append(c)
-        s.add_clause(c)
+        s.add_clause(c, _label(len(clauses)))
     prefix = [v if rng.random() < 0.5 else -v
               for v in rng.sample(range(1, NVARS + 1), 4)]
     stale_seen = 0
@@ -119,6 +136,9 @@ def run_session(seed, proof, monkeypatch):
                     if v not in {abs(p) for p in assumps}]
         res = s.solve(assumps)
         _check_answer(s, clauses, assumps, res)
+        if answers is not None and not res.sat:
+            answers.append((s.failed_assumptions(),
+                            s.core_labels() if proof else None))
         stale_seen += check_layout(s)
         if s.is_broken:
             break
@@ -129,7 +149,7 @@ def run_session(seed, proof, monkeypatch):
         for _ in range(rng.randrange(0, 4)):
             c = _random_clause(rng)
             clauses.append(c)
-            s.add_clause(c)
+            s.add_clause(c, _label(len(clauses)))
         check_layout(s)
     if proof and not s.is_broken:
         assert check_all_learned(s).ok
@@ -152,13 +172,29 @@ def test_flat_layout_session_without_kernel(seed, proof, solver_mode,
     run_session(seed, proof, monkeypatch)
 
 
-def _search_state(s):
-    """Everything the search decides: counters, clause database (literal
-    order included), trail, watches, order heap and saved phases."""
+def search_state(s):
+    """Everything the search decides and records: counters, clause
+    database (literal order included), assignment, trail, watches, order
+    heap, phases, activities (exact floats), glue and use marks, labels,
+    proof bookkeeping (antecedent order included) and the last answer."""
     counters = {k: v for k, v in s.stats.snapshot().items()
                 if not k.startswith("time_")}
-    return (counters, s._clauses, s._trail, s._watches, s._bin_watches,
-            s._heap, s._heap_pos, s._saved_phase, s._qhead)
+    return {
+        "counters": counters, "clauses": s._clauses, "vals": s._vals,
+        "levels": s._levels, "reasons": s._reasons, "trail": s._trail,
+        "trail_lim": s._trail_lim, "assump_levels": s._assump_levels,
+        "qhead": s._qhead, "watches": s._watches, "bins": s._bin_watches,
+        "heap": s._heap, "heap_pos": s._heap_pos,
+        "saved_phase": s._saved_phase, "activity": s._activity,
+        "var_inc": s._var_inc, "cla_inc": s._cla_inc,
+        "clause_act": s._clause_act, "clause_lbd": s._clause_lbd,
+        "clause_used": s._clause_used, "learned_ids": s._learned_ids,
+        "derivations": s._derivations, "simplify_deps": s._simplify_deps,
+        "proof_lits": s._proof_lits, "labels": s._labels,
+        "n_original": s._n_original, "l0_memo": s._l0_memo,
+        "seen": s._seen, "broken": s._broken,
+        "core": s._unsat_core_cids, "failed": s._last_failed,
+    }
 
 
 @pytest.mark.parametrize("proof", [False, True])
@@ -167,10 +203,14 @@ def test_kernel_and_python_loops_search_identically(seed, proof,
                                                     monkeypatch):
     if solver_mod._kernel is None:
         pytest.skip(f"no compiled solver kernel: {solver_mod._kernel_error}")
-    native, _ = run_session(seed, proof, monkeypatch)
+    got, want = [], []
+    native, _ = run_session(seed, proof, monkeypatch, got)
     monkeypatch.setattr(solver_mod, "_kernel", None)
-    python, _ = run_session(seed, proof, monkeypatch)
-    assert _search_state(native) == _search_state(python)
+    python, _ = run_session(seed, proof, monkeypatch, want)
+    assert got == want
+    native, python = search_state(native), search_state(python)
+    for key in native:
+        assert native[key] == python[key], key
 
 
 @pytest.mark.slow
