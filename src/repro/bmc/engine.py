@@ -28,6 +28,7 @@ unsat core of each falsification check and accumulates latch reasons.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -37,8 +38,8 @@ from repro.bmc.results import (BOUNDED, CEX, DEGRADED, PROOF, TIMEOUT,
                                BmcResult, BmcRunStats)
 from repro.bmc.session import EncodingSession, QuotaExceededError
 from repro.design.netlist import Design
-from repro.perf import (PhaseTimers, current_rss_mb, peak_rss_mb,
-                        solver_phase_times)
+from repro.perf import (PhaseTimers, current_rss_mb, gc_pause_hook,
+                        peak_rss_mb, solver_phase_times)
 from repro.sat import solver as solver_mod
 
 
@@ -103,10 +104,11 @@ class BmcOptions:
     wall_quota_s: Optional[float] = None
     #: Collect wall-clock phase breakdowns into
     #: :attr:`repro.bmc.results.BmcRunStats.profile`: scheduler-level
-    #: encode vs solve, plus the solver's internal
-    #: propagate/analyze/decide/reduce/simplify split.  A *run* knob (CLI
-    #: ``--profile``): it changes what is measured, never what is
-    #: encoded, so it is excluded from :meth:`encoding_key`.
+    #: encode vs solve and the cyclic-GC pauses (``gc``), plus the
+    #: solver's internal propagate/analyze/decide/reduce/simplify
+    #: split.  A *run* knob (CLI ``--profile``): it changes what is
+    #: measured, never what is encoded, so it is excluded from
+    #: :meth:`encoding_key`.
     profile: bool = False
 
     def encoding_key(self) -> tuple:
@@ -427,7 +429,9 @@ def _schedule(session: EncodingSession, engines: list[BmcEngine],
 
     Returns the engines' results in order.  The solver's ``profile``
     flag is on while any engine profiles and restored afterwards, so a
-    cached session does not keep timing later runs.
+    cached session does not keep timing later runs.  Meanwhile a
+    ``gc.callbacks`` hook charges every cyclic-GC pause to each
+    profiling run's ``gc`` phase, like the shared encode.
     """
     if not 0 <= lo <= hi:
         raise ValueError(f"bad depth window ({lo}, {hi})")
@@ -436,8 +440,13 @@ def _schedule(session: EncodingSession, engines: list[BmcEngine],
         engine._begin_run(forward_memo)
     solver = session.solver
     profile_before = solver.profile
-    if any(engine.options.profile for engine in engines):
+    profiled = [engine._timers for engine in engines
+                if engine.options.profile]
+    gc_hook = None
+    if profiled:
         solver.profile = True
+        gc_hook = gc_pause_hook(profiled)
+        gc.callbacks.append(gc_hook)
     results: dict[BmcEngine, BmcResult] = {}
     live = list(engines)
     try:
@@ -481,6 +490,8 @@ def _schedule(session: EncodingSession, engines: list[BmcEngine],
             results[engine] = engine._finish(BOUNDED, hi, None)
     finally:
         solver.profile = profile_before
+        if gc_hook is not None:
+            gc.callbacks.remove(gc_hook)
     return [results[engine] for engine in engines]
 
 

@@ -80,7 +80,8 @@ class BmcRunStats:
     peak_rss_mb: float = 0.0
     #: Wall-clock phase breakdown, populated only under
     #: ``BmcOptions.profile`` (CLI ``--profile``): scheduler-level
-    #: ``encode`` vs ``solve`` phases as ``{"s": seconds, "n": calls}``,
+    #: ``encode`` vs ``solve`` phases as ``{"s": seconds, "n": calls}``
+    #: and the cyclic-GC pauses within them as ``gc`` (n = collections),
     #: plus the solver's internal propagate/analyze/decide/backtrack/
     #: reduce/simplify times under ``solver``, and under ``kernel``
     #: whether its hot loops ran compiled (``"native"``) or in Python

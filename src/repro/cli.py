@@ -333,8 +333,9 @@ def main(argv=None) -> int:
                           help="minimize counterexample traces")
     p_verify.add_argument("--profile", action="store_true",
                           help="measure wall-clock phases (encode vs "
-                               "solve, and the solver's propagate/"
-                               "analyze/decide/reduce/simplify split)")
+                               "solve, cyclic-GC pauses, and the "
+                               "solver's propagate/analyze/decide/"
+                               "reduce/simplify split)")
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="worker processes for multi-property "
                                "verification (1 = in-process on one "

@@ -7,8 +7,9 @@ times *encode* vs *solve* per run, the solver times *propagate* /
 (:class:`repro.sat.solver.SolverStats` ``time_*_s`` fields), and the
 fuzz farm times its SAT vs simulation halves per round.  Everything is
 plain ``time.perf_counter()`` arithmetic — no sampling, no threads —
-and is off by default: the engine flips it on under
-``BmcOptions.profile`` (CLI ``--profile``), the farm under
+plus a ``gc.callbacks`` hook for the collector's pauses
+(:func:`gc_pause_hook`), and is off by default: the engine flips it on
+under ``BmcOptions.profile`` (CLI ``--profile``), the farm under
 ``FarmConfig.profile``.
 """
 
@@ -98,6 +99,28 @@ class PhaseTimers:
             lines.append(f"{indent}{phase:<12s} {seconds:8.3f}s "
                          f"({seconds / total:5.1%}, n={self.counts[phase]})")
         return "\n".join(lines)
+
+
+def gc_pause_hook(all_timers: list[PhaseTimers]):
+    """A ``gc.callbacks`` hook that adds every cyclic-GC pause to each
+    of ``all_timers`` as phase ``gc`` (n = collections).
+
+    The pauses happen inside whatever phase was running, so ``gc``
+    overlaps the other phases instead of adding to them.  The caller
+    registers and removes the hook.
+    """
+    start = 0.0
+
+    def hook(phase: str, info: dict) -> None:
+        nonlocal start
+        if phase == "start":
+            start = time.perf_counter()
+            return
+        pause = time.perf_counter() - start
+        for timers in all_timers:
+            timers.add("gc", pause)
+
+    return hook
 
 
 def solver_phase_times(solver_stats: dict) -> dict[str, float]:

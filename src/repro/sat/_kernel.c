@@ -1,6 +1,6 @@
 /* Compiled CDCL hot loops for repro.sat.solver.
  *
- * Six functions, each the same algorithm as the pure-Python loop it
+ * Seven functions, each the same algorithm as the pure-Python loop it
  * stands in for, decision for decision:
  *
  *   propagate(ctx, qhead, level) -> (conflict cid or -1, qhead, props)
@@ -31,6 +31,18 @@
  *   analyze_final(ctx, p, proof) -> (failed literals, reason cids)
  *       the implication walk of Solver._final_walk behind falsified
  *       assumption p; ctx = (clauses, levels, reasons, vals, seen).
+ *   new_var(ctx) -> the new variable
+ *       the body of Solver.new_var; ctx = (vals, levels, reasons,
+ *       activity, saved_phase, watches, bin_watches, heap, heap_pos,
+ *       seen).
+ *
+ * The solver's storage stays out of the cyclic garbage collector: every
+ * list or tuple the functions above store in the solver (clauses,
+ * learnt clauses, watch lists, binary-watch pairs) is created untracked,
+ * and untrack(obj) -> None untracks a list or tuple built in Python.
+ * Such containers hold only ints, or lists of ints, so they can never
+ * be part of a reference cycle; whatever they hold still counts as
+ * referenced, so untracking never frees anything early.
  *
  * They read and write the solver's own lists in place through the list
  * item arrays, with the reference counting the Python statements they
@@ -42,8 +54,10 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* The solver's truth values _TRUE, _FALSE and UNASSIGNED. */
-static PyObject *V_TRUE, *V_FALSE, *V_UNDEF;
+/* The solver's truth values _TRUE, _FALSE and UNASSIGNED, and the
+ * activity of a new variable, shared by every variable as the Python
+ * constant is. */
+static PyObject *V_TRUE, *V_FALSE, *V_UNDEF, *ZERO_ACT;
 
 #define ITEMS(list) (((PyListObject *)(list))->ob_item)
 #define LEN(list) PyList_GET_SIZE(list)
@@ -104,6 +118,26 @@ swap_items(PyObject *list, Py_ssize_t a, Py_ssize_t b)
     PyObject *t = ITEMS(list)[a];
     ITEMS(list)[a] = ITEMS(list)[b];
     ITEMS(list)[b] = t;
+}
+
+/* A new list of n (unfilled) slots, and a new pair, both untracked by
+ * the cycle collector. */
+static inline PyObject *
+untracked_list(Py_ssize_t n)
+{
+    PyObject *list = PyList_New(n);
+    if (list != NULL)
+        PyObject_GC_UnTrack(list);
+    return list;
+}
+
+static inline PyObject *
+untracked_pair(PyObject *a, PyObject *b)
+{
+    PyObject *pair = PyTuple_Pack(2, a, b);
+    if (pair != NULL)
+        PyObject_GC_UnTrack(pair);
+    return pair;
 }
 
 static inline double
@@ -640,7 +674,7 @@ k_intake(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "malformed watch list");
         goto done;
     }
-    PyObject *cl = PyList_New(total);
+    PyObject *cl = untracked_list(total);
     if (cl == NULL)
         goto done;
     for (i = 0; i < total; i++) {
@@ -664,7 +698,7 @@ k_intake(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     PyObject *l0 = ITEMS(cl)[0], *l1 = ITEMS(cl)[1];
     int err;
     if (total == 2) {
-        PyObject *t0 = PyTuple_Pack(2, cid, l1), *t1 = PyTuple_Pack(2, cid, l0);
+        PyObject *t0 = untracked_pair(cid, l1), *t1 = untracked_pair(cid, l0);
         err = t0 == NULL || t1 == NULL || PyList_Append(w0, t0) < 0
             || PyList_Append(w1, t1) < 0;
         Py_XDECREF(t0);
@@ -951,7 +985,7 @@ k_analyze(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
      * objects of the clauses it came from, as the Python loop keeps
      * them (slot 0 is filled in last). */
     PyObject *used = PyList_New(0), *bumps = PyList_New(0),
-             *out = PyList_New(0), *res = NULL;
+             *out = untracked_list(0), *res = NULL;
     IVEC_INIT(learnt);
     IVEC_INIT(cleanup);
     IVEC_INIT(levels);
@@ -1170,6 +1204,63 @@ done:
     return res;
 }
 
+static PyObject *
+k_new_var(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *c[10];
+    if (unpack(args, nargs, 1, "lllllllllb", c) < 0)
+        return NULL;
+    PyObject *vals = c[0], *levels = c[1], *reasons = c[2], *act = c[3],
+             *saved = c[4], *watches = c[5], *bins = c[6], *heap = c[7],
+             *pos = c[8], *seen = c[9];
+    Py_ssize_t nvar = LEN(levels);
+    if (LEN(vals) != 2 * nvar || LEN(reasons) != nvar || LEN(act) != nvar
+            || LEN(saved) != nvar || LEN(watches) != 2 * nvar
+            || LEN(bins) != 2 * nvar || LEN(pos) != nvar
+            || PyByteArray_GET_SIZE(seen) != nvar) {
+        PyErr_SetString(PyExc_ValueError, "solver lists out of step");
+        return NULL;
+    }
+    PyObject *var = PyLong_FromSsize_t(nvar);
+    PyObject *at = PyLong_FromSsize_t(LEN(heap));
+    PyObject *w[4] = {untracked_list(0), untracked_list(0),
+                      untracked_list(0), untracked_list(0)};
+    int err = var == NULL || at == NULL || w[0] == NULL || w[1] == NULL
+        || w[2] == NULL || w[3] == NULL
+        || PyList_Append(vals, V_UNDEF) < 0 || PyList_Append(vals, V_UNDEF) < 0
+        || PyList_Append(levels, V_FALSE) < 0
+        || PyList_Append(reasons, V_UNDEF) < 0
+        || PyList_Append(act, ZERO_ACT) < 0
+        || PyList_Append(saved, V_TRUE) < 0
+        || PyList_Append(watches, w[0]) < 0 || PyList_Append(watches, w[1]) < 0
+        || PyList_Append(bins, w[2]) < 0 || PyList_Append(bins, w[3]) < 0
+        || PyByteArray_Resize(seen, nvar + 1) < 0;
+    if (!err) {
+        PyByteArray_AS_STRING(seen)[nvar] = 0;
+        /* Activity 0.0 never outranks a parent: the new leaf stays put. */
+        err = PyList_Append(pos, at) < 0 || PyList_Append(heap, var) < 0;
+    }
+    for (int i = 0; i < 4; i++)
+        Py_XDECREF(w[i]);
+    Py_XDECREF(at);
+    if (err) {
+        Py_XDECREF(var);
+        return NULL;
+    }
+    return var;
+}
+
+static PyObject *
+k_untrack(PyObject *Py_UNUSED(mod), PyObject *obj)
+{
+    if (!PyList_CheckExact(obj) && !PyTuple_CheckExact(obj)) {
+        PyErr_SetString(PyExc_TypeError, "untrack takes a list or a tuple");
+        return NULL;
+    }
+    PyObject_GC_UnTrack(obj);
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"propagate", (PyCFunction)(void (*)(void))k_propagate, METH_FASTCALL,
      "Unit propagation over the solver's lists; (confl, qhead, props)."},
@@ -1183,6 +1274,10 @@ static PyMethodDef kernel_methods[] = {
      "First-UIP conflict analysis; (learnt, bt, used, lbd, bumps, var_inc)."},
     {"analyze_final", (PyCFunction)(void (*)(void))k_analyze_final,
      METH_FASTCALL, "Walk back from a failed assumption; (failed, cids)."},
+    {"new_var", (PyCFunction)(void (*)(void))k_new_var, METH_FASTCALL,
+     "Allocate a variable in the solver's lists; the new variable."},
+    {"untrack", k_untrack, METH_O,
+     "Stop the cycle collector tracking a list or tuple."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1200,7 +1295,9 @@ PyInit__kernel(void)
     V_TRUE = PyLong_FromLong(1);
     V_FALSE = PyLong_FromLong(0);
     V_UNDEF = PyLong_FromLong(-1);
-    if (V_TRUE == NULL || V_FALSE == NULL || V_UNDEF == NULL)
+    ZERO_ACT = PyFloat_FromDouble(0.0);
+    if (V_TRUE == NULL || V_FALSE == NULL || V_UNDEF == NULL
+            || ZERO_ACT == NULL)
         return NULL;
     return PyModule_Create(&kernel_module);
 }

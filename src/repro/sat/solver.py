@@ -60,6 +60,23 @@ tree that cannot be written — ``_kernel`` is None, ``_kernel_error``
 says why, and the pure-Python loops run: the package needs nothing
 beyond the standard library.  Both give the same search, so setting
 ``_kernel`` to None only makes the solver slower.
+
+With the kernel loaded, the solver's storage is also kept out of
+CPython's cyclic garbage collector, whose passes would otherwise walk
+every clause and watch list of a large session again and again.
+``__init__`` untracks the outer lists (``_vals``, ``_levels``,
+``_reasons``, ``_activity``, ``_saved_phase``, ``_watches``,
+``_bin_watches``, ``_clauses``, ``_trail``, ``_trail_lim``,
+``_assump_levels``, ``_heap``, ``_heap_pos``); the kernel's ``new_var``,
+``intake`` and ``analyze`` create the watch lists, clause lists,
+binary-watch pairs and learnt clauses untracked, and the Python side
+untracks the clause lists and pairs it builds itself.  All of them hold
+only ints or lists of ints, so none can be part of a reference cycle,
+and untracking frees nothing early: what an untracked container holds
+still counts as referenced.  ``_labels`` holds the caller's objects,
+which may refer back to the solver, so it stays tracked and a solver
+caught in a cycle is still reclaimed.  No process-wide GC setting is
+touched, and with ``_kernel`` None nothing is untracked.
 """
 
 from __future__ import annotations
@@ -323,6 +340,19 @@ class Solver:
                              self._clause_act)
         self._final_ctx = (self._clauses, self._levels, self._reasons,
                            self._vals, self._seen)
+        self._new_var_ctx = (self._vals, self._levels, self._reasons,
+                             self._activity, self._saved_phase,
+                             self._watches, self._bin_watches, self._heap,
+                             self._heap_pos, self._seen)
+        if _kernel is not None:
+            # Out of the cycle collector (see the module docstring),
+            # with the watch lists of variable 0.
+            for lst in (self._vals, self._levels, self._reasons,
+                        self._activity, self._saved_phase, self._watches,
+                        self._bin_watches, self._clauses, self._trail,
+                        self._trail_lim, self._assump_levels, self._heap,
+                        self._heap_pos, *self._watches, *self._bin_watches):
+                _kernel.untrack(lst)
 
     # ------------------------------------------------------------------
     # Public API
@@ -330,6 +360,8 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable (positive integer)."""
+        if _kernel is not None:
+            return _kernel.new_var(self._new_var_ctx)
         self._vals.append(UNASSIGNED)
         self._vals.append(UNASSIGNED)
         self._levels.append(0)
@@ -462,7 +494,10 @@ class Solver:
         clauses = self._clauses
         cid = len(clauses)
         # All literals false at level 0: store them as given.
-        clauses.append(out if out else dropped)
+        stored = out if out else dropped
+        if _kernel is not None:
+            _kernel.untrack(stored)
+        clauses.append(stored)
         if label is not None:
             self._labels[cid] = label
         self._n_original += 1
@@ -487,6 +522,10 @@ class Solver:
             if confl != -1:
                 core = self._conflict_core_at_level0(confl)
                 self._mark_broken(core)
+            return cid
+        if _kernel is not None:
+            # The kernel took most clauses; _attach untracks the pairs.
+            self._attach(cid)
             return cid
         l0 = out[0]
         l1 = out[1]
@@ -865,8 +904,13 @@ class Solver:
         l0 = lits[0]
         l1 = lits[1]
         if len(lits) == 2:
-            self._bin_watches[l0].append((cid, l1))
-            self._bin_watches[l1].append((cid, l0))
+            p0 = (cid, l1)
+            p1 = (cid, l0)
+            if _kernel is not None:
+                _kernel.untrack(p0)
+                _kernel.untrack(p1)
+            self._bin_watches[l0].append(p0)
+            self._bin_watches[l1].append(p1)
         else:
             w = self._watches[l0]
             w.append(cid)
@@ -1198,7 +1242,9 @@ class Solver:
     def _record_learnt(self, learnt: list[int], used: list[int],
                        lbd: int) -> None:
         cid = len(self._clauses)
-        self._clauses.append(list(learnt))
+        # Both analyze paths return a fresh list the solver alone owns
+        # (the kernel's is created untracked).
+        self._clauses.append(learnt)
         self.stats.learned += 1
         if self.proof_logging:
             self._derivations[cid] = tuple(set(used))

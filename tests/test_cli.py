@@ -1,9 +1,11 @@
 """CLI smoke tests (driving main() in-process)."""
 
+import gc
 import re
 
 import pytest
 
+from repro.bmc import EncodingSession
 from repro.cli import main
 
 
@@ -77,6 +79,23 @@ class TestCli:
         kernels = re.findall(r"profile solver\.kernel\s+(\w+)$", out, re.M)
         assert len(kernels) == len(lines)
         assert set(kernels) <= {"native", "python"}
+
+    def test_verify_profile_reports_gc_pauses(self, capsys, monkeypatch):
+        # A collection forced at every encoded frame (4 here) shows up as
+        # the ``gc`` phase of each profiled run.
+        extend_to = EncodingSession.extend_to
+
+        def collecting_extend_to(session, depth, quota=None):
+            gc.collect()
+            return extend_to(session, depth, quota)
+
+        monkeypatch.setattr(EncodingSession, "extend_to", collecting_extend_to)
+        main(["verify", "multiport_soc", "--profile", "--no-proof",
+              "--max-depth", "3", "--addr-width", "3", "--data-width", "4"])
+        out = capsys.readouterr().out
+        lines = re.findall(r"profile gc\s+([0-9.]+)s \(n=(\d+)\)", out)
+        assert len(lines) == len(re.findall(r"^\S.*: ", out, re.M)) > 1
+        assert all(int(n) >= 4 for _, n in lines)
 
     def test_ablation_flags(self, capsys):
         rc = main(["verify", "stack_machine", "--property", "can_reach_depth3",

@@ -1,5 +1,6 @@
 """BMC engine behaviours: options, statuses, reach properties, stats."""
 
+import gc
 import time
 
 import pytest
@@ -240,6 +241,42 @@ class TestProfile:
         assert stats[True].conflicts > 0
         assert stats[True].time_backtrack_s > 0
         assert stats[False].time_backtrack_s == 0
+
+    def test_profile_times_gc_pauses_without_moving_the_search(
+            self, monkeypatch):
+        # One forced collection per encoded frame: a profiled run counts
+        # each as a ``gc`` pause; its hook is registered only while the
+        # profiled schedule runs, and neither mode moves the search.
+        counters = ("conflicts", "decisions", "propagations", "learned",
+                    "restarts", "trail_saved_levels")
+        extend_to = EncodingSession.extend_to
+        hooks_seen = []
+
+        def collecting_extend_to(session, depth, quota=None):
+            hooks_seen.append(list(gc.callbacks))
+            gc.collect()
+            return extend_to(session, depth, quota)
+
+        monkeypatch.setattr(EncodingSession, "extend_to", collecting_extend_to)
+        before = list(gc.callbacks)
+        stats = {}
+        for profile in (False, True):
+            hooks_seen.clear()
+            opts = BmcOptions(max_depth=4, find_proof=False, profile=profile)
+            session = EncodingSession(small_soc(), opts)
+            results = verify_many(session.design, options=opts,
+                                  session=session)
+            stats[profile] = session.solver.stats
+            assert gc.callbacks == before
+            added = {len(seen) - len(before) for seen in hooks_seen}
+            assert added == {1 if profile else 0}
+            for r in results.values():
+                if profile:
+                    assert r.stats.profile["phases"]["gc"]["n"] >= r.depth + 1
+                else:
+                    assert r.stats.profile == {}
+        assert ([getattr(stats[True], c) for c in counters]
+                == [getattr(stats[False], c) for c in counters])
 
     def test_shared_encode_is_timed_for_every_property(self, monkeypatch):
         sleep_s = 0.01

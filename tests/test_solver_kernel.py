@@ -13,6 +13,7 @@ import random
 import shutil
 import sysconfig
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -20,6 +21,7 @@ import repro.sat.solver as solver_mod
 from repro.bmc import BmcOptions, EncodingSession, verify_many
 from repro.casestudies import CpuParams, build_cpu, memcpy_program
 from repro.sat import Solver
+from tests.test_kept_trail import _run_session
 
 
 def test_kernel_is_built_where_a_toolchain_exists():
@@ -67,6 +69,7 @@ def _cpu_memcpy_session(pba):
     verify_many(design, options=opts, session=session)
     assert session.solver.stats.conflicts > 0
     assert bool(session.solver._derivations) == pba
+    return session.solver
 
 
 def _level0_chain_session():
@@ -112,3 +115,69 @@ def test_kernel_leaks_no_references():
     finally:
         tracemalloc.stop()
     assert traced[2] <= traced[0] + 16 * 1024, traced
+
+
+def _check_untracked(s):
+    """The solver's storage is out of the cycle collector and holds
+    nothing but ints: the outer lists, every clause, watch list and
+    binary-watch list, and the binary-watch ``(cid, other)`` pairs."""
+    outer = (s._vals, s._levels, s._reasons, s._activity, s._saved_phase,
+             s._watches, s._bin_watches, s._clauses, s._trail, s._trail_lim,
+             s._assump_levels, s._heap, s._heap_pos)
+    assert not any(gc.is_tracked(lst) for lst in outer)
+    ints = (s._vals, s._levels, s._reasons, s._saved_phase, s._trail,
+            s._trail_lim, s._assump_levels, s._heap, s._heap_pos)
+    assert all(type(x) is int for lst in ints for x in lst)
+    assert all(type(a) is float for a in s._activity)
+    for lists in (s._watches, [c for c in s._clauses if c is not None]):
+        assert not any(gc.is_tracked(lst) for lst in lists)
+        assert all(type(x) is int for lst in lists for x in lst)
+    for lst in s._bin_watches:
+        assert not gc.is_tracked(lst)
+        for pair in lst:
+            assert type(pair) is tuple and len(pair) == 2
+            assert not gc.is_tracked(pair)
+            assert type(pair[0]) is int and type(pair[1]) is int
+
+
+def test_solver_storage_is_untracked():
+    """With the kernel loaded, the cpu memcpy sessions (with and without
+    proof logging) and kept-trail sessions, whose clauses take the Python
+    intake body and ``_place_under_trail``, leave all solver storage
+    untracked; ``_labels`` holds caller objects and stays tracked."""
+    if solver_mod._kernel is None:
+        pytest.skip(f"no compiled solver kernel: {solver_mod._kernel_error}")
+    for pba in (False, True):
+        s = _cpu_memcpy_session(pba)
+        _check_untracked(s)
+        # Among its labels are frozensets, which are always tracked.
+        assert s._labels and gc.is_tracked(s._labels)
+    solvers = []
+    for seed in range(12):
+        for proof in (False, True):
+            _run_session(seed, proof, instrument=solvers.append)
+    assert sum(s.stats.learned for s in solvers) > 0
+    for s in solvers:
+        _check_untracked(s)
+
+
+class _Tag:
+    """A weakly referenceable clause label."""
+
+
+def test_solver_in_a_reference_cycle_is_reclaimed(solver_mode):
+    """A solver reachable only through a cycle — here through the label
+    of one of its own clauses — is freed by ``gc.collect()``."""
+    s = Solver(proof=False)
+    for _ in range(6):
+        s.new_var()
+    tag = _Tag()
+    tag.solver = s
+    s.add_clause([1, 2, 3], label=tag)
+    s.add_clause([-1, 4])
+    s.add_clause([-4, -2])
+    assert s.solve([1]).sat
+    refs = (weakref.ref(s), weakref.ref(tag))
+    del s, tag
+    gc.collect()
+    assert all(ref() is None for ref in refs)
