@@ -39,7 +39,7 @@
  * The solver's storage stays out of the cyclic garbage collector: every
  * list or tuple the functions above store in the solver (clauses,
  * learnt clauses, watch lists, binary-watch pairs) is created untracked,
- * and untrack(obj) -> None untracks a list or tuple built in Python.
+ * and untrack(lst) -> None untracks a list built in Python.
  * Such containers hold only ints, or lists of ints, so they can never
  * be part of a reference cycle; whatever they hold still counts as
  * referenced, so untracking never frees anything early.
@@ -1253,8 +1253,8 @@ k_new_var(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 k_untrack(PyObject *Py_UNUSED(mod), PyObject *obj)
 {
-    if (!PyList_CheckExact(obj) && !PyTuple_CheckExact(obj)) {
-        PyErr_SetString(PyExc_TypeError, "untrack takes a list or a tuple");
+    if (!PyList_CheckExact(obj)) {
+        PyErr_SetString(PyExc_TypeError, "untrack takes a list");
         return NULL;
     }
     PyObject_GC_UnTrack(obj);
@@ -1277,7 +1277,7 @@ static PyMethodDef kernel_methods[] = {
     {"new_var", (PyCFunction)(void (*)(void))k_new_var, METH_FASTCALL,
      "Allocate a variable in the solver's lists; the new variable."},
     {"untrack", k_untrack, METH_O,
-     "Stop the cycle collector tracking a list or tuple."},
+     "Stop the cycle collector tracking a list."},
     {NULL, NULL, 0, NULL},
 };
 

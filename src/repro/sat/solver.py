@@ -70,8 +70,9 @@ every clause and watch list of a large session again and again.
 ``_assump_levels``, ``_heap``, ``_heap_pos``); the kernel's ``new_var``,
 ``intake`` and ``analyze`` create the watch lists, clause lists,
 binary-watch pairs and learnt clauses untracked, and the Python side
-untracks the clause lists and pairs it builds itself.  All of them hold
-only ints or lists of ints, so none can be part of a reference cycle,
+untracks the clause lists it builds itself (CPython untracks the int
+pairs it builds at their first collection).  All of them hold only ints
+or lists of ints, so none can be part of a reference cycle,
 and untracking frees nothing early: what an untracked container holds
 still counts as referenced.  ``_labels`` holds the caller's objects,
 which may refer back to the solver, so it stays tracked and a solver
@@ -523,10 +524,6 @@ class Solver:
                 core = self._conflict_core_at_level0(confl)
                 self._mark_broken(core)
             return cid
-        if _kernel is not None:
-            # The kernel took most clauses; _attach untracks the pairs.
-            self._attach(cid)
-            return cid
         l0 = out[0]
         l1 = out[1]
         if n == 2:
@@ -904,13 +901,8 @@ class Solver:
         l0 = lits[0]
         l1 = lits[1]
         if len(lits) == 2:
-            p0 = (cid, l1)
-            p1 = (cid, l0)
-            if _kernel is not None:
-                _kernel.untrack(p0)
-                _kernel.untrack(p1)
-            self._bin_watches[l0].append(p0)
-            self._bin_watches[l1].append(p1)
+            self._bin_watches[l0].append((cid, l1))
+            self._bin_watches[l1].append((cid, l0))
         else:
             w = self._watches[l0]
             w.append(cid)

@@ -62,27 +62,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
 
-    def test_verify_profile_times_shared_encode(self, capsys):
+    def test_verify_profile_times_shared_encode(self, capsys, monkeypatch):
         # Every property of the shared session is charged the encode of
-        # each depth it was live at (4 frames here), never 0.
-        main(["verify", "multiport_soc", "--profile", "--no-proof",
-              "--max-depth", "3", "--addr-width", "3", "--data-width", "4"])
-        out = capsys.readouterr().out
-        lines = re.findall(r"profile encode\s+([0-9.]+)s \(n=(\d+)\)", out)
-        assert len(lines) == len(re.findall(r"^\S.*: ", out, re.M)) > 1
-        assert all(n == "4" and float(secs) > 0 for secs, n in lines)
-        # The solver split names decision picks and backtracks next to
-        # propagation, and which implementation ran the hot loops.
-        assert "profile solver.decide" in out
-        assert "profile solver.propagate" in out
-        assert "profile solver.backtrack" in out
-        kernels = re.findall(r"profile solver\.kernel\s+(\w+)$", out, re.M)
-        assert len(kernels) == len(lines)
-        assert set(kernels) <= {"native", "python"}
-
-    def test_verify_profile_reports_gc_pauses(self, capsys, monkeypatch):
-        # A collection forced at every encoded frame (4 here) shows up as
-        # the ``gc`` phase of each profiled run.
+        # each depth it was live at (4 frames here), never 0.  A
+        # collection forced at every encoded frame shows up as the ``gc``
+        # phase of each profiled run.
         extend_to = EncodingSession.extend_to
 
         def collecting_extend_to(session, depth, quota=None):
@@ -93,9 +77,20 @@ class TestCli:
         main(["verify", "multiport_soc", "--profile", "--no-proof",
               "--max-depth", "3", "--addr-width", "3", "--data-width", "4"])
         out = capsys.readouterr().out
-        lines = re.findall(r"profile gc\s+([0-9.]+)s \(n=(\d+)\)", out)
+        lines = re.findall(r"profile encode\s+([0-9.]+)s \(n=(\d+)\)", out)
         assert len(lines) == len(re.findall(r"^\S.*: ", out, re.M)) > 1
-        assert all(int(n) >= 4 for _, n in lines)
+        assert all(n == "4" and float(secs) > 0 for secs, n in lines)
+        pauses = re.findall(r"profile gc\s+([0-9.]+)s \(n=(\d+)\)", out)
+        assert len(pauses) == len(lines)
+        assert all(int(n) >= 4 for _, n in pauses)
+        # The solver split names decision picks and backtracks next to
+        # propagation, and which implementation ran the hot loops.
+        assert "profile solver.decide" in out
+        assert "profile solver.propagate" in out
+        assert "profile solver.backtrack" in out
+        kernels = re.findall(r"profile solver\.kernel\s+(\w+)$", out, re.M)
+        assert len(kernels) == len(lines)
+        assert set(kernels) <= {"native", "python"}
 
     def test_ablation_flags(self, capsys):
         rc = main(["verify", "stack_machine", "--property", "can_reach_depth3",

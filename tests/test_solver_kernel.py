@@ -120,7 +120,9 @@ def test_kernel_leaks_no_references():
 def _check_untracked(s):
     """The solver's storage is out of the cycle collector and holds
     nothing but ints: the outer lists, every clause, watch list and
-    binary-watch list, and the binary-watch ``(cid, other)`` pairs."""
+    binary-watch list, and the binary-watch ``(cid, other)`` pairs (the
+    ones built in Python once a collection has untracked them)."""
+    gc.collect()
     outer = (s._vals, s._levels, s._reasons, s._activity, s._saved_phase,
              s._watches, s._bin_watches, s._clauses, s._trail, s._trail_lim,
              s._assump_levels, s._heap, s._heap_pos)
