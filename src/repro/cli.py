@@ -34,7 +34,6 @@ from repro.design.equiv import check_equivalence
 from repro.design.explicit import expand_memories
 from repro.design.netlist import Design
 from repro.design.verilog import write_verilog
-from repro.design.verilog_parser import VerilogError, parse_verilog
 from repro.pba.abstraction import verify_with_pba
 
 
@@ -260,6 +259,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    from repro.design.verilog_parser import VerilogError, parse_verilog
+
     with open(args.file) as f:
         text = f.read()
     try:
@@ -287,6 +288,8 @@ def cmd_parse(args) -> int:
 def cmd_roundtrip(args) -> int:
     """Export a case study to Verilog, re-parse, check equivalence."""
     import io
+
+    from repro.design.verilog_parser import parse_verilog
 
     design = _build(args)
     buf = io.StringIO()

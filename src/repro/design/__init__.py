@@ -20,7 +20,6 @@ from repro.design.explicit import expand_memories
 from repro.design.cone import latch_support, memory_control_latches
 from repro.design.equiv import build_miter, check_equivalence
 from repro.design.verilog import write_verilog
-from repro.design.verilog_parser import parse_verilog, VerilogError
 
 __all__ = [
     "Design", "Expr", "Latch", "Memory", "Input", "ReadPort", "WritePort",
@@ -28,3 +27,13 @@ __all__ = [
     "build_miter", "check_equivalence", "write_verilog", "parse_verilog",
     "VerilogError",
 ]
+
+
+def __getattr__(name: str):
+    # The Verilog parser is large and only the parse/roundtrip flows use
+    # it, so it loads on first access to one of its names.
+    if name in ("parse_verilog", "VerilogError"):
+        from repro.design import verilog_parser
+
+        return getattr(verilog_parser, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -86,7 +86,6 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -118,6 +117,7 @@ def _load_kernel(here: Optional[str] = None):
         cache = os.path.join(here, "__pycache__")
         path = os.path.join(cache, f"_kernel_{digest}{suffix}")
         if not os.path.exists(path):
+            import subprocess
             import sysconfig
 
             os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -20,7 +20,10 @@ matching the EMM discipline.
 
 NumPy is an *optional* dependency: :func:`have_numpy` reports
 availability and every consumer (oracle layer, shrinker, fuzz farm)
-falls back to the scalar simulator when it is missing.
+falls back to the scalar simulator when it is missing.  It is imported
+on the first :func:`have_numpy` call, not with this module, so the
+BMC path (which only ever replays on the scalar simulator) never
+pays for loading it.
 """
 
 from __future__ import annotations
@@ -28,25 +31,38 @@ from __future__ import annotations
 import weakref
 from typing import Mapping, Optional, Sequence
 
-try:  # optional dependency; the scalar simulator is the fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
-
 from repro.design.netlist import Design, Expr
 from repro.sim.trace import Trace
 
 #: Word widths the uint64 lanes can hold.
 MAX_WIDTH = 64
 
+#: The numpy module once :func:`have_numpy` has loaded it; None before
+#: the first call and on numpy-free installs.
+np = None
+_numpy_probed = False
+
 
 def have_numpy() -> bool:
-    """True when the vectorized path is available."""
+    """True when the vectorized path is available.
+
+    The first call imports numpy; the outcome, a failure included, is
+    kept, so the import is attempted once per process.
+    """
+    global np, _numpy_probed
+    if not _numpy_probed:
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        # Set only after the attempt, so no concurrent caller can read
+        # "probed" while numpy is still being imported.
+        np, _numpy_probed = numpy, True
     return np is not None
 
 
 def _require_numpy() -> None:
-    if np is None:
+    if not have_numpy():
         raise RuntimeError(
             "VectorSimulator requires numpy; install numpy or use the "
             "scalar repro.sim.Simulator")
@@ -137,6 +153,7 @@ class BatchTrace:
 
     def prop_matrix(self, name: str):
         """Property values as a ``(cycles, batch)`` array."""
+        _require_numpy()  # a hand-built BatchTrace may come before any sim
         return np.stack([np.broadcast_to(c["props"][name], (self.batch,))
                          for c in self.cycles])
 

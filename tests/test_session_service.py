@@ -43,9 +43,16 @@ def tiny_soc():
 
 
 def quick_hit_fifo():
-    """A fifo with an extra depth-0 witness — the fast first-CEX job."""
+    """A fifo with an extra depth-0 witness — the fast first-CEX job.
+
+    ``quick`` holds at depth 0 only (a latch that starts at 1 and stays
+    0 after), so a window above depth 0 has no witness of its own and
+    must encode every frame up to its bound.
+    """
     design = build_fifo(FifoParams(addr_width=4, data_width=8))
-    design.reach("quick", design.const(1, 1))
+    once = design.latch("quick_once", 1, init=1)
+    once.next = design.const(0, 1)
+    design.reach("quick", once.expr)
     return design
 
 
