@@ -59,6 +59,7 @@ def main() -> None:
     print(f"\n{witnesses}/{total} witnesses found, {proofs} unreachability "
           f"proofs (paper: 206/216 witnesses, 10 proofs), "
           f"{time.perf_counter() - t0:.1f}s total")
+    assert witnesses + proofs == total, "every property is a witness or a proof"
 
 
 if __name__ == "__main__":

@@ -36,15 +36,18 @@ def main() -> None:
     freed = free_memory_reads(design, "table")
     r = verify(freed, alarms[0], BmcOptions(find_proof=False, max_depth=10))
     print(f"  {r.describe()}   <- SPURIOUS (the paper saw these at depth 7)")
+    assert r.falsified
 
     print("\nstep 2 — EMM keeps the memory semantics:")
     r = verify(design, alarms[0], bmc2(max_depth=12))
     print(f"  {r.describe()}   <- no witness, but also no proof")
+    assert r.status == "bounded"
 
     print("\nstep 3 — prove the interface invariant G(WE=0 or WD=0):")
     t0 = time.perf_counter()
     r = verify(design, "we_or_wd_zero", bmc3(max_depth=10, pba=False))
     print(f"  {r.describe()}  [{time.perf_counter() - t0:.2f}s]")
+    assert r.proved and r.method == "backward" and r.depth <= 2
 
     print("\nstep 4 — replace the memory by rd=0 and prove every alarm:")
     t0 = time.perf_counter()
@@ -58,6 +61,7 @@ def main() -> None:
     verdict = "ALL PROVED" if flow.all_proved else "INCOMPLETE"
     print(f"\n{verdict} in {time.perf_counter() - t0:.2f}s "
           f"(paper: each property < 1s on the reduced model)")
+    assert flow.all_proved
 
 
 if __name__ == "__main__":

@@ -23,12 +23,13 @@ from hypothesis import given, settings, strategies as st
 from repro.aig import Aig, CnfEmitter
 from repro.bmc import BmcOptions, bmc3, verify
 from repro.bmc.unroller import Unroller
-from repro.design import Design
+from repro.design import Design, expand_memories
 from repro.emm import EmmMemory, InitReadRegistry, accounting
 from repro.emm.gates import GateEmmMemory
 from repro.sat import Solver
 from repro.sim import Simulator
 from tests.bmc_oracle import assert_matches_oracle
+from tests.test_strash import recurring_bench_design
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,9 @@ def build_const_pair(aw=4, dw=4):
     return d
 
 
-def run_gate_frames(design, depth, **kw):
+def run_gate_frames(design, depth, sizes=None, **kw):
+    """Encode frames 0..depth with the gate EMM; when ``sizes`` is a
+    list, append the solver's clauses+vars after each frame to it."""
     solver = Solver(proof=False)
     emitter = CnfEmitter(Aig(), solver)
     unroller = Unroller(design, emitter)
@@ -360,7 +363,53 @@ def run_gate_frames(design, depth, **kw):
     for k in range(depth + 1):
         unroller.add_frame()
         emm.add_frame(k)
+        if sizes is not None:
+            sizes.append(solver.num_clauses + solver.num_vars)
     return solver, emm
+
+
+CHAIN_WORKLOADS = {"recurring": recurring_bench_design, "const": build_const_pair}
+
+#: C3: cumulative solver clauses+vars of the gate EMM encoding at every
+#: depth 8..24, per (workload, AW, DW).
+CHAIN_PINNED = {
+    ("recurring", 4, 4): [4674, 5649, 6714, 7869, 9114, 10449, 11874,
+                          13389, 14994, 16689, 18474, 20349, 22314,
+                          24369, 26514, 28749, 31074],
+    ("const", 4, 4): [1312, 1468, 1624, 1780, 1936, 2092, 2248, 2404,
+                      2560, 2716, 2872, 3028, 3184, 3340, 3496, 3652,
+                      3808],
+    ("const", 6, 8): [2320, 2594, 2868, 3142, 3416, 3690, 3964, 4238,
+                      4512, 4786, 5060, 5334, 5608, 5882, 6156, 6430,
+                      6704],
+}
+
+
+@pytest.mark.parametrize("workload,aw,dw", list(CHAIN_PINNED),
+                         ids=[f"{w}-m{a}n{d}" for w, a, d in CHAIN_PINNED])
+def test_chain_share_pinned_to_depth_24(workload, aw, dw):
+    """The suffix-shared encoding's size at every depth 8..24; on the
+    constant-address workload the per-frame new gates plateau after
+    warmup while eq-(6) pairs are pruned and fall-through reads merge.
+    At depth 8 both encodings agree with the explicit-memory model."""
+    sizes = []
+    __, emm = run_gate_frames(CHAIN_WORKLOADS[workload](aw, dw), 24, sizes)
+    assert sizes[8:] == CHAIN_PINNED[(workload, aw, dw)]
+    c = emm.counters
+    assert c.chain_suffix_hits > 0
+    if workload == "const":
+        gates = [f["gates"] for f in c.per_frame]
+        assert len(set(gates[3:])) == 1, gates
+        assert c.init_pairs_pruned > 0
+        assert c.init_records_merged > 0
+    design = CHAIN_WORKLOADS[workload](aw, dw)
+    results = [verify(design, "p", BmcOptions(find_proof=False, max_depth=8,
+                                              emm_encoding=encoding))
+               for encoding in ("gates", "hybrid")]
+    results.append(verify(expand_memories(design), "p",
+                          BmcOptions(find_proof=False, max_depth=8,
+                                     use_emm=False)))
+    assert [(r.status, r.depth) for r in results] == [("bounded", 8)] * 3
 
 
 class TestSuffixSharingAccounting:

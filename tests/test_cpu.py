@@ -125,6 +125,17 @@ class TestMemcpyProgram:
         assert r.trace_validated is True
 
     @pytest.mark.slow
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_self_check_proved_on_program_sized_rom(self, n):
+        """memcpy of n words with the ROM sized to the 5n+4-word program:
+        the self-check is proved for every initial data memory."""
+        p = CpuParams(pc_width=max(4, (5 * n + 4).bit_length()),
+                      addr_width=3, data_width=4)
+        d = build_cpu(memcpy_program(n, src=0, dst=4, params=p), p)
+        r = verify(d, "halted_acc_one", bmc3(max_depth=40, pba=False))
+        assert r.proved, r.describe()
+
+    @pytest.mark.slow
     def test_self_check_proved_for_arbitrary_memory(self):
         """The paper's Section 4.2 punchline on software: the self-check
         holds for EVERY initial memory image, proved by induction."""

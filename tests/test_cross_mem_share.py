@@ -15,7 +15,9 @@ from repro.aig import Aig, CnfEmitter
 from repro.bmc import BmcOptions, EncodingSession, verify
 from repro.bmc.engine import BmcEngine
 from repro.bmc.unroller import Unroller
-from repro.design import Design
+from repro.casestudies.multiport_soc import (MultiportSocParams,
+                                             build_multiport_soc)
+from repro.design import Design, build_miter, expand_memories
 from repro.emm import (AddrComparator, EmmCounters, EmmMemory,
                        SharedComparatorTables)
 from repro.sat import Solver
@@ -160,3 +162,88 @@ class TestEndToEnd:
         assert r.memory_reasons, "no PBA reasons collected"
         assert r.memory_reasons[-1] == frozenset({"ma", "mb"})
         assert r.stats.core_unlabeled == 0
+
+
+# ---------------------------------------------------------------------------
+# C10: the two-copy miter and a single-memory design, pinned.
+# ---------------------------------------------------------------------------
+
+
+def build_memory_unit():
+    """One three-read-port memory behind input-driven cones, plus a
+    constant read address and a reuse of the write address, so the
+    per-memory cache already fires and the miter's cross-memory hits
+    come on top of it."""
+    d = Design("unit")
+    wa = d.input("wa", 3)
+    wd = d.input("wd", 4)
+    we = d.input("we", 1)
+    ra0 = d.input("ra0", 3)
+    mem = d.memory("m", addr_width=3, data_width=4, init=0, read_ports=3)
+    mem.write(0).connect(addr=wa, data=wd, en=we)
+    r0 = mem.read(0).connect(addr=ra0, en=1)
+    r1 = mem.read(1).connect(addr=d.const(5, 3), en=1)
+    r2 = mem.read(2).connect(addr=wa, en=1)
+    out = d.latch("out", 4, init=0)
+    out.next = r0 ^ r1 ^ r2
+    return d, out.expr
+
+
+def build_miter_workload():
+    a, oa = build_memory_unit()
+    b, ob = build_memory_unit()
+    return build_miter(a, b, [(oa, ob)])
+
+
+#: Session solver clauses+vars of the miter at each even depth 2..16.
+MITER_PINNED = dict(zip(range(2, 17, 2),
+                        [1663, 4196, 7837, 12586, 18443, 25408, 33481,
+                         42662]))
+
+#: Solver clauses+vars of the single-memory SoC run at depth 8.
+SOC_PINNED = 6007
+
+
+class TestPinned:
+    def test_miter_sizes_pinned(self):
+        """The a::/b:: copies see identical cones: the registry shares
+        across them (zero hits means it went dead)."""
+        session = EncodingSession(build_miter_workload(), BmcOptions())
+        sizes = {}
+        for depth in MITER_PINNED:
+            session.extend_to(depth)
+            sizes[depth] = session.clause_var_total()
+        assert sizes == MITER_PINNED
+        assert session.cmp_registry.cross_mem_hits > 0
+
+    def test_miter_verdict_parity(self):
+        """Sharing is invisible to the verdict, the PBA reasons and the
+        trace, and the bounded run's PBA cores name both memory copies."""
+        out = {encoding: verify(build_miter_workload(), "equiv",
+                                BmcOptions(find_proof=False, pba=True,
+                                           max_depth=10,
+                                           emm_encoding=encoding))
+               for encoding in ("hybrid", "gates")}
+        explicit = verify(expand_memories(build_miter_workload()), "equiv",
+                          BmcOptions(find_proof=False, use_emm=False,
+                                     max_depth=10))
+        on, gates = out["hybrid"], out["gates"]
+        assert (on.status, on.depth, on.method) == \
+            (gates.status, gates.depth, gates.method)
+        assert (on.status, on.depth) == (explicit.status, explicit.depth)
+        assert on.trace_validated == gates.trace_validated
+        assert on.latch_reasons == gates.latch_reasons
+        assert on.memory_reasons == gates.memory_reasons
+        assert on.stats.cross_mem_cmp_hits > 0
+        assert on.stats.core_unlabeled == 0
+        assert {"a::m", "b::m"} <= on.memory_reasons[-1]
+
+    def test_single_memory_soc_pinned(self):
+        """One memory: the registry has nothing to share across."""
+        design = build_multiport_soc(MultiportSocParams(
+            addr_width=3, data_width=4, counter_width=3, num_properties=2))
+        r = verify(design, sorted(design.properties)[0],
+                   BmcOptions(find_proof=False, max_depth=8))
+        assert (r.status, r.depth) == ("bounded", 8)
+        assert r.stats.cross_mem_cmp_hits == 0
+        assert r.stats.sat_clauses + r.stats.sat_vars == SOC_PINNED

@@ -123,6 +123,35 @@ def test_cumulative_growth_is_quadratic():
     assert c.excl_gates == accounting.cumulative_gates(8, 1, 1)
 
 
+#: C1 growth configurations (AW, DW, R, W, depth): small widths, then
+#: Industry II's port structure and Industry I's memory shape at the
+#: paper's widths.
+GROWTH_CONFIGS = [
+    (4, 4, 1, 1, 12),
+    (6, 8, 1, 1, 12),
+    (4, 4, 2, 1, 12),
+    (4, 4, 1, 2, 12),
+    (10, 32, 3, 1, 8),
+    (10, 8, 1, 1, 10),
+]
+
+
+@pytest.mark.parametrize("aw,dw,r,w,depth", GROWTH_CONFIGS,
+                         ids=[f"m{c[0]}n{c[1]}R{c[2]}W{c[3]}"
+                              for c in GROWTH_CONFIGS])
+def test_cumulative_counts_match_closed_forms(aw, dw, r, w, depth):
+    """C1: with fresh symbolic addresses and arbitrary init (eq-(6)
+    off) the cumulative EMM clauses and exclusivity gates equal the
+    paper's ((4m+2n+1)kW + 2n+1)R clauses and 3kWR gates per depth k."""
+    emm = run_frames(make_port_design(aw, dw, r, w, init=None), depth,
+                     init_consistency=False)
+    c = emm.counters
+    measured = (c.addr_eq_clauses + c.rd_clauses + c.valid_clauses
+                + c.init_rd_clauses)
+    assert measured == accounting.cumulative_clauses(depth, w, r, aw, dw)
+    assert c.excl_gates == accounting.cumulative_gates(depth, w, r)
+
+
 def test_symbolic_words_per_depth():
     """Arbitrary init introduces one fresh word per read per frame."""
     design = make_port_design(3, 4, r_ports=2, w_ports=1, init=None)

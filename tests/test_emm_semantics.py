@@ -12,6 +12,9 @@ import random
 import pytest
 
 from repro.bmc import BmcOptions, bmc1, bmc2, bmc3, verify
+from repro.casestudies.quicksort import QuicksortParams, build_quicksort
+from repro.casestudies.stack_machine import (StackMachineParams,
+                                             build_stack_machine)
 from repro.design import Design, expand_memories
 
 
@@ -219,3 +222,53 @@ def test_random_workloads_with_proofs_agree(seed):
                   bmc1(max_depth=10, pba=False))
     assert r_emm.status == r_ex.status == "proof", (
         seed, r_emm.describe(), r_ex.describe())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("exclusivity", [True, False],
+                         ids=["S-chain", "naive-eq3"])
+@pytest.mark.parametrize("workload", ["quicksort-P1", "stack-roundtrip"])
+def test_exclusivity_ablation_keeps_bounded_verdicts(workload, exclusivity):
+    """A1: the naive eq-(3) read forwarding changes only the encoding,
+    never the verdict: both forms stay bounded to depth 16."""
+    if workload == "quicksort-P1":
+        design, prop = build_quicksort(QuicksortParams(
+            n=3, addr_width=3, data_width=3, stack_addr_width=3)), "P1"
+    else:
+        design, prop = build_stack_machine(StackMachineParams(
+            addr_width=3, data_width=8)), "push_pop_roundtrip"
+    r = verify(design, prop, BmcOptions(find_proof=False, max_depth=16,
+                                        exclusivity=exclusivity))
+    assert (r.status, r.depth) == ("bounded", 16), r.describe()
+
+
+def walking_table(aw, dw=8):
+    """A write pointer walks the table; bit 7 of a word can be neither
+    initial (init=0) nor written, so ``impossible`` never fires."""
+    d = Design(f"table_aw{aw}")
+    ptr = d.latch("ptr", aw, init=0)
+    ptr.next = ptr.expr + 1
+    data = d.input("data", dw - 1)
+    mem = d.memory("table", addr_width=aw, data_width=dw, init=0)
+    mem.write(0).connect(addr=ptr.expr, data=data.zext(dw), en=1)
+    rd = mem.read(0).connect(addr=d.input("raddr", aw), en=1)
+    d.reach("impossible", rd.uge(1 << (dw - 1)))
+    return d
+
+
+@pytest.mark.slow
+def test_emm_size_stays_flat_as_the_memory_grows():
+    """The paper's motivation: from AW=3 to AW=6 (8x the words) the EMM
+    CNF grows far slower than the word count, while the explicit model's
+    grows roughly with it."""
+    opts = BmcOptions(find_proof=False, max_depth=8)
+    clauses = {}
+    for aw in (3, 4, 5, 6):
+        emm = verify(walking_table(aw), "impossible", opts)
+        explicit = verify(expand_memories(walking_table(aw)), "impossible",
+                          opts)
+        assert (emm.status, explicit.status) == ("bounded", "bounded")
+        clauses[aw] = emm.stats.sat_clauses, explicit.stats.sat_clauses
+    words_ratio = (1 << 6) / (1 << 3)
+    assert clauses[6][0] / clauses[3][0] < words_ratio / 2, clauses
+    assert clauses[6][1] / clauses[3][1] > words_ratio / 4, clauses

@@ -37,13 +37,16 @@ def scratchpad(aw=3, dw=4, init=0, init_words=None):
 class TestVerdictParity:
     """Hybrid and gate encodings must agree on every verdict and depth."""
 
-    @pytest.mark.parametrize("prop,expected", [
-        ("can_fill", "cex"), ("data_integrity", "bounded"),
-        ("count_bounded", "bounded")])
-    def test_fifo_bounded_checks(self, prop, expected):
-        d = build_fifo(FifoParams(addr_width=3, data_width=4))
-        h = verify(d, prop, BmcOptions(find_proof=False, max_depth=9))
-        g = verify(d, prop, options(max_depth=9))
+    @pytest.mark.parametrize("prop,expected,data_width,depth", [
+        ("can_fill", "cex", 4, 9), ("data_integrity", "bounded", 4, 9),
+        ("count_bounded", "bounded", 4, 9),
+        ("data_integrity", "bounded", 8, 10)],
+        ids=["can_fill-cex", "data_integrity-bounded",
+             "count_bounded-bounded", "data_integrity-dw8-k10"])
+    def test_fifo_bounded_checks(self, prop, expected, data_width, depth):
+        d = build_fifo(FifoParams(addr_width=3, data_width=data_width))
+        h = verify(d, prop, BmcOptions(find_proof=False, max_depth=depth))
+        g = verify(d, prop, options(max_depth=depth))
         assert h.status == g.status == expected
         assert h.depth == g.depth
 

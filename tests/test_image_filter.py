@@ -1,5 +1,6 @@
 """Image filter (Industry Design I analog): witnesses and induction proofs."""
 
+import pytest
 
 from repro.bmc import bmc2, bmc3, verify
 from repro.casestudies.image_filter import (DONE, FILTER, INGEST,
@@ -93,3 +94,22 @@ class TestVerification:
         assert r.falsified
         final = r.trace.cycles[r.depth]
         assert final["latches"]["out_val"] == 191
+
+
+@pytest.mark.slow
+def test_property_family_witness_proof_split():
+    """The paper's split on an 8-pixel line: every ``reach_`` property
+    has a witness and every ``unreach_`` property is proved."""
+    params = ImageFilterParams(addr_width=3, data_width=8,
+                               reachable_values=(0, 17, 64, 120, 191),
+                               unreachable_values=(192, 255))
+    design = build_image_filter(params)
+    max_depth = params.line_width + 3 * (params.line_width - 2) + 2
+    for name in sorted(design.properties):
+        if name.startswith("reach_"):
+            r = verify(design, name, bmc2(max_depth=max_depth))
+            assert r.falsified and r.trace_validated, r.describe()
+        else:
+            assert name.startswith("unreach_")
+            r = verify(design, name, bmc3(max_depth=20, pba=False))
+            assert r.proved, r.describe()

@@ -88,6 +88,20 @@ class TestVerification:
         r = verify(build_quicksort(TINY), "P2", bmc3(max_depth=30, pba=False))
         assert r.proved, r.describe()
 
+    def test_p2_proof_small(self):
+        r = verify(build_quicksort(SMALL), "P2", bmc3(max_depth=60, pba=False))
+        assert r.proved, r.describe()
+
+    def test_p1_without_eq6_never_validated(self):
+        """Without equation (6) the arbitrary initial array has extra
+        behaviours: no proof of P1, and any CEX fails simulator replay."""
+        r = verify(build_quicksort(TINY), "P1",
+                   BmcOptions(find_proof=True, init_consistency=False,
+                              max_depth=40))
+        assert not r.proved, r.describe()
+        if r.falsified:
+            assert r.trace_validated is False
+
     def test_p1_falsifiable_when_checker_inverted(self):
         # Mutation check: flipping the comparison must yield a real CE.
         d = build_quicksort(TINY)

@@ -101,18 +101,37 @@ def test_shared_session_matches_fresh_engines(builder, depth):
         assert_result_parity(result, fresh, (design.name, name), design)
 
 
-def test_shared_session_strictly_smaller_than_fresh_sum():
-    design = tiny_soc()
+def assert_session_amortizes(builder, opts):
+    """One shared session holds every property's encoding (no fresh
+    engine is larger), yet its clauses+vars stay strictly below the sum
+    of per-property fresh engines, with the same verdict per property."""
+    design = builder()
     assert len(design.properties) >= 3
-    opts = BmcOptions(find_proof=False, pba=False, max_depth=5)
     session = EncodingSession(design, opts)
-    verify_many(design, options=opts, session=session)
-    shared_total = session.clause_var_total()
-    fresh_total = 0
+    shared = verify_many(design, options=opts, session=session)
+    fresh_sizes = []
     for name in design.properties:
-        r = verify(tiny_soc(), name, opts)
-        fresh_total += r.stats.sat_clauses + r.stats.sat_vars
-    assert shared_total < fresh_total
+        r = verify(builder(), name, opts)
+        fresh_sizes.append(r.stats.sat_clauses + r.stats.sat_vars)
+        assert (shared[name].status, shared[name].depth,
+                shared[name].method) == (r.status, r.depth, r.method), name
+    assert max(fresh_sizes) <= session.clause_var_total() < sum(fresh_sizes)
+
+
+def test_shared_session_strictly_smaller_than_fresh_sum():
+    assert_session_amortizes(
+        tiny_soc, BmcOptions(find_proof=False, pba=False, max_depth=5))
+
+
+def soc_c6():
+    return build_multiport_soc(MultiportSocParams(
+        addr_width=3, data_width=4, counter_width=3, num_properties=4))
+
+
+def test_shared_session_amortizes_with_proofs():
+    """C6: the session also amortizes under induction checks."""
+    assert_session_amortizes(
+        soc_c6, BmcOptions(find_proof=True, pba=False, max_depth=6))
 
 
 def test_single_property_run_bit_identical_to_fresh_engine():

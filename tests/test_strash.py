@@ -208,7 +208,13 @@ DEEP_D20 = 14472
 
 
 def recurring_bench_design(aw=4, dw=4):
-    """The recurring-address workload of the C2 strash benchmark."""
+    """The recurring-address workload of the C1c and C2 size pins.
+
+    One write port on a symbolic address; one read port pinned to a
+    constant address and two sharing one address cone.  ``init=None``
+    turns on the equation-(6) pairs, whose all-pairs comparator set is
+    where recurring addresses bite hardest.
+    """
     d = Design("recur")
     t = d.latch("t", 2, init=0)
     t.next = t.expr + 1
@@ -224,9 +230,9 @@ def recurring_bench_design(aw=4, dw=4):
     return d
 
 
-def build_gate_frames(design, depth):
+def build_gate_frames(design, depth, ite=True):
     solver = Solver(proof=False)
-    emitter = CnfEmitter(Aig(), solver)
+    emitter = CnfEmitter(Aig(), solver, ite=ite)
     unroller = Unroller(design, emitter)
     emm = GateEmmMemory(solver, unroller, "m", init_consistency=False)
     for k in range(depth + 1):
@@ -252,6 +258,42 @@ def test_gate_emm_strash_cuts_40_percent_at_depth_20():
         sum(f["strash_folds"] for f in on_emm.counters.per_frame)
         == on_emm.counters.strash_folds
     )
+
+
+#: C1c: EMM clauses+vars (``total_clauses + vars_added``) of the hybrid
+#: encoding on ``recurring_bench_design(aw, dw)`` at the given depth.
+DEDUP_PINNED = {(4, 4, 20): 19004, (6, 8, 20): 30766, (8, 8, 24): 49574}
+
+
+@pytest.mark.parametrize(
+    "aw,dw,depth",
+    list(DEDUP_PINNED),
+    ids=[f"m{a}n{d}k{k}" for a, d, k in DEDUP_PINNED],
+)
+def test_hybrid_comparator_layer_pinned(aw, dw, depth):
+    """The comparator cache fires, and the constant read address's
+    fold-TRUE eq-(6) comparisons are answered by record merging."""
+    c = run_hybrid_frames(recurring_bench_design(aw, dw), depth).counters
+    assert c.total_clauses + c.vars_added == DEDUP_PINNED[(aw, dw, depth)]
+    assert c.addr_eq_cache_hits > 0
+    assert c.addr_eq_folded + c.init_records_merged > 0
+
+
+#: C2: solver clauses+vars of the gate encoding on
+#: ``recurring_bench_design(aw, dw)`` at the given depth, eq-(6) off and
+#: native ITE lowering off, so only the strash layer shares.
+STRASH_PINNED = {(4, 4, 8): 8608, (4, 4, 20): 42844, (6, 8, 24): 108486}
+
+
+@pytest.mark.parametrize(
+    "aw,dw,depth",
+    list(STRASH_PINNED),
+    ids=[f"m{a}n{d}k{k}" for a, d, k in STRASH_PINNED],
+)
+def test_gate_strash_pinned_without_ite(aw, dw, depth):
+    solver, emm = build_gate_frames(recurring_bench_design(aw, dw), depth, ite=False)
+    assert solver.num_clauses + solver.num_vars == STRASH_PINNED[(aw, dw, depth)]
+    assert emm.counters.strash_hits > 0
 
 
 def deep_recurring_design(aw=3, dw=2):

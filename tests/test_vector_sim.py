@@ -9,6 +9,7 @@ chained read ports, arbitrary-init state and ROM init words.
 """
 
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.design import Design
 from repro.sim import (ExplicitOracle, Simulator, SimulatorOracle,
                        Stimulus, Trace, VectorOracle, VectorSimulator,
                        default_oracle, have_numpy)
+from repro.sim.fuzzfarm import build_fuzz_netlist, random_stimulus
 from tests.test_differential_matrix import random_netlist
 
 
@@ -272,3 +274,36 @@ class TestRandomizedParity:
         got = VectorOracle(d).replay(stim)
         ref = SimulatorOracle(d).replay(stim)
         assert got.cycles == ref.cycles
+
+
+class TestThroughput:
+    """The vector oracle's reason to exist: at batch 256, ``check_batch``
+    (verdicts only, the fuzz farm's and the batched shrinker's hot path)
+    must deliver at least 10x the scalar interpreter's trials/s."""
+
+    WORKLOADS = {"fifo": lambda: build_fifo(FifoParams(addr_width=3,
+                                                       data_width=4)),
+                 "fuzz-netlist": lambda: build_fuzz_netlist(3)}
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_check_batch_at_least_10x_scalar(self, workload):
+        design = self.WORKLOADS[workload]()
+        prop = sorted(design.properties)[0]
+        rng = random.Random(7)
+        stimuli = [random_stimulus(design, rng, 16) for _ in range(256)]
+        # The scalar rate extrapolates from 32 interpreted lanes.
+        sample = stimuli[:32]
+        scalar, vector = SimulatorOracle(design), VectorOracle(design)
+        vector.replay_batch(stimuli[:2])  # compile the plan outside the timing
+        t0 = time.perf_counter()
+        want = scalar.check_batch(prop, sample)
+        t1 = time.perf_counter()
+        got = vector.check_batch(prop, stimuli)
+        t2 = time.perf_counter()
+        assert [(v.failed, v.cycle) for v in got[:32]] == \
+            [(v.failed, v.cycle) for v in want]
+        for ref, lane in zip(scalar.replay_batch(sample),
+                             vector.replay_batch(stimuli)):
+            assert ref.cycles == lane.cycles
+        speedup = (len(stimuli) / (t2 - t1)) / (len(sample) / (t1 - t0))
+        assert speedup >= 10.0, f"vector check_batch only {speedup:.1f}x"
