@@ -25,8 +25,19 @@ Quick taste::
 
 __version__ = "1.0.0"
 
-from repro.bmc import BmcOptions, BmcResult, bmc1, bmc2, bmc3, verify
-from repro.design import Design, expand_memories
-
 __all__ = ["Design", "expand_memories", "BmcOptions", "BmcResult",
            "bmc1", "bmc2", "bmc3", "verify", "__version__"]
+
+
+def __getattr__(name: str):
+    # The re-exports load on first access, so ``import repro.cli`` (and
+    # any other submodule) does not pull in the BMC stack.
+    if name in ("Design", "expand_memories"):
+        import repro.design
+
+        return getattr(repro.design, name)
+    if name in __all__:
+        import repro.bmc
+
+        return getattr(repro.bmc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -145,15 +145,9 @@ class Aig:
     def num_ands(self) -> int:
         return self._num_ands
 
-    def is_and(self, lit: int) -> bool:
-        return self._fanins[lit >> 1] is not None
-
     def is_input(self, lit: int) -> bool:
         idx = lit >> 1
         return idx != 0 and self._fanins[idx] is None
-
-    def is_const(self, lit: int) -> bool:
-        return lit >> 1 == 0
 
     def fanins(self, lit: int) -> tuple[int, int]:
         """Fanin literals of an AND node (raises for non-AND)."""

@@ -126,14 +126,6 @@ def sub_word(aig: Aig, a: Sequence[int], b: Sequence[int]) -> Word:
     return add_word(aig, a, not_word(b), carry_in=TRUE)
 
 
-def inc_word(aig: Aig, a: Sequence[int]) -> Word:
-    return add_word(aig, a, const_word(1, len(a)))
-
-
-def dec_word(aig: Aig, a: Sequence[int]) -> Word:
-    return sub_word(aig, a, const_word(1, len(a)))
-
-
 def lt_unsigned(aig: Aig, a: Sequence[int], b: Sequence[int]) -> int:
     """Single literal: ``a < b`` as unsigned integers."""
     _check(a, b)
@@ -143,18 +135,6 @@ def lt_unsigned(aig: Aig, a: Sequence[int], b: Sequence[int]) -> int:
         bit_eq = aig.iff_(x, y)
         lt = aig.or_(bit_lt, aig.and_gate(bit_eq, lt))
     return lt
-
-
-def le_unsigned(aig: Aig, a: Sequence[int], b: Sequence[int]) -> int:
-    return lit_not(lt_unsigned(aig, b, a))
-
-
-def gt_unsigned(aig: Aig, a: Sequence[int], b: Sequence[int]) -> int:
-    return lt_unsigned(aig, b, a)
-
-
-def ge_unsigned(aig: Aig, a: Sequence[int], b: Sequence[int]) -> int:
-    return lit_not(lt_unsigned(aig, a, b))
 
 
 def is_zero(aig: Aig, a: Sequence[int]) -> int:

@@ -23,6 +23,10 @@ from repro.design.netlist import Design, Expr
 
 Word = list[int]
 
+#: Image steps after which a run that neither hit the bad states nor
+#: reached a fixpoint reports ``bounded``.
+MAX_ITERATIONS = 10_000
+
 
 @dataclass
 class BddReachResult:
@@ -139,8 +143,7 @@ class _Lowerer:
 
 
 def bdd_model_check(design: Design, property_name: str,
-                    node_limit: Optional[int] = 500_000,
-                    max_iterations: int = 10_000) -> BddReachResult:
+                    node_limit: Optional[int] = 500_000) -> BddReachResult:
     """Check an invariant / reach property by BDD forward reachability."""
     design.validate()
     if design.memories:
@@ -203,7 +206,7 @@ def bdd_model_check(design: Design, property_name: str,
                     iterations=iterations, cex_depth=iterations,
                     peak_nodes=mgr.num_nodes,
                     wall_time_s=time.monotonic() - t0)
-            if iterations >= max_iterations:
+            if iterations >= MAX_ITERATIONS:
                 return BddReachResult(
                     status="bounded", property_name=property_name,
                     iterations=iterations, peak_nodes=mgr.num_nodes,

@@ -81,6 +81,7 @@ class EncodingSession:
             raise ValueError(
                 "design has memories but use_emm=False; expand them first "
                 "(repro.design.expand_memories) for the explicit baseline")
+        self._check_kept_names()
         self.solver = Solver(proof=options.pba)
         self.aig = Aig()
         # PBA sessions keep the plain AND-triple lowering: the ITE form
@@ -103,8 +104,8 @@ class EncodingSession:
         registries = self._shared_init_registries(kept_mems)
         #: Session-scoped cross-memory comparator registry, shared by every
         #: memory's comparators so structurally identical address
-        #: comparisons encode once across memories (hits multi-label the
-        #: clauses — see :mod:`repro.emm.addrcmp`).
+        #: comparisons encode once across memories (see
+        #: :mod:`repro.emm.addrcmp` for why PBA stays sound).
         self.cmp_registry = SharedComparatorTables()
         if options.emm_encoding == "hybrid":
             emm_class = EmmMemory
@@ -132,6 +133,25 @@ class EncodingSession:
         self.frames_built = 0
         #: Per-property P_i literal lists, grown lazily by :meth:`p_lits`.
         self._p_lits: dict[str, list[int]] = {}
+
+    def _check_kept_names(self) -> None:
+        """Raise ValueError for an abstraction setting that names a latch,
+        memory or read port the design does not have."""
+        design, options = self.design, self.options
+        for setting, names, known in (
+                ("kept_latches", options.kept_latches, design.latches),
+                ("kept_memories", options.kept_memories, design.memories),
+                ("kept_read_ports", options.kept_read_ports,
+                 design.memories)):
+            unknown = sorted(set(names or ()) - set(known))
+            if unknown:
+                raise ValueError(f"{setting}: {unknown} not in design")
+        for name, ports in (options.kept_read_ports or {}).items():
+            count = design.memories[name].num_read_ports
+            bad = sorted(set(ports) - set(range(count)))
+            if bad:
+                raise ValueError(f"kept_read_ports[{name!r}]: read ports "
+                                 f"{bad} not in a {count}-port memory")
 
     def _shared_init_registries(self, kept_mems: frozenset[str]) -> dict:
         """One shared fall-through read registry per shared-init group."""
@@ -245,9 +265,12 @@ class EncodingSession:
     # -- introspection ------------------------------------------------------
 
     def is_concrete(self) -> bool:
-        """True when no latch or memory has been abstracted away."""
+        """True when no latch, memory or read port has been abstracted
+        away."""
         return (self.unroller.kept_latches == frozenset(self.design.latches)
-                and self.kept_memories == frozenset(self.design.memories))
+                and self.kept_memories == frozenset(self.design.memories)
+                and all(len(emm.kept_read_ports) == emm.mem.num_read_ports
+                        for emm in self.emms.values()))
 
     def clause_var_total(self) -> int:
         """Solver clauses + variables — the size a shared run amortizes."""

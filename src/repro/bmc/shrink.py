@@ -34,6 +34,10 @@ from repro.design.netlist import Design
 from repro.sim.oracle import Oracle, SimulatorOracle, Stimulus, default_oracle
 from repro.sim.trace import Trace
 
+#: Passes of the four edit kinds at most; the loop stops early at a
+#: fixpoint.
+SHRINK_ROUNDS = 3
+
 #: One candidate simplification: a log line plus an in-place stimulus edit.
 Edit = tuple[str, Callable[[Stimulus], None]]
 
@@ -88,7 +92,7 @@ class TraceShrinker:
 
     # -- the shrink loop ------------------------------------------------------
 
-    def shrink(self, trace: Trace, rounds: int = 3) -> ShrinkResult:
+    def shrink(self, trace: Trace) -> ShrinkResult:
         """Greedily minimize ``trace``; it must currently fail."""
         stim = Stimulus.from_trace(trace)
         first = self._first_failure(stim)
@@ -99,7 +103,7 @@ class TraceShrinker:
         # Truncate to the failure point immediately: later cycles are noise.
         stim.inputs = stim.inputs[:first + 1]
 
-        for _ in range(rounds):
+        for _ in range(SHRINK_ROUNDS):
             changed = False
             changed |= self._apply_edits(stim, self._zero_input_edits(stim),
                                          result)
@@ -270,8 +274,6 @@ def _set_word(mem_name: str, addr: int, value: int):
 
 
 def shrink_trace(design: Design, property_name: str, trace: Trace,
-                 rounds: int = 3,
                  oracle: Optional[Oracle] = None) -> ShrinkResult:
     """One-call convenience wrapper around :class:`TraceShrinker`."""
-    return TraceShrinker(design, property_name, oracle=oracle).shrink(
-        trace, rounds)
+    return TraceShrinker(design, property_name, oracle=oracle).shrink(trace)

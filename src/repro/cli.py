@@ -20,50 +20,57 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.bmc.engine import BmcOptions, verify, verify_many
-from repro.bmc.shrink import shrink_trace
-from repro.casestudies import (CpuParams, FifoParams, ImageFilterParams,
-                               MultiportSocParams, QuicksortParams,
-                               StackMachineParams, build_cpu, build_fifo,
-                               build_image_filter, build_multiport_soc,
-                               build_quicksort, build_stack_machine,
-                               memcpy_program)
-from repro.design.equiv import check_equivalence
-from repro.design.explicit import expand_memories
-from repro.design.netlist import Design
-from repro.design.verilog import write_verilog
-from repro.pba.abstraction import verify_with_pba
+# The engine, the PBA flow and the case-study builders load inside the
+# commands that use them: ``list`` and the argument parser need none.
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bmc.engine import BmcOptions
+    from repro.design.netlist import Design
 
 
 def _quicksort(args) -> Design:
+    from repro.casestudies.quicksort import QuicksortParams, build_quicksort
+
     return build_quicksort(QuicksortParams(
         n=args.n, addr_width=args.addr_width, data_width=args.data_width,
         stack_addr_width=max(args.addr_width, (args.n * 2).bit_length())))
 
 
 def _image_filter(args) -> Design:
+    from repro.casestudies.image_filter import (ImageFilterParams,
+                                                build_image_filter)
+
     return build_image_filter(ImageFilterParams(
         addr_width=args.addr_width, data_width=args.data_width))
 
 
 def _multiport(args) -> Design:
+    from repro.casestudies.multiport_soc import (MultiportSocParams,
+                                                 build_multiport_soc)
+
     return build_multiport_soc(MultiportSocParams(
         addr_width=args.addr_width, data_width=args.data_width))
 
 
 def _fifo(args) -> Design:
+    from repro.casestudies.fifo import FifoParams, build_fifo
+
     return build_fifo(FifoParams(addr_width=args.addr_width,
                                  data_width=args.data_width))
 
 
 def _stack(args) -> Design:
+    from repro.casestudies.stack_machine import (StackMachineParams,
+                                                 build_stack_machine)
+
     return build_stack_machine(StackMachineParams(
         addr_width=args.addr_width, data_width=args.data_width))
 
 
 def _cpu(args) -> Design:
+    from repro.casestudies.cpu import CpuParams, build_cpu, memcpy_program
+
     params = CpuParams(pc_width=5, addr_width=args.addr_width,
                        data_width=args.data_width)
     program = memcpy_program(min(args.n, 2), src=0,
@@ -133,11 +140,15 @@ def _verify_design(args) -> Design:
     as a service design factory via ``functools.partial``)."""
     design = _build(args)
     if args.engine == "explicit":
+        from repro.design.explicit import expand_memories
+
         design = expand_memories(design)
     return design
 
 
 def _verify_options(args) -> BmcOptions:
+    from repro.bmc.engine import BmcOptions
+
     quotas = dict(mem_quota_mb=args.mem_quota_mb,
                   clause_var_quota=args.clause_quota,
                   wall_quota_s=args.wall_quota)
@@ -167,6 +178,9 @@ def _print_profile(profile: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    from repro.bmc.engine import verify_many
+    from repro.bmc.shrink import shrink_trace
+
     design = _verify_design(args)
     options = _verify_options(args)
     props = [args.property] if args.property else sorted(design.properties)
@@ -223,6 +237,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pba(args) -> int:
+    from repro.pba.abstraction import verify_with_pba
+
     design = _build(args)
     outcome = verify_with_pba(design, args.property,
                               stability_depth=args.stability_depth,
@@ -248,6 +264,8 @@ def cmd_pba(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from repro.design.verilog import write_verilog
+
     design = _build(args)
     if args.output == "-":
         write_verilog(sys.stdout, design)
@@ -259,6 +277,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    from repro.bmc.engine import BmcOptions, verify
     from repro.design.verilog_parser import VerilogError, parse_verilog
 
     with open(args.file) as f:
@@ -289,6 +308,8 @@ def cmd_roundtrip(args) -> int:
     """Export a case study to Verilog, re-parse, check equivalence."""
     import io
 
+    from repro.design.equiv import check_equivalence
+    from repro.design.verilog import write_verilog
     from repro.design.verilog_parser import parse_verilog
 
     design = _build(args)

@@ -52,18 +52,3 @@ def memory_control_latches(design: Design, mem: Memory | str) -> set[str]:
             if e is not None:
                 exprs.append(e)
     return latch_support(exprs)
-
-
-def property_cone_latches(design: Design, prop_name: str) -> set[str]:
-    """Transitive latch cone of a property (through next-state functions)."""
-    frontier = latch_support(design.properties[prop_name].expr)
-    cone: set[str] = set()
-    while frontier:
-        name = frontier.pop()
-        if name in cone:
-            continue
-        cone.add(name)
-        nxt = design.latches[name].next
-        if nxt is not None:
-            frontier |= latch_support(nxt) - cone
-    return cone

@@ -122,11 +122,10 @@ class _WireNamer:
         raise ValueError(f"unknown expression kind {kind!r}")
 
 
-def write_verilog(out: TextIO, design: Design,
-                  module_name: str | None = None) -> None:
+def write_verilog(out: TextIO, design: Design) -> None:
     """Write the design as one synthesizable Verilog module."""
     design.validate()
-    name = _ident(module_name or design.name)
+    name = _ident(design.name)
     namer = _WireNamer(design)
 
     # Pre-walk everything so wire definitions land before their uses.

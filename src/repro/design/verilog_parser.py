@@ -38,6 +38,10 @@ from repro.design.netlist import Design, Expr, ReadPort
 
 __all__ = ["parse_verilog", "VerilogError"]
 
+#: Output ports named ``prop_<name>`` become property ``<name>``, the
+#: naming :func:`repro.design.verilog.write_verilog` emits.
+PROP_PREFIX = "prop_"
+
 
 class VerilogError(ValueError):
     """Parse or elaboration failure, with line information when known."""
@@ -525,10 +529,9 @@ def _strip_formal(text: str) -> tuple[str, dict[str, str]]:
 
 
 class _Elaborator:
-    def __init__(self, ast: ModuleAst, prop_prefix: str) -> None:
+    def __init__(self, ast: ModuleAst) -> None:
         self.ast = ast
         self.design = Design(ast.name)
-        self.prop_prefix = prop_prefix
         self.widths: dict[str, int] = {}
         self.mem_decls: dict[str, VarDecl] = {}
         #: memory -> address ASTs, one read port per distinct address.
@@ -681,7 +684,7 @@ class _Elaborator:
         for port in self.ast.ports:
             if port.direction != "output":
                 continue
-            if not port.name.startswith(self.prop_prefix):
+            if not port.name.startswith(PROP_PREFIX):
                 continue
             expr_ast = self.ast.assigns.get(port.name)
             if expr_ast is None:
@@ -691,7 +694,7 @@ class _Elaborator:
             expr = self._expr(expr_ast)
             if expr.width != 1:
                 expr = expr.nonzero()
-            pname = port.name[len(self.prop_prefix):]
+            pname = port.name[len(PROP_PREFIX):]
             if kind == "invariant":
                 d.invariant(pname, expr)
             else:
@@ -872,10 +875,10 @@ def _ast_key(node: AstExpr):
     raise TypeError(node)
 
 
-def parse_verilog(text: str, prop_prefix: str = "prop_") -> Design:
+def parse_verilog(text: str) -> Design:
     """Parse Verilog source (the supported subset) into a Design.
 
-    Outputs whose names start with ``prop_prefix`` become properties;
+    Outputs whose names start with :data:`PROP_PREFIX` become properties;
     an ``\\`ifdef FORMAL`` block's ``assert``/``cover`` statements select
     the kind, defaulting to invariant.
     """
@@ -884,4 +887,4 @@ def parse_verilog(text: str, prop_prefix: str = "prop_") -> Design:
     parser = _Parser(tokens)
     ast = parser.parse_module()
     ast.formal_kinds = kinds
-    return _Elaborator(ast, prop_prefix).run()
+    return _Elaborator(ast).run()

@@ -27,10 +27,9 @@ separate bounded check, :func:`find_data_race`, on an encoding session.
 counts; tests assert the implementation matches them clause for clause
 on fresh-address designs.  :mod:`repro.emm.addrcmp` deduplicates the
 address comparators behind those counts (a session-shared cache plus
-constant folding, with multi-label PBA provenance), so the closed forms
-are upper bounds wherever address cones recur, and ``EmmCounters``
-reports how much was saved (``addr_eq_cache_hits`` /
-``addr_eq_folded`` / ``cross_mem_cmp_hits``).
+constant folding), so the closed forms are upper bounds wherever
+address cones recur, and ``EmmCounters`` reports how much was saved
+(``addr_eq_cache_hits`` / ``addr_eq_folded`` / ``cross_mem_cmp_hits``).
 """
 
 from repro.emm.addrcmp import AddrComparator, SharedComparatorTables

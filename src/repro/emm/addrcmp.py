@@ -24,20 +24,20 @@ structure:
   that are the *same* literal are skipped and bit pairs that are
   complementary literals fold the whole comparator to FALSE.
 
-PBA provenance: every cache entry remembers the clause ids it emitted
-and the labels it has served.  A hit requested under a label the entry
-has not seen yet *joins* that label onto the entry's clauses
-(:meth:`repro.sat.solver.Solver.add_label`), so an unsat core that uses
-a shared comparator attributes it to **every** consumer it served —
-``Solver.core_labels`` flattens the resulting multi-labels back into
-individual ``("emm", name, *)`` tuples.  That label joining is what
-makes a **cross-memory** cache sound: every comparator resolves against
-a :class:`SharedComparatorTables` registry, and the
+PBA provenance: every clause carries exactly one label, that of the
+memory whose request first encoded it.  A cached ``E`` literal reaches
+the rest of the CNF only through a clause the *requesting* memory
+labels itself — its ``_and2`` S-gate, its ``_pin_word`` clause or its
+equation-(6) pair clause — so an unsat core that needs memory B's use
+of a comparator memory A encoded already contains a B-labelled clause.
+A hit therefore adds no label.  That is what makes a **cross-memory**
+cache sound: every comparator resolves against a
+:class:`SharedComparatorTables` registry, and the
 :class:`EncodingSession` owns one for all its memories, so two memories
 whose address cones lower to the same SAT-literal tuples — the
 miter/equivalence case, where both copies see identical cones — share
-one ``4m+1``-clause block and the core names *both* memories.  An EMM
-encoder built without a session makes a registry of its own.
+one ``4m+1``-clause block.  An EMM encoder built without a session
+makes a registry of its own.
 
 Folded comparators return the emitter's always-true variable (possibly
 negated); cores that use a folded result pick up the ``("const",)``
@@ -54,21 +54,14 @@ from repro.sat.solver import Solver
 
 
 class _CacheEntry:
-    """One cached comparator: its E literal, clause ids, served labels.
+    """One cached comparator: its E literal and the comparator instance
+    (memory) that first encoded it, so cross-memory reuse can be
+    counted."""
 
-    ``cids`` lets a later hit join the new caller's label onto every
-    clause of the entry; ``labels`` avoids redundant joins; ``owner``
-    identifies the comparator instance (memory) that first encoded it,
-    so cross-memory reuse can be counted.
-    """
+    __slots__ = ("lit", "owner")
 
-    __slots__ = ("lit", "cids", "labels", "owner")
-
-    def __init__(self, lit: int, cids: tuple[int, ...],
-                 label: Hashable, owner) -> None:
+    def __init__(self, lit: int, owner) -> None:
         self.lit = lit
-        self.cids = cids
-        self.labels: set = {label}
         self.owner = owner
 
 
@@ -103,8 +96,7 @@ class AddrComparator:
         The run's solver and Tseitin emitter (the emitter owns the
         dedicated always-true constant variable used for folds).
     registry:
-        The :class:`SharedComparatorTables` the cache table lives in
-        (hits join the caller's label, see the module docstring).
+        The :class:`SharedComparatorTables` the cache table lives in.
     owner:
         Names this consumer (the memory) for cross-memory hit
         attribution.
@@ -129,9 +121,8 @@ class AddrComparator:
 
         Clauses are booked into ``getattr(c, counter)``; cache hits and
         folds bump ``c.addr_eq_cache_hits`` / ``c.addr_eq_folded``.
-        A hit under a label the entry has not served yet joins it onto
-        the entry's clauses, so unsat cores attribute the comparator to
-        every consumer (PBA multi-label soundness — module docstring).
+        ``label`` tags the clauses of a new entry only; a hit adds no
+        label (see the module docstring).
         """
         if len(a_bits) != len(b_bits):
             raise ValueError("address words differ in width")
@@ -140,17 +131,12 @@ class AddrComparator:
         entry = self._table.get(key)
         if entry is not None:
             c.addr_eq_cache_hits += 1
-            if label not in entry.labels:
-                for cid in entry.cids:
-                    self.solver.add_label(cid, label)
-                entry.labels.add(label)
             if entry.owner != self.owner:
                 self._registry.cross_mem_hits += 1
                 c.cross_mem_cmp_hits += 1
             return entry.lit
-        cids: list[int] = []
-        e = self._encode(ta, tb, label, c, counter, cids)
-        self._table[key] = _CacheEntry(e, tuple(cids), label, self.owner)
+        e = self._encode(ta, tb, label, c, counter)
+        self._table[key] = _CacheEntry(e, self.owner)
         return e
 
     def eq_const(self, addr: list[int], value: int, label: Hashable,
@@ -187,12 +173,8 @@ class AddrComparator:
 
     # -- encoding -------------------------------------------------------
 
-    def _const_value(self, lit: int) -> Optional[bool]:
-        return self.emitter.const_value(lit)
-
     def _encode(self, ta: tuple[int, ...], tb: tuple[int, ...],
-                label: Hashable, c, counter: str,
-                cids: list[int]) -> int:
+                label: Hashable, c, counter: str) -> int:
         em = self.emitter
         sym_pairs: list[tuple[int, int]] = []  # both sides symbolic
         units: list[int] = []  # literal equivalent to one bit's equality
@@ -202,7 +184,7 @@ class AddrComparator:
             if a == -b:
                 self._bump_fold(c)
                 return -em.true_lit()  # complementary: never equal
-            va, vb = self._const_value(a), self._const_value(b)
+            va, vb = self.const_value(a), self.const_value(b)
             if va is not None and vb is not None:
                 if va != vb:
                     self._bump_fold(c)
@@ -222,15 +204,15 @@ class AddrComparator:
         closing = []
         for a, b in sym_pairs:
             e_i = self._new_var(c)
-            self._clause([-e_total, a, -b], label, c, counter, cids)
-            self._clause([-e_total, -a, b], label, c, counter, cids)
-            self._clause([e_i, a, b], label, c, counter, cids)
-            self._clause([e_i, -a, -b], label, c, counter, cids)
+            self._clause([-e_total, a, -b], label, c, counter)
+            self._clause([-e_total, -a, b], label, c, counter)
+            self._clause([e_i, a, b], label, c, counter)
+            self._clause([e_i, -a, -b], label, c, counter)
             closing.append(-e_i)
         for lit in units:
-            self._clause([-e_total, lit], label, c, counter, cids)
+            self._clause([-e_total, lit], label, c, counter)
             closing.append(-lit)
-        self._clause(closing + [e_total], label, c, counter, cids)
+        self._clause(closing + [e_total], label, c, counter)
         return e_total
 
     def _bump_fold(self, c) -> None:
@@ -240,11 +222,8 @@ class AddrComparator:
         c.vars_added += 1
         return self.solver.new_var()
 
-    def _clause(self, lits: list[int], label: Hashable, c, counter: str,
-                cids: list[int]) -> None:
+    def _clause(self, lits: list[int], label: Hashable, c,
+                counter: str) -> None:
         setattr(c, counter, getattr(c, counter) + 1)
-        cid = self.solver.add_clause(lits, label)
-        if cid < 0:
+        if self.solver.add_clause(lits, label) < 0:
             c.absorbed += 1
-        else:
-            cids.append(cid)

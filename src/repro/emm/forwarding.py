@@ -25,11 +25,11 @@ const form.  The cache lives in a
 :class:`repro.emm.addrcmp.SharedComparatorTables` registry
 (``cmp_registry``); the encoding session hands one registry to all its
 memories, so the cache spans *all* memories.  Proof-based abstraction
-stays sound because a cache hit joins the calling memory's
-``("emm", name, *)`` label onto the entry's clauses (per-clause
-multi-labels, ``Solver.add_label``), so unsat cores through a shared
-comparator attribute it to every memory it served.  An encoder built
-without a registry makes its own.  Hits are counted in
+stays sound without relabelling a hit: the cached ``E`` enters the CNF
+only through this memory's own labelled clauses (S-gates, init pins,
+equation-(6) pairs), so a core that needs this memory's use of a shared
+comparator names this memory.  An encoder built without a registry
+makes its own.  Hits are counted in
 ``EmmCounters.addr_eq_cache_hits`` and
 folds in ``EmmCounters.addr_eq_folded`` (cross-memory hits additionally
 in ``EmmCounters.cross_mem_cmp_hits``); all are per-frame snapshotted
@@ -276,8 +276,7 @@ class EmmMemory:
         if cmp_registry is None:
             cmp_registry = SharedComparatorTables()
         #: Forwarding/eq-(6) comparator cache, session-wide through the
-        #: registry (hits multi-label the clauses, so PBA cores name
-        #: every memory a shared comparator served).
+        #: registry.
         self.addr_cmp = AddrComparator(solver, unroller.emitter,
                                        cmp_registry, owner=mem_name)
         self._writes: list[list[PortSignals]] = []  # [frame][write_port]

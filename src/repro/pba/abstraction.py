@@ -21,24 +21,8 @@ from typing import Optional
 
 from repro.bmc.engine import BmcEngine, BmcOptions
 from repro.bmc.results import CEX, PROOF, BmcResult
-from repro.bmc.session import SessionCache
 from repro.design.cone import latch_support, memory_control_latches
 from repro.design.netlist import Design
-
-
-def _make_engine(design: Design, property_name: str, opts: BmcOptions,
-                 session_cache: Optional[SessionCache]) -> BmcEngine:
-    """Engine on a cached session when a cache is supplied.
-
-    Rounds with different kept sets encode differently and thus get
-    different sessions, but *repeated* flows over the same (design,
-    options) — re-verification requests, the proof run of a converged
-    fixpoint — reuse the live encoding and its learned clauses.
-    """
-    if session_cache is None:
-        return BmcEngine(design, property_name, opts)
-    session = session_cache.get_or_create(design, opts)
-    return BmcEngine(session.design, property_name, opts, session=session)
 
 
 @dataclass
@@ -81,13 +65,12 @@ class PbaVerification:
 def run_pba_phase(design: Design, property_name: str,
                   stability_depth: int = 10,
                   max_depth: int = 60,
-                  options: Optional[BmcOptions] = None,
-                  session_cache: Optional[SessionCache] = None) -> PbaPhase:
+                  options: Optional[BmcOptions] = None) -> PbaPhase:
     """Collect latch reasons until the set is stable (paper's [10])."""
     base = options or BmcOptions()
     opts = replace(base, pba=True, find_proof=False, max_depth=max_depth)
     t0 = time.monotonic()
-    engine = _make_engine(design, property_name, opts, session_cache)
+    engine = BmcEngine(design, property_name, opts)
 
     def stable_enough(eng: BmcEngine, _depth: int) -> bool:
         lr = eng.latch_reasons
@@ -187,9 +170,7 @@ def verify_with_pba(design: Design, property_name: str,
                     abstraction_max_depth: int = 40,
                     proof_max_depth: int = 80,
                     options: Optional[BmcOptions] = None,
-                    minimize: str = "off",
-                    session_cache: Optional[SessionCache] = None,
-                    ) -> PbaVerification:
+                    minimize: str = "off") -> PbaVerification:
     """The paper's combined EMM+PBA flow (Section 4.3 / Table 2).
 
     ``minimize`` shrinks the stable reason set by attempted deletion
@@ -201,8 +182,7 @@ def verify_with_pba(design: Design, property_name: str,
     array must drop out for P2).
     """
     phase = run_pba_phase(design, property_name, stability_depth,
-                          abstraction_max_depth, options,
-                          session_cache=session_cache)
+                          abstraction_max_depth, options)
     if phase.cex_result is not None:
         return PbaVerification(phase=phase, proof_result=phase.cex_result,
                                status=CEX)
@@ -239,8 +219,7 @@ def verify_with_pba(design: Design, property_name: str,
         # trustworthy, so replay-validation is pointless.
         validate_cex=False,
     )
-    result = _make_engine(design, property_name, proof_opts,
-                          session_cache).run()
+    result = BmcEngine(design, property_name, proof_opts).run()
     if result.status == PROOF:
         status = PROOF
     elif result.status == CEX:

@@ -14,10 +14,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.bmc.engine import BmcOptions
+from repro.bmc.engine import BmcEngine, BmcOptions
 from repro.bmc.results import CEX, PROOF, BmcResult
-from repro.bmc.session import SessionCache
-from repro.pba.abstraction import PbaPhase, _make_engine, run_pba_phase
+from repro.pba.abstraction import PbaPhase, run_pba_phase
 from repro.design.netlist import Design
 
 
@@ -42,18 +41,12 @@ def iterative_abstraction(design: Design, property_name: str,
                           max_rounds: int = 4,
                           proof_max_depth: Optional[int] = 80,
                           options: Optional[BmcOptions] = None,
-                          session_cache: Optional[SessionCache] = None,
                           ) -> IterativeAbstractionResult:
     """Repeat the PBA phase on shrinking models until a fixpoint.
 
     When ``proof_max_depth`` is not None, a BMC-3 proof run is attempted
     on the final abstract model; a PROOF verdict transfers to the
     concrete design (the abstraction only adds behaviours).
-
-    ``session_cache`` enables encoding reuse *across* calls (and between
-    a converged round and its repeat): rounds with shrinking kept sets
-    necessarily encode fresh sessions — the abstraction changes the CNF
-    — but identical (design, options) requests hit the cache.
     """
     t0 = time.monotonic()
     base = options or BmcOptions()
@@ -67,8 +60,7 @@ def iterative_abstraction(design: Design, property_name: str,
                              kept_read_ports=kept_ports,
                              validate_cex=False)
         phase = run_pba_phase(design, property_name, stability_depth,
-                              max_depth, round_opts,
-                              session_cache=session_cache)
+                              max_depth, round_opts)
         out.rounds.append(phase)
         if phase.cex_result is not None:
             # On the concrete model this is a real CEX; on an abstract
@@ -101,8 +93,7 @@ def iterative_abstraction(design: Design, property_name: str,
                              kept_memories=out.final_memories,
                              kept_read_ports=out.final_read_ports,
                              validate_cex=False)
-        result = _make_engine(design, property_name, proof_opts,
-                              session_cache).run()
+        result = BmcEngine(design, property_name, proof_opts).run()
         out.proof_result = result
         if result.status == PROOF:
             out.status = PROOF

@@ -4,13 +4,11 @@ One small primitive, :class:`PhaseTimers`, shared by every layer that
 wants a measured (not asserted) performance story: the BMC scheduler
 times *encode* vs *solve* per run, the solver times *propagate* /
 *analyze* / *reduce* / *simplify* inside its search loop
-(:class:`repro.sat.solver.SolverStats` ``time_*_s`` fields), and the
-fuzz farm times its SAT vs simulation halves per round.  Everything is
-plain ``time.perf_counter()`` arithmetic — no sampling, no threads —
-plus a ``gc.callbacks`` hook for the collector's pauses
+(:class:`repro.sat.solver.SolverStats` ``time_*_s`` fields).
+Everything is plain ``time.perf_counter()`` arithmetic — no sampling,
+no threads — plus a ``gc.callbacks`` hook for the collector's pauses
 (:func:`gc_pause_hook`), and is off by default: the engine flips it on
-under ``BmcOptions.profile`` (CLI ``--profile``), the farm under
-``FarmConfig.profile``.
+under ``BmcOptions.profile`` (CLI ``--profile``).
 """
 
 from __future__ import annotations
@@ -73,32 +71,11 @@ class PhaseTimers:
         finally:
             self.add(phase, time.perf_counter() - t0)
 
-    def total(self) -> float:
-        return sum(self.times.values())
-
     def snapshot(self) -> dict:
         """JSON-ready ``{phase: {"s": seconds, "n": calls}}`` mapping."""
         return {phase: {"s": round(self.times[phase], 6),
                         "n": self.counts[phase]}
                 for phase in sorted(self.times)}
-
-    def merge(self, other: "PhaseTimers") -> None:
-        for phase, seconds in other.times.items():
-            self.times[phase] = self.times.get(phase, 0.0) + seconds
-            self.counts[phase] = (self.counts.get(phase, 0)
-                                  + other.counts[phase])
-
-    def format(self, indent: str = "") -> str:
-        """Human-readable breakdown, widest phase first."""
-        if not self.times:
-            return f"{indent}(no phases recorded)"
-        total = self.total() or 1.0
-        lines = []
-        for phase, seconds in sorted(self.times.items(),
-                                     key=lambda kv: -kv[1]):
-            lines.append(f"{indent}{phase:<12s} {seconds:8.3f}s "
-                         f"({seconds / total:5.1%}, n={self.counts[phase]})")
-        return "\n".join(lines)
 
 
 def gc_pause_hook(all_timers: list[PhaseTimers]):

@@ -399,13 +399,10 @@ class Solver:
 
         ``label`` is an arbitrary hashable provenance tag reported back by
         :meth:`core_labels` when the clause participates in an unsat core.
-        A clause may carry *several* labels — pass a ``frozenset`` of tags
-        (or join more later with :meth:`add_label`); :meth:`core_labels`
-        flattens label sets into their members, so a clause serving two
-        consumers attributes to both.  Returns -1 when the clause is
-        absorbed (tautology or already satisfied at level 0).  Adding the
-        empty clause (or one that closes a level-0 conflict) renders the
-        solver permanently unsatisfiable.
+        Returns -1 when the clause is absorbed (tautology or already
+        satisfied at level 0).  Adding the empty clause (or one that
+        closes a level-0 conflict) renders the solver permanently
+        unsatisfiable.
 
         Without proof logging the solver keeps the leading
         assumption levels of the last solve (see :meth:`solve`); a
@@ -773,24 +770,15 @@ class Solver:
         return self._unsat_core_cids
 
     def core_labels(self) -> set[Hashable]:
-        """Provenance labels of the core clauses, flattened.
+        """Provenance labels of the core clauses.
 
-        A clause labelled with a ``frozenset`` (multi-label — see
-        :meth:`add_label`) contributes every member; unlabelled
-        (``None``) clauses contribute nothing here and are counted by
-        :meth:`core_unlabeled_count` instead, so a consumer that needs
-        the label set to be *exhaustive* can tell a fully-attributed
-        core from one with anonymous clauses.
+        Unlabelled (``None``) clauses contribute nothing here and are
+        counted by :meth:`core_unlabeled_count` instead, so a consumer
+        that needs the label set to be *exhaustive* can tell a
+        fully-attributed core from one with anonymous clauses.
         """
-        labels = set()
-        for cid in self.core_clause_ids():
-            lab = self._labels.get(cid)
-            if lab is None:
-                continue
-            if isinstance(lab, frozenset):
-                labels.update(lab)
-            else:
-                labels.add(lab)
+        labels = {self._labels.get(cid) for cid in self.core_clause_ids()}
+        labels.discard(None)
         return labels
 
     def core_unlabeled_count(self) -> int:
@@ -805,39 +793,8 @@ class Solver:
         return sum(1 for cid in self.core_clause_ids()
                    if self._labels.get(cid) is None)
 
-    def core_has_unlabeled(self) -> bool:
-        """True when the last UNSAT core contains unlabelled clauses."""
-        return self.core_unlabeled_count() > 0
-
-    def add_label(self, cid: int, label: Hashable) -> None:
-        """Join ``label`` onto clause ``cid``'s label set.
-
-        The multi-label half of clause sharing: a cache that answers a
-        new consumer's request with an already-emitted clause joins the
-        new consumer's provenance tag onto it, so a later unsat core
-        attributes the clause to *every* consumer it served (see
-        :meth:`core_labels`).  ``label`` may itself be a ``frozenset``
-        of tags (unioned member-wise).  No-ops: ``cid < 0`` (the clause
-        was absorbed — it can never appear in a core), ``label is
-        None``, and labels already present.
-        """
-        if cid < 0 or label is None:
-            return
-        new = label if isinstance(label, frozenset) else frozenset((label,))
-        cur = self._labels.get(cid)
-        if cur is None:
-            cur_set: frozenset = frozenset()
-        elif isinstance(cur, frozenset):
-            cur_set = cur
-        else:
-            cur_set = frozenset((cur,))
-        joined = cur_set | new
-        if joined != cur_set or cur is None:
-            self._labels[cid] = joined
-
     def clause_label(self, cid: int) -> Hashable:
-        """Raw stored label of ``cid``: a single tag, a ``frozenset`` of
-        tags (multi-labelled clause), or None."""
+        """Stored label of clause ``cid``, or None."""
         return self._labels.get(cid)
 
     def failed_assumptions(self) -> tuple[int, ...]:

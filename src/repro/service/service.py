@@ -148,18 +148,15 @@ def _check_windows(windows: Sequence[tuple[int, int]]) -> None:
 
 
 def merge_window_results(results: Sequence[Optional[BmcResult]],
-                         windows: Optional[Sequence[tuple[int, int]]] = None,
-                         ) -> BmcResult:
-    """Fold per-window results (ascending windows) into one verdict.
+                         windows: Sequence[tuple[int, int]]) -> BmcResult:
+    """Fold per-window results into one verdict.
 
-    Without ``windows`` every result must be present and the fold
-    mirrors the sequential depth scan: the first window that concluded
-    (CEX, PROOF or TIMEOUT) is the answer — sequentially, later depths
-    would never have run; if every window stayed BOUNDED, the deepest
-    one is.
-
-    With ``windows`` (aligned with ``results``; entries may be None for
-    windows whose job failed or was cancelled) the fold is *gap-aware*:
+    ``results`` is aligned with ``windows``; entries may be None for
+    windows whose job failed or was cancelled.  On a contiguous,
+    fully-checked window set the fold mirrors the sequential depth
+    scan: the first window that concluded (CEX, PROOF or TIMEOUT) is
+    the answer, and if every window stayed BOUNDED, the deepest one is.
+    Around holes the fold is *gap-aware*:
 
     * a counterexample is sound wherever it was found — it wins even
       across gaps;
@@ -173,18 +170,6 @@ def merge_window_results(results: Sequence[Optional[BmcResult]],
       a silent unsound merge.  The frontier starts below depth 0, so a
       window set that does not begin at depth 0 opens with a gap.
     """
-    if windows is None:
-        present = [r for r in results if r is not None]
-        if len(present) != len(results):
-            raise ValueError("missing window results; pass windows= to "
-                             "merge around gaps")
-        if not present:
-            raise ValueError("no results to merge")
-        for r in present:
-            if r.status != BOUNDED:
-                return r
-        return present[-1]
-
     if len(windows) != len(results):
         raise ValueError("results must align with windows")
     present = [r for r in results if r is not None]
@@ -299,14 +284,13 @@ class VerificationService:
 
     def __init__(self, design_factory: Callable[[], Design],
                  options: Optional[BmcOptions] = None, jobs: int = 1,
-                 session_cache: Optional[SessionCache] = None,
                  retry: Optional[RetryPolicy] = None,
                  job_timeout_s: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         self.design_factory = design_factory
         self.options = options or BmcOptions()
         self.jobs = max(1, jobs)
-        self.cache = session_cache if session_cache is not None else SessionCache()
+        self.cache = SessionCache()
         self.retry = retry if retry is not None else RetryPolicy()
         self.job_timeout_s = job_timeout_s
         self.fault_plan = fault_plan
@@ -519,17 +503,13 @@ class VerificationService:
         out: dict[str, BmcResult] = {}
         for name, slot in by_prop.items():
             if windows is None:
-                results = [r for r in slot.values() if r is not None]
-                if results:
-                    out[name] = merge_window_results(results)
-                else:
-                    out[name] = self._degraded_stub(name)
-                continue
-            aligned = [slot.get(w) for w in windows]
-            if any(r is not None for r in aligned):
-                out[name] = merge_window_results(aligned, windows)
+                merged = slot.get(None)
             else:
-                out[name] = self._degraded_stub(name)
+                aligned = [slot.get(w) for w in windows]
+                merged = (merge_window_results(aligned, windows)
+                          if any(r is not None for r in aligned) else None)
+            out[name] = (merged if merged is not None
+                         else self._degraded_stub(name))
         return out, records
 
     def _degraded_stub(self, name: str) -> BmcResult:

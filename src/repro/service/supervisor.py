@@ -42,6 +42,10 @@ CRASH = "crash"
 HANG = "hang"
 ERROR = "error"
 
+#: Seconds the supervisor waits on its futures (and on a shutting-down
+#: pool) before it re-checks deadlines and backoff timers.
+POLL_S = 0.05
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -122,14 +126,13 @@ class PoolSupervisor:
                  max_workers: int,
                  retry: Optional[RetryPolicy] = None,
                  job_timeout_s: Optional[float] = None,
-                 key_fn: Callable[[object], object] = lambda job: job,
-                 poll_s: float = 0.05) -> None:
+                 key_fn: Callable[[object], object] = lambda job: job
+                 ) -> None:
         self.submit_fn = submit_fn
         self.max_workers = max(1, max_workers)
         self.retry = retry or RetryPolicy()
         self.job_timeout_s = job_timeout_s
         self.key_fn = key_fn
-        self.poll_s = poll_s
         #: Uncharged resubmits a job may consume before broken-pool
         #: failures start counting against its retry budget.  A job that
         #: crashes *instantly* (before the poll ever observes it
@@ -192,7 +195,7 @@ class PoolSupervisor:
         manager = pool._executor_manager_thread
         pool.shutdown(wait=False, cancel_futures=cancel_futures)
         while manager is not None and manager.is_alive():
-            manager.join(self.poll_s)
+            manager.join(POLL_S)
             if any(p.exitcode not in (None, 0) for p in procs):
                 for p in procs:
                     if p.is_alive():
@@ -244,9 +247,9 @@ class PoolSupervisor:
                 # Everything is backing off: sleep to the next eligibility.
                 next_at = min(entry[0] for entry in self._backlog)
                 time.sleep(max(0.0, min(next_at - time.monotonic(),
-                                        self.poll_s)))
+                                        POLL_S)))
                 continue
-            done, _ = wait(list(self._inflight), timeout=self.poll_s,
+            done, _ = wait(list(self._inflight), timeout=POLL_S,
                            return_when=FIRST_COMPLETED)
             now = time.monotonic()
             for fut, rec in self._inflight.items():

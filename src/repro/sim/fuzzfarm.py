@@ -173,10 +173,6 @@ class FarmConfig:
     shrink: bool = True
     #: Directory for divergence reproducer JSON files.
     out_dir: Optional[str] = None
-    #: Record a per-round SAT-vs-simulation wall-clock split
-    #: (``FarmReport.round_profile``; also written to ``out_dir`` as a
-    #: ``profile.json`` artifact).
-    profile: bool = False
 
 
 @dataclass
@@ -212,25 +208,16 @@ class FarmReport:
     divergences: list[Divergence] = field(default_factory=list)
     #: Files written for the divergences (when ``out_dir`` is set).
     artifacts: list[str] = field(default_factory=list)
-    #: One ``{"seed", "sim_s", "bmc_s"}`` dict per round when
-    #: ``FarmConfig.profile`` is on: the round's wall time split between
-    #: the simulation differential and the SAT (BMC matrix) side.
-    round_profile: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.divergences
 
     def summary(self) -> str:
-        line = (f"fuzzfarm: {self.rounds} rounds, {self.trials} trials "
+        return (f"fuzzfarm: {self.rounds} rounds, {self.trials} trials "
                 f"({self.sim_trials} sim / {self.bmc_trials} bmc), "
                 f"{len(self.divergences)} divergences, "
                 f"{self.elapsed_s:.1f}s")
-        if self.round_profile:
-            sim = sum(r["sim_s"] for r in self.round_profile)
-            bmc = sum(r["bmc_s"] for r in self.round_profile)
-            line += f" [wall: sim {sim:.1f}s / sat {bmc:.1f}s]"
-        return line
 
 
 # -- generic divergence shrinking ------------------------------------------
@@ -325,14 +312,10 @@ def run_farm(config: FarmConfig) -> FarmReport:
     if config.out_dir and report.divergences:
         report.artifacts = persist_divergences(report.divergences,
                                                config.out_dir)
-    if config.out_dir and config.profile:
-        report.artifacts.append(persist_profile(report, config.out_dir))
     return report
 
 
 def _run_round(config: FarmConfig, seed: int, report: FarmReport) -> None:
-    t_round = time.monotonic()
-    t_sim = 0.0
     design = build_fuzz_netlist(seed)
     rng = random.Random(seed ^ 0x5EED)
     stimuli = [random_stimulus(design, rng, config.depth)
@@ -366,15 +349,8 @@ def _run_round(config: FarmConfig, seed: int, report: FarmReport) -> None:
                     _explicit_differs(design, prop), prop=prop,
                     detail=f"vector={got} explicit={want}"))
 
-    t_sim = time.monotonic() - t_round
     if config.run_bmc:
         _run_bmc_matrix(config, seed, design, traces, report)
-    if config.profile:
-        report.round_profile.append({
-            "seed": seed,
-            "sim_s": round(t_sim, 6),
-            "bmc_s": round(time.monotonic() - t_round - t_sim, 6),
-        })
 
 
 def _sample_lanes(batch: int, count: int, rng: random.Random) -> list[int]:
@@ -479,23 +455,6 @@ def persist_divergences(divergences: list[Divergence],
     return paths
 
 
-def persist_profile(report: FarmReport, out_dir: str) -> str:
-    """Write the per-round SAT-vs-sim wall breakdown as a JSON artifact."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "profile.json"
-    rounds = report.round_profile
-    path.write_text(json.dumps({
-        "rounds": rounds,
-        "totals": {
-            "sim_s": round(sum(r["sim_s"] for r in rounds), 6),
-            "bmc_s": round(sum(r["bmc_s"] for r in rounds), 6),
-            "elapsed_s": round(report.elapsed_s, 6),
-        },
-    }, indent=2, sort_keys=True))
-    return str(path)
-
-
 def replay_reproducer(path: str) -> bool:
     """Re-run one persisted divergence; True when it still diverges."""
     data = json.loads(Path(path).read_text())
@@ -550,9 +509,6 @@ def main(argv: Optional[list] = None) -> int:
     ap.add_argument("--job-timeout", type=float, default=None,
                     help="per-job hang deadline in seconds (pooled runs)")
     ap.add_argument("--scalar-lanes", type=int, default=4)
-    ap.add_argument("--profile", action="store_true",
-                    help="report each round's wall time split between "
-                         "the simulation differential and the SAT side")
     ap.add_argument("--out", default=None,
                     help="directory for divergence reproducer JSON files")
     ap.add_argument("--replay", default=None, metavar="FILE",
@@ -570,13 +526,9 @@ def main(argv: Optional[list] = None) -> int:
                         budget_s=args.seconds, run_bmc=not args.no_bmc,
                         bmc_depth=args.bmc_depth, jobs=args.jobs,
                         retries=args.retries, job_timeout_s=args.job_timeout,
-                        scalar_lanes=args.scalar_lanes, out_dir=args.out,
-                        profile=args.profile)
+                        scalar_lanes=args.scalar_lanes, out_dir=args.out)
     report = run_farm(config)
     print(report.summary())
-    for rp in report.round_profile:
-        print(f"  round seed={rp['seed']}: sim {rp['sim_s']:.2f}s, "
-              f"sat {rp['bmc_s']:.2f}s")
     for div in report.divergences:
         print(f"  DIVERGENCE [{div.kind}] seed={div.seed} "
               f"prop={div.prop}: {div.detail}")

@@ -90,14 +90,14 @@ class Trace:
         return "\n".join(lines)
 
 
-def write_vcd(out: TextIO, trace: Trace, widths: dict[tuple[str, str], int],
-              timescale: str = "1 ns") -> None:
+def write_vcd(out: TextIO, trace: Trace,
+              widths: dict[tuple[str, str], int]) -> None:
     """Write a trace as a Value Change Dump for waveform viewers.
 
     ``widths`` maps ``(group, name)`` to the signal's bit width; only the
     listed signals are dumped.
     """
-    out.write(f"$timescale {timescale} $end\n")
+    out.write("$timescale 1 ns $end\n")
     out.write(f"$scope module {trace.design_name or 'trace'} $end\n")
     idents: dict[tuple[str, str], str] = {}
     for i, key in enumerate(widths):

@@ -78,6 +78,43 @@ def test_cli_verify_loads_no_optional_module():
     assert got["loaded"] == []
 
 
+def test_cli_list_loads_no_engine_solver_or_case_study():
+    """``python -m repro.cli list`` prints the case-study names without
+    importing the BMC engine, the solver or any builder; ``import
+    repro`` resolves its re-exports on first access."""
+    got = run_child("""
+        import contextlib, io, json, runpy, sys
+
+        sys.argv = ["repro-emm", "list"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            try:
+                runpy.run_module("repro.cli", run_name="__main__")
+            except SystemExit as exc:
+                code = exc.code
+        print(json.dumps({
+            "code": code, "out": out.getvalue().split(),
+            "loaded": sorted(m for m in sys.modules
+                             if m in ("repro.bmc.engine", "repro.sat.solver")
+                             or m.startswith("repro.casestudies"))}))
+    """)
+    assert got["code"] == 0
+    assert "quicksort" in got["out"] and "cpu" in got["out"]
+    assert got["loaded"] == []
+
+
+def test_package_reexports_resolve_lazily():
+    from repro.bmc import BmcOptions, verify
+    from repro.design import Design
+
+    namespace: dict = {}
+    exec("from repro import *", namespace)
+    assert namespace["verify"] is repro.verify is verify
+    assert namespace["BmcOptions"] is BmcOptions
+    assert namespace["Design"] is repro.Design is Design
+    with pytest.raises(AttributeError):
+        getattr(repro, "no_such_name")
+
+
 def test_lazy_parser_names_resolve():
     namespace: dict = {}
     exec("from repro.design import *", namespace)

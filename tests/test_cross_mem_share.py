@@ -2,12 +2,16 @@
 
 The session-scoped :class:`repro.emm.addrcmp.SharedComparatorTables`
 registry lets two memories whose address cones lower to the same SAT
-literals share one comparator encoding.  Soundness rests on per-clause
-multi-labels: a hit joins the calling memory's label onto the entry's
-clauses, so an unsat core through a shared comparator names *both*
-memories.  These tests pin the registry mechanics, the label joining
-and the PBA attribution end to end.
+literals share one comparator encoding.  Each clause keeps one label:
+a shared comparator's ``E`` enters the CNF only through clauses the
+requesting memory labels itself, so an unsat core that needs a memory's
+use of it names that memory.  These tests pin the registry mechanics,
+the labels of every clause over a comparator output, and the PBA
+attribution end to end: a model abstracted to a run's reasons admits
+no counterexample the full model does not.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -15,12 +19,15 @@ from repro.aig import Aig, CnfEmitter
 from repro.bmc import BmcOptions, EncodingSession, verify
 from repro.bmc.engine import BmcEngine
 from repro.bmc.unroller import Unroller
+from repro.casestudies.cpu import CpuParams, build_cpu, memcpy_program
 from repro.casestudies.multiport_soc import (MultiportSocParams,
                                              build_multiport_soc)
 from repro.design import Design, build_miter, expand_memories
+from repro.design.equiv import shared_init_groups
 from repro.emm import (AddrComparator, EmmCounters, EmmMemory,
                        SharedComparatorTables)
 from repro.sat import Solver
+from repro.sim.fuzzfarm import build_fuzz_netlist
 from tests.bmc_oracle import assert_matches_oracle
 
 
@@ -88,23 +95,6 @@ class TestRegistry:
         assert ca.cross_mem_cmp_hits == 0
         assert reg.cross_mem_hits == 0
 
-    def test_hit_joins_label_onto_clauses(self):
-        """Force the shared comparator into an unsat core: it must carry
-        both memories' labels after the second consumer's hit."""
-        reg = SharedComparatorTables()
-        solver, a, b, ca, cb = fresh_cmp_pair(reg)
-        x, y = word(solver, 2), word(solver, 2)
-        e = a.eq(x, y, ("emm", "ma", "addr_eq"), ca, "addr_eq_clauses")
-        b.eq(x, y, ("emm", "mb", "addr_eq"), cb, "addr_eq_clauses")
-        # E asserted with unequal words: UNSAT through comparator clauses.
-        solver.add_clause([x[0]], ("pin",))
-        solver.add_clause([-y[0]], ("pin",))
-        assert not solver.solve(assumptions=[e]).sat
-        labels = solver.core_labels()
-        assert ("emm", "ma", "addr_eq") in labels
-        assert ("emm", "mb", "addr_eq") in labels
-        assert solver.core_unlabeled_count() == 0
-
     def test_no_registry_keeps_per_memory_scope(self):
         """Encoders built without a session make their own registry: the
         second memory re-encodes every comparison the first one made."""
@@ -153,8 +143,8 @@ class TestEndToEnd:
 
     def test_pba_core_names_both_memories(self):
         """The headline regression: a PBA core through a comparator both
-        memories share must attribute it to both — only the label
-        joining makes it so."""
+        memories share must attribute it to both — each memory's own
+        read clauses carry the shared ``E``."""
         d = two_mem_design()
         opts = BmcOptions(max_depth=6, pba=True, find_proof=False)
         r = BmcEngine(d, "agree", opts).run()
@@ -247,3 +237,84 @@ class TestPinned:
         assert (r.status, r.depth) == ("bounded", 8)
         assert r.stats.cross_mem_cmp_hits == 0
         assert r.stats.sat_clauses + r.stats.sat_vars == SOC_PINNED
+
+
+# ---------------------------------------------------------------------------
+# One label per clause: the reasons stay sufficient.
+# ---------------------------------------------------------------------------
+
+
+def fuzz_miter(seed):
+    """Two copies of a farm netlist, every read port and ``seen`` paired;
+    arbitrary-init copies share their initial contents, so the miter
+    holds."""
+    a, b = build_fuzz_netlist(seed), build_fuzz_netlist(seed)
+    pairs = [(pa.data, pb.data) for pa, pb in
+             zip(a.memories["m"].read_ports, b.memories["m"].read_ports)]
+    pairs.append((a.latches["seen"].expr, b.latches["seen"].expr))
+    return build_miter(a, b, pairs), shared_init_groups(a, b)
+
+
+@pytest.mark.parametrize("encoding", ["hybrid", "gates"])
+# Fuzz seeds 4 and 5 have arbitrary-init memories (5 with two write
+# ports, and its reasons free the walking latch); 6 has a known init.
+@pytest.mark.parametrize("miter", ["unit", 4, 5, 6])
+def test_abstraction_to_the_reasons_keeps_the_verdict(miter, encoding):
+    """Re-checking a PBA falsification run on the model abstracted to
+    its latch and memory reasons finds no counterexample up to the same
+    depth: the reasons name every memory the refutations used."""
+    design, groups = ((build_miter_workload(), ()) if miter == "unit"
+                      else fuzz_miter(miter))
+    opts = BmcOptions(max_depth=6, find_proof=False, emm_encoding=encoding,
+                      shared_init_memories=groups)
+    run = verify(design, "equiv", replace(opts, pba=True))
+    assert (run.status, run.depth) == ("bounded", 6)
+    assert run.stats.core_unlabeled == 0
+    latches, memories = run.latch_reasons[-1], run.memory_reasons[-1]
+    assert memories == frozenset(design.memories)
+    abstract = verify(design, "equiv",
+                      replace(opts, kept_latches=latches,
+                              kept_memories=memories))
+    assert (abstract.status, abstract.depth) == ("bounded", 6)
+
+
+def _cpu_memcpy():
+    params = CpuParams(pc_width=5, addr_width=3, data_width=4)
+    return build_cpu(memcpy_program(2, src=0, dst=4, params=params), params)
+
+
+def _small_soc():
+    return build_multiport_soc(MultiportSocParams(
+        3, 4, counter_width=3, num_properties=3))
+
+
+@pytest.mark.parametrize("encoding", ["hybrid", "gates"])
+@pytest.mark.parametrize("build", [build_miter_workload, _small_soc,
+                                   _cpu_memcpy],
+                         ids=["miter", "soc", "cpu"])
+def test_comparator_outputs_appear_only_in_emm_clauses(build, encoding):
+    """Every stored clause over a cached comparator's output variable
+    carries one ``("emm", memory, kind)`` label, so a core that uses a
+    shared comparator names the memory whose clause consumed it."""
+    design = build()
+    session = EncodingSession(design, BmcOptions(pba=True,
+                                                 emm_encoding=encoding))
+    session.extend_to(8)
+    const_value = session.emitter.const_value
+    outputs = {abs(entry.lit) for entry in session.cmp_registry.table.values()
+               if const_value(entry.lit) is None}
+    assert outputs
+    solver = session.solver
+    assert not solver.learned_clause_ids()  # clause ids 0.. are originals
+    seen = 0
+    for cid in range(solver.num_clauses):
+        lits = solver.proof_clause_literals(cid)
+        if outputs.isdisjoint(abs(x) for x in lits):
+            continue
+        seen += 1
+        label = solver.clause_label(cid)
+        assert (isinstance(label, tuple) and len(label) == 3
+                and label[0] == "emm" and label[1] in design.memories), \
+            (cid, lits, label)
+    assert seen > len(outputs)
+

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.design import Design, latch_support, memory_control_latches
-from repro.design.cone import property_cone_latches
 from repro.design.netlist import memread_support
 
 
@@ -215,17 +214,6 @@ class TestCones:
         m.write(0).connect(addr=b.expr, data=0, en=1)
         assert memory_control_latches(d, "m") == {"a", "b"}
         assert memory_control_latches(d, m) == {"a", "b"}
-
-    def test_property_cone(self):
-        d = Design("t")
-        a = d.latch("a", 1)
-        b = d.latch("b", 1)
-        c = d.latch("c", 1)
-        a.next = b.expr
-        b.next = b.expr
-        c.next = c.expr
-        d.invariant("p", a.expr)
-        assert property_cone_latches(d, "p") == {"a", "b"}
 
     def test_stats(self):
         d = Design("t")

@@ -187,8 +187,8 @@ MITER_BDD_SEEDS = {2}
 def test_miter_pba_reasons_invariant_across_share(seed, encoding):
     """The miter's two copies are symmetric, so PBA latch/memory reasons
     must be too, even though every comparator of the ``b::`` copy is
-    answered from the ``a::`` copy's entries — the multi-label joining
-    is exactly what keeps the shared clauses attributed to both."""
+    answered from the ``a::`` copy's entries: the ``b::`` copy's own
+    read clauses carry the shared outputs, so its cores name it."""
     design = miter_netlist(seed)
     r = prove(design, "equiv", 4, encoding)
     ctx = (seed, encoding)

@@ -1,7 +1,5 @@
 """Arbitrary-initial-state modeling (Section 4.2) and its ablations."""
 
-import pytest
-
 from repro.bmc import BmcOptions, bmc2, bmc3, verify
 from repro.design import Design, expand_memories
 from repro.bmc.engine import bmc1

@@ -1,12 +1,9 @@
-"""Per-clause multi-labels and unlabelled-core accounting (repro.sat).
+"""Unlabelled-core accounting (repro.sat).
 
-A clause may carry several provenance labels — either passed to
-``add_clause`` as a frozenset up front, or joined later with
-``Solver.add_label`` when a cached encoding serves a second consumer
-(the cross-memory comparator cache).  ``core_labels`` flattens label
-sets back to individual tags; ``core_unlabeled_count`` exposes core
-clauses that carry no label at all, so PBA never mistakes an
-unattributed core for an exhaustively attributed one.
+Every clause carries at most one provenance label.  ``core_labels``
+reports the labels of an unsat core's clauses; ``core_unlabeled_count``
+exposes core clauses that carry no label at all, so PBA never mistakes
+an unattributed core for an exhaustively attributed one.
 """
 
 import pytest
@@ -23,57 +20,12 @@ def unsat_pair(solver, label_a, label_b):
     return ca, cb
 
 
-class TestMultiLabels:
-    def test_frozenset_label_flattens_in_core(self):
-        s = Solver()
-        unsat_pair(s, frozenset({("emm", "a"), ("emm", "b")}), ("init", "x"))
-        assert s.core_labels() == {("emm", "a"), ("emm", "b"), ("init", "x")}
-
-    def test_add_label_joins_onto_single_label(self):
-        s = Solver()
-        ca, __ = unsat_pair(s, ("emm", "a"), ("init", "x"))
-        s.add_label(ca, ("emm", "b"))
-        assert s.core_labels() == {("emm", "a"), ("emm", "b"), ("init", "x")}
-
-    def test_add_label_joins_frozenset(self):
-        s = Solver()
-        ca, __ = unsat_pair(s, ("emm", "a"), ("init", "x"))
-        s.add_label(ca, frozenset({("emm", "b"), ("emm", "c")}))
-        assert {("emm", "b"), ("emm", "c")} <= s.core_labels()
-
-    def test_add_label_onto_unlabeled_clause(self):
-        s = Solver()
-        ca, cb = unsat_pair(s, None, None)
-        s.add_label(ca, ("emm", "a"))
-        assert s.core_labels() == {("emm", "a")}
-        assert s.core_unlabeled_count() == 1  # cb still unlabelled
-
-    def test_add_label_noops(self):
-        s = Solver()
-        ca, __ = unsat_pair(s, ("emm", "a"), ("init", "x"))
-        s.add_label(ca, None)  # None label: no-op
-        s.add_label(-1, ("emm", "b"))  # absorbed clause id: no-op
-        s.add_label(ca, ("emm", "a"))  # already present: no growth
-        assert s.clause_label(ca) in (("emm", "a"), frozenset({("emm", "a")}))
-        assert s.core_labels() == {("emm", "a"), ("init", "x")}
-
-    def test_clause_label_raw_forms(self):
-        s = Solver()
-        v = s.new_var()
-        single = s.add_clause([v, s.new_var()], ("gate", 1))
-        multi = s.add_clause([-v], frozenset({("a",), ("b",)}))
-        bare = s.add_clause([v, s.new_var()], None)
-        assert s.clause_label(single) == ("gate", 1)
-        assert s.clause_label(multi) == frozenset({("a",), ("b",)})
-        assert s.clause_label(bare) is None
-
-
 class TestUnlabeledCores:
     def test_all_labeled_core_counts_zero(self):
         s = Solver()
         unsat_pair(s, ("emm", "a"), ("init", "x"))
+        assert s.core_labels() == {("emm", "a"), ("init", "x")}
         assert s.core_unlabeled_count() == 0
-        assert not s.core_has_unlabeled()
 
     def test_unlabeled_core_is_not_an_empty_core(self):
         """A core made of unlabelled clauses must be distinguishable
@@ -82,7 +34,6 @@ class TestUnlabeledCores:
         unsat_pair(s, None, None)
         assert s.core_labels() == set()
         assert s.core_unlabeled_count() == 2
-        assert s.core_has_unlabeled()
 
     def test_minimizer_refuses_unlabeled_cores(self):
         from repro.design import Design

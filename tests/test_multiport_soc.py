@@ -2,7 +2,9 @@
 
 from dataclasses import replace
 
-from repro.bmc import BmcOptions, bmc2, bmc3, verify
+import pytest
+
+from repro.bmc import BmcOptions, EncodingSession, bmc2, bmc3, verify
 from repro.casestudies.multiport_soc import (MultiportSocParams,
                                              build_multiport_soc)
 from repro.props import free_memory_reads, prove_with_memory_invariant
@@ -90,6 +92,33 @@ class TestPaperFlow:
         d = expand_memories(build_multiport_soc(PARAMS))
         r = verify(d, "we_or_wd_zero", bmc1(max_depth=6, pba=False))
         assert r.proved
+
+
+class TestPortAbstraction:
+    SMALL = MultiportSocParams(3, 4, counter_width=3, num_properties=3)
+
+    def test_cex_on_dropped_read_ports_is_not_replayed(self):
+        """With every read port of ``table`` dropped the model is
+        abstract: its CEX is spurious (the concrete run stays bounded)
+        and is reported unvalidated, not failed on the simulator."""
+        opts = BmcOptions(max_depth=6, find_proof=False)
+        abstract = verify(build_multiport_soc(self.SMALL), "alarm_mode_0",
+                          replace(opts,
+                                  kept_read_ports={"table": frozenset()}))
+        concrete = verify(build_multiport_soc(self.SMALL), "alarm_mode_0",
+                          opts)
+        assert (abstract.status, abstract.depth) == ("cex", 4)
+        assert abstract.trace_validated is None
+        assert (concrete.status, concrete.depth) == ("bounded", 6)
+
+    @pytest.mark.parametrize("ports,concrete", [
+        (None, True), ({0, 1, 2}, True), ({0, 2}, False), (set(), False)])
+    def test_session_is_concrete_only_with_every_port(self, ports,
+                                                      concrete):
+        kept = None if ports is None else {"table": frozenset(ports)}
+        session = EncodingSession(build_multiport_soc(self.SMALL),
+                                  BmcOptions(kept_read_ports=kept))
+        assert session.is_concrete() is concrete
 
 
 class TestCounterInvariant:

@@ -160,16 +160,13 @@ class TestMergeWindowResults:
 
     def test_legacy_first_conclusive_wins(self):
         merged = merge_window_results([_mk(BOUNDED, 2), _mk(CEX, 4),
-                                       _mk(PROOF, 7)])
+                                       _mk(PROOF, 7)], self.WINDOWS)
         assert merged.status == CEX and merged.depth == 4
 
     def test_legacy_all_bounded_returns_deepest(self):
-        merged = merge_window_results([_mk(BOUNDED, 2), _mk(BOUNDED, 5)])
+        merged = merge_window_results([_mk(BOUNDED, 2), _mk(BOUNDED, 5)],
+                                      self.WINDOWS[:2])
         assert merged.status == BOUNDED and merged.depth == 5
-
-    def test_legacy_rejects_missing_without_windows(self):
-        with pytest.raises(ValueError):
-            merge_window_results([_mk(BOUNDED, 2), None])
 
     def test_hole_degrades_to_sound_prefix(self):
         merged = merge_window_results(

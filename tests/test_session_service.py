@@ -193,6 +193,25 @@ def test_encoding_key_ignores_run_knobs_only():
         assert opt.encoding_key() != base.encoding_key(), opt
 
 
+@pytest.mark.parametrize("setting,value,message", [
+    ("kept_latches", frozenset({"cnt", "nope"}), r"kept_latches: \['nope'\]"),
+    ("kept_memories", frozenset({"ghost"}), r"kept_memories: \['ghost'\]"),
+    ("kept_read_ports", {"ghost": frozenset()},
+     r"kept_read_ports: \['ghost'\]"),
+    ("kept_read_ports", {"table": frozenset({0, 7})},
+     r"kept_read_ports\['table'\]: read ports \[7\] not in a 3-port"),
+])
+def test_session_rejects_unknown_abstraction_names(setting, value, message):
+    """Abstraction settings are checked against the design's latches,
+    memories and ports, not against what else is kept: a memory left
+    out of ``kept_memories`` may still be named by ``kept_read_ports``."""
+    design = tiny_soc()
+    with pytest.raises(ValueError, match=message):
+        EncodingSession(design, BmcOptions(**{setting: value}))
+    EncodingSession(design, BmcOptions(
+        kept_memories=frozenset(), kept_read_ports={"table": frozenset({2})}))
+
+
 def test_session_cache_hits_and_eviction():
     cache = SessionCache(max_sessions=2)
     design = tiny_fifo()
@@ -340,7 +359,7 @@ def test_merge_window_results_first_conclusive_wins():
     cex = BmcEngine(session.design, "can_fill", opts, session=session) \
         .run(window=(3, 8))
     assert (bounded.status, cex.status) == ("bounded", "cex")
-    assert merge_window_results([bounded, cex]) is cex
+    assert merge_window_results([bounded, cex], [(0, 2), (3, 8)]) is cex
 
 
 def test_first_cex_wins_inline_stream_order():

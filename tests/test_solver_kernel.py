@@ -152,8 +152,9 @@ def test_solver_storage_is_untracked():
     for pba in (False, True):
         s = _cpu_memcpy_session(pba)
         _check_untracked(s)
-        # Among its labels are frozensets, which are always tracked.
-        assert s._labels and gc.is_tracked(s._labels)
+        # A label that holds a tracked object keeps ``_labels`` tracked.
+        s.add_clause([s.new_var(), s.new_var()], ("tag", _Tag()))
+        assert gc.is_tracked(s._labels)
     solvers = []
     for seed in range(12):
         for proof in (False, True):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.aig import Aig, CnfEmitter, evaluate
+from repro.aig import Aig, CnfEmitter
 from repro.aig.eval import evaluate_word
 from repro.bmc.unroller import Unroller
 from repro.design import Design
