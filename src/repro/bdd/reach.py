@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.bdd.manager import FALSE, TRUE, BddLimitExceeded, BddManager
-from repro.design.netlist import Design, Expr
+from repro.design.netlist import Design, Expr, postorder
 
 Word = list[int]
 
@@ -70,17 +70,10 @@ class _Lowerer:
 
     def word(self, expr: Expr) -> Word:
         cache = self._cache
-        stack = [expr]
-        while stack:
-            e = stack[-1]
-            if e._id in cache:
-                stack.pop()
-                continue
-            missing = [a for a in e.args if a._id not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
+        got = cache.get(expr._id)
+        if got is not None:
+            return got
+        for e in postorder((expr,), cache):
             cache[e._id] = self._lower(e)
         return cache[expr._id]
 

@@ -21,12 +21,13 @@ from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bmc.engine import BmcEngine
+    from repro.bmc.session import EncodingSession
 
 
-def _word_value(engine: "BmcEngine", aig_word: list[int]) -> int:
+def _word_value(session: "EncodingSession", aig_word: list[int]) -> int:
     """Integer value of an AIG word in the SAT model (unemitted bits = 0)."""
-    solver = engine.session.solver
-    emitter = engine.session.emitter
+    solver = session.solver
+    emitter = session.emitter
     value = 0
     for i, lit in enumerate(aig_word):
         idx = lit >> 1
@@ -43,8 +44,8 @@ def _word_value(engine: "BmcEngine", aig_word: list[int]) -> int:
     return value
 
 
-def _lit_value(engine: "BmcEngine", aig_lit: int) -> int:
-    return _word_value(engine, [aig_lit])
+def _lit_value(session: "EncodingSession", aig_lit: int) -> int:
+    return _word_value(session, [aig_lit])
 
 
 def extract_trace(engine: "BmcEngine", depth: int,
@@ -56,16 +57,17 @@ def extract_trace(engine: "BmcEngine", depth: int,
     not be meaningful).
     """
     design = engine.design
-    un = engine.session.unroller
+    session = engine.session
+    un = session.unroller
     inputs_seq = []
     latches_seq = []
     for k in range(depth + 1):
         inputs_seq.append({
-            name: _word_value(engine, un.input_word(name, k))
+            name: _word_value(session, un.input_word(name, k))
             for name in design.inputs
         })
         latches_seq.append({
-            name: _word_value(engine, un.latch_word(name, k))
+            name: _word_value(session, un.latch_word(name, k))
             for name in design.latches
         })
 
@@ -79,7 +81,7 @@ def extract_trace(engine: "BmcEngine", depth: int,
     trace.init_latches = dict(init_latches)
     trace.init_memories = {m: dict(c) for m, c in init_memories.items()}
 
-    concrete = engine.session.is_concrete()
+    concrete = session.is_concrete()
     if concrete and validate:
         # Replay through the scalar reference oracle — the same Oracle
         # API the shrinker, the fuzz farm and the differential matrix
@@ -114,9 +116,10 @@ def _reconstruct_initial_memories(engine: "BmcEngine", depth: int
     at that address.  Addresses never read-before-write are immaterial.
     """
     design = engine.design
-    un = engine.session.unroller
+    session = engine.session
+    un = session.unroller
     out: dict[str, dict[int, int]] = {}
-    for mem_name in sorted(engine.session.kept_memories):
+    for mem_name in sorted(session.kept_memories):
         mem = design.memories[mem_name]
         if mem.init is not None:
             continue
@@ -127,17 +130,17 @@ def _reconstruct_initial_memories(engine: "BmcEngine", depth: int
         for k in range(depth + 1):
             # Reads at frame k observe writes from frames < k.
             for port in mem.read_ports:
-                en = _lit_value(engine, un.lit(port.en, k))
+                en = _lit_value(session, un.lit(port.en, k))
                 if not en:
                     continue
-                addr = _word_value(engine, un.word(port.addr, k))
+                addr = _word_value(session, un.word(port.addr, k))
                 if addr in written or addr in contents:
                     continue
-                rd = _word_value(engine, un.rd_word(mem_name, port.index, k))
+                rd = _word_value(session, un.rd_word(mem_name, port.index, k))
                 contents[addr] = rd
             for port in mem.write_ports:
-                en = _lit_value(engine, un.lit(port.en, k))
+                en = _lit_value(session, un.lit(port.en, k))
                 if en:
-                    written.add(_word_value(engine, un.word(port.addr, k)))
+                    written.add(_word_value(session, un.word(port.addr, k)))
         out[mem_name] = contents
     return out

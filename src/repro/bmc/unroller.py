@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.aig import ops
 from repro.aig.tseitin import CnfEmitter
-from repro.design.netlist import Design, Expr
+from repro.design.netlist import Design, Expr, postorder
 
 Word = list[int]
 
@@ -104,17 +104,7 @@ class Unroller:
         got = cache.get(expr._id)
         if got is not None:
             return got
-        stack = [expr]
-        while stack:
-            e = stack[-1]
-            if e._id in cache:
-                stack.pop()
-                continue
-            missing = [a for a in e.args if a._id not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
+        for e in postorder((expr,), cache):
             cache[e._id] = self._lower(e, frame, cache)
         return cache[expr._id]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.design.netlist import Design, Expr, Memory
+from repro.design.netlist import Design, Expr, Memory, leaf_support
 
 
 def latch_support(exprs: Iterable[Expr] | Expr) -> set[str]:
@@ -22,19 +22,8 @@ def latch_support(exprs: Iterable[Expr] | Expr) -> set[str]:
     memory is data, not control, so it does not contribute control latches.
     """
     if isinstance(exprs, Expr):
-        exprs = [exprs]
-    out: set[str] = set()
-    seen: set[int] = set()
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        if e._id in seen:
-            continue
-        seen.add(e._id)
-        if e.kind == "latch":
-            out.add(e.payload)
-        stack.extend(e.args)
-    return out
+        exprs = (exprs,)
+    return leaf_support(exprs, "latch")
 
 
 def memory_control_latches(design: Design, mem: Memory | str) -> set[str]:

@@ -9,7 +9,7 @@ a malformed design fails fast, not inside the SAT solver.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping, Optional, Union
+from typing import Container, Iterable, Mapping, Optional, Union
 
 ExprLike = Union["Expr", int]
 
@@ -455,12 +455,12 @@ class Design:
         """
         ports = [(m.name, p.index) for m in self.memories.values()
                  for p in m.read_ports]
-        deps: dict[tuple[str, int], set[tuple[str, int]]] = {p: set() for p in ports}
+        deps: dict[tuple[str, int], set[tuple[str, int]]] = {}
         for mem in self.memories.values():
             for port in mem.read_ports:
-                for e in (port.addr, port.en):
-                    if e is not None:
-                        deps[(mem.name, port.index)] |= memread_support(e)
+                deps[(mem.name, port.index)] = leaf_support(
+                    [e for e in (port.addr, port.en) if e is not None],
+                    "memread")
         order: list[tuple[str, int]] = []
         state: dict[tuple[str, int], int] = {}
 
@@ -502,22 +502,13 @@ class Design:
         def digest(e: Optional[Expr]) -> str:
             if e is None:
                 return "-"
-            if e._id not in memo:
-                stack = [e]
-                while stack:
-                    n = stack[-1]
-                    if n._id in memo:
-                        stack.pop()
-                        continue
-                    pending = [a for a in n.args if a._id not in memo]
-                    if pending:
-                        stack.extend(pending)
-                        continue
-                    stack.pop()
-                    h = hashlib.sha256(repr(
-                        (n.kind, n.width, n.payload,
-                         tuple(memo[a._id] for a in n.args))).encode())
-                    memo[n._id] = h.hexdigest()
+            if e._id in memo:
+                return memo[e._id]
+            for n in postorder((e,), memo):
+                h = hashlib.sha256(repr(
+                    (n.kind, n.width, n.payload,
+                     tuple(memo[a._id] for a in n.args))).encode())
+                memo[n._id] = h.hexdigest()
             return memo[e._id]
 
         parts = [f"design {self.name}"]
@@ -563,17 +554,42 @@ class Design:
         }
 
 
-def memread_support(expr: Expr) -> set[tuple[str, int]]:
-    """All ``(memory, read_port)`` pairs an expression depends on."""
-    out: set[tuple[str, int]] = set()
+def postorder(roots: Iterable[Expr], done: Container[int]) -> list[Expr]:
+    """The nodes under ``roots`` whose ids are not in ``done``, children
+    before parents, each once.
+
+    ``done`` is the caller's memo (a cache keyed by node id); its nodes
+    and everything below them are skipped.  The walk is iterative, so a
+    chain deeper than the recursion limit is fine.  The order is fixed:
+    missing args are pushed in ``args`` order and the last one pushed is
+    visited first.  The AIG lowering numbers nodes in this order, and
+    that numbering fixes the SAT variable order.
+    """
+    order: list[Expr] = []
     seen: set[int] = set()
-    stack = [expr]
+    stack = list(roots)
     while stack:
-        e = stack.pop()
-        if e._id in seen:
+        e = stack[-1]
+        i = e._id
+        if i in done or i in seen:
+            stack.pop()
             continue
-        seen.add(e._id)
-        if e.kind == "memread":
-            out.add(e.payload)
-        stack.extend(e.args)
-    return out
+        missing = [a for a in e.args
+                   if a._id not in done and a._id not in seen]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        seen.add(i)
+        order.append(e)
+    return order
+
+
+def leaf_support(exprs: Iterable[Expr], kind: str) -> set:
+    """Payloads of the ``kind`` leaves (``"latch"``, ``"input"``,
+    ``"memread"``) in the combinational fanin of ``exprs``.
+
+    A memory's read data is a leaf: the walk does not continue into the
+    read port's address or enable logic.
+    """
+    return {e.payload for e in postorder(exprs, ()) if e.kind == kind}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.design.netlist import Design, Expr, Memory, Property
+from repro.design.netlist import Design, Expr, Memory, Property, postorder
 
 
 class ExprRewriter:
@@ -35,17 +35,10 @@ class ExprRewriter:
     def rewrite(self, expr: Expr) -> Expr:
         """Rewrite ``expr`` (from the source design) into the target design."""
         cache = self._cache
-        stack = [expr]
-        while stack:
-            e = stack[-1]
-            if e._id in cache:
-                stack.pop()
-                continue
-            missing = [a for a in e.args if a._id not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
+        got = cache.get(expr._id)
+        if got is not None:
+            return got
+        for e in postorder((expr,), cache):
             cache[e._id] = self._rebuild(e)
         return cache[expr._id]
 

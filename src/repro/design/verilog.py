@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TextIO
 
-from repro.design.netlist import Design, Expr
+from repro.design.netlist import Design, Expr, postorder
 
 _RESERVED = {"module", "input", "output", "reg", "wire", "assign", "always",
              "begin", "end", "if", "else", "case", "endcase", "endmodule",
@@ -54,19 +54,13 @@ class _WireNamer:
         self._count = 0
 
     def ref(self, expr: Expr) -> str:
-        stack = [expr]
-        while stack:
-            e = stack[-1]
-            if e._id in self.names:
-                stack.pop()
-                continue
-            missing = [a for a in e.args if a._id not in self.names]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            self.names[e._id] = self._emit(e)
-        return self.names[expr._id]
+        names = self.names
+        got = names.get(expr._id)
+        if got is not None:
+            return got
+        for e in postorder((expr,), names):
+            names[e._id] = self._emit(e)
+        return names[expr._id]
 
     def _emit(self, e: Expr) -> str:
         kind = e.kind

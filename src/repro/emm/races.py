@@ -48,6 +48,7 @@ def find_data_race(design: Design, mem_name: str,
     """
     # repro.bmc imports repro.emm, so the session is imported here.
     from repro.bmc import BmcOptions, EncodingSession
+    from repro.bmc.counterexample import _word_value
 
     design.validate()
     ports = design.memories[mem_name].write_ports
@@ -59,29 +60,18 @@ def find_data_race(design: Design, mem_name: str,
                           for q in ports[i + 1:])
     session = EncodingSession(design, BmcOptions(find_proof=False))
     em = session.emitter
+    un = session.unroller
     for k in range(max_depth + 1):
         session.extend_to(k)
         em.set_label(("race", k))
-        race_k = em.sat_lit(session.unroller.lit(race, k))
+        race_k = em.sat_lit(un.lit(race, k))
         if session.solver.solve([session.a_init, session.a_meminit,
                                  race_k]).sat:
+            inputs = [{name: _word_value(session, un.input_word(name, j))
+                       for name in design.inputs} for j in range(k + 1)]
             return RaceResult(memory=mem_name, found=True, depth=k,
-                              inputs=_extract_inputs(session, k),
+                              inputs=inputs,
                               wall_time_s=time.monotonic() - t0)
     return RaceResult(memory=mem_name, found=False,
                       wall_time_s=time.monotonic() - t0)
 
-
-def _extract_inputs(session, depth: int) -> list[dict]:
-    out = []
-    for k in range(depth + 1):
-        vec = {}
-        for name in session.design.inputs:
-            value = 0
-            for i, bit in enumerate(session.unroller.input_word(name, k)):
-                var = session.emitter.var_for(bit)
-                if var is not None and session.solver.model_value(var):
-                    value |= 1 << i
-            vec[name] = value
-        out.append(vec)
-    return out

@@ -9,16 +9,15 @@ lines 11-12).  This package turns those reasons into abstract models:
 * a memory module is abstracted away entirely — no EMM constraints —
   when none of its control latches (the latches driving its interface
   signals) appear in the reason set (Section 4.3);
-* the stability-depth loop and iterative abstraction follow the paper's
-  reference [10].
+* the stability-depth loop follows the paper's reference [10];
+  iterative abstraction, the same reference's repeated reason
+  collection on the shrinking model, is
+  ``verify_with_pba(max_rounds=...)``.
 """
 
 from repro.pba.abstraction import (PbaPhase, run_pba_phase, verify_with_pba,
                                    PbaVerification)
-from repro.pba.iterative import (IterativeAbstractionResult,
-                                 iterative_abstraction)
 from repro.pba.minimize import MinimizationResult, minimize_reasons
 
 __all__ = ["PbaPhase", "run_pba_phase", "verify_with_pba", "PbaVerification",
-           "IterativeAbstractionResult", "iterative_abstraction",
            "MinimizationResult", "minimize_reasons"]

@@ -6,11 +6,13 @@ The flow reproduces Table 2 of the paper:
    the reason set ``LR`` is unchanged for ``stability_depth`` consecutive
    depths (or a counterexample/bound is hit).
 2. *Model reduction* — keep only the latches in the stable ``LR``; keep a
-   memory module only if one of its control latches survived.
+   memory module only if one of its control latches survived.  Iterative
+   abstraction repeats phases 1 and 2 on the reduced model
+   (``max_rounds``).
 3. *Proof phase* — run full BMC-3 (induction) on the reduced model.  The
    abstraction only adds behaviours, so a proof transfers to the concrete
-   design; an abstract counterexample is reported as inconclusive
-   (``abstract-cex``) rather than trusted.
+   design; a counterexample from a model that is not concrete is
+   reported as inconclusive (``abstract-cex``) rather than trusted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.bmc.engine import BmcEngine, BmcOptions
-from repro.bmc.results import CEX, PROOF, BmcResult
+from repro.bmc.results import CEX, BmcResult
 from repro.design.cone import latch_support, memory_control_latches
 from repro.design.netlist import Design
 
@@ -39,6 +41,9 @@ class PbaPhase:
     kept_latch_bits: int
     orig_latch_bits: int
     wall_time_s: float
+    #: The run's :meth:`EncodingSession.is_concrete`: only then is
+    #: ``cex_result`` a real counterexample.
+    concrete: bool
     #: Set when the phase ended early with a real counterexample.
     cex_result: Optional[BmcResult] = None
     #: Per-kept-memory read ports retained (Section 4.3 port abstraction).
@@ -53,13 +58,18 @@ class PbaPhase:
 class PbaVerification:
     """Full PBA pipeline outcome: abstraction phase + proof on reduced model."""
 
+    #: The phase whose reasons define the model the proof ran on.
     phase: PbaPhase
-    #: Result of the proof run on the reduced model (None if phase found CEX).
+    #: The proof run on the reduced model, or the phase's CEX run.
     proof_result: Optional[BmcResult]
     #: 'proof' | 'cex' | 'abstract-cex' | 'bounded' | 'timeout'
     status: str
     #: Set when reason minimization ran (``minimize != "off"``).
     minimization: Optional["MinimizationResult"] = None
+    #: Every reason-collection round, in order (one unless ``max_rounds``).
+    rounds: list[PbaPhase] = field(default_factory=list)
+    #: A later round repeated its model's latch reasons (the fixpoint).
+    converged: bool = False
 
 
 def run_pba_phase(design: Design, property_name: str,
@@ -81,21 +91,17 @@ def run_pba_phase(design: Design, property_name: str,
 
     result = engine.run(stop_check=stable_enough)
     reasons = result.latch_reasons
-    mem_reasons = result.memory_reasons
-    unlabeled = result.stats.core_unlabeled
-    if result.status == CEX:
-        return _phase_from(design, reasons, mem_reasons, stable=False,
-                           stable_depth=result.depth, t0=t0, cex=result,
-                           core_unlabeled=unlabeled)
-    stable_at = _stability_point(reasons, stability_depth)
-    if stable_at is None:
+    cex = result if result.status == CEX else None
+    if cex is not None:
+        stable, stable_depth = False, result.depth
+    else:
+        stable_at = _stability_point(reasons, stability_depth)
+        stable = stable_at is not None
         # Bound hit without stabilising: use the final set, flag unstable.
-        return _phase_from(design, reasons, mem_reasons, stable=False,
-                           stable_depth=len(reasons) - 1, t0=t0,
-                           core_unlabeled=unlabeled)
-    return _phase_from(design, reasons, mem_reasons, stable=True,
-                       stable_depth=stable_at, t0=t0,
-                       core_unlabeled=unlabeled)
+        stable_depth = stable_at if stable else len(reasons) - 1
+    return _phase_from(design, reasons, result.memory_reasons, stable,
+                       stable_depth, t0, result.stats.core_unlabeled,
+                       engine.session.is_concrete(), cex)
 
 
 def _stability_point(reasons: list[frozenset[str]],
@@ -115,9 +121,9 @@ def _stability_point(reasons: list[frozenset[str]],
 
 def _phase_from(design: Design, reasons: list[frozenset[str]],
                 mem_reasons: list[frozenset[str]], stable: bool,
-                stable_depth: int, t0: float,
-                cex: Optional[BmcResult] = None,
-                core_unlabeled: int = 0) -> PbaPhase:
+                stable_depth: int, t0: float, core_unlabeled: int,
+                concrete: bool, cex: Optional[BmcResult] = None
+                ) -> PbaPhase:
     # A counterexample run has reason entries only for the depths whose
     # falsification check was UNSAT; clamp into range.
     index = min(stable_depth, len(reasons) - 1)
@@ -159,6 +165,7 @@ def _phase_from(design: Design, reasons: list[frozenset[str]],
         kept_latch_bits=kept_bits,
         orig_latch_bits=design.num_latch_bits(),
         wall_time_s=time.monotonic() - t0,
+        concrete=concrete,
         cex_result=cex,
         kept_read_ports=kept_ports,
         core_unlabeled=core_unlabeled,
@@ -170,8 +177,16 @@ def verify_with_pba(design: Design, property_name: str,
                     abstraction_max_depth: int = 40,
                     proof_max_depth: int = 80,
                     options: Optional[BmcOptions] = None,
-                    minimize: str = "off") -> PbaVerification:
+                    minimize: str = "off",
+                    max_rounds: int = 1) -> PbaVerification:
     """The paper's combined EMM+PBA flow (Section 4.3 / Table 2).
+
+    ``max_rounds`` > 1 is iterative abstraction (the paper's [10]): each
+    later round re-collects reasons on the previous round's model.
+    Freed latches cannot re-enter, so the reasons shrink until a round
+    repeats its model's latch reasons (``converged``).  A later round
+    whose core held an unlabelled clause stops the loop; its reasons
+    are not exhaustive, so the model it ran on is kept.
 
     ``minimize`` shrinks the stable reason set by attempted deletion
     before the proof run: ``"off"`` uses the raw unsat-core reasons,
@@ -180,13 +195,38 @@ def verify_with_pba(design: Design, property_name: str,
     Raw cores are sufficient but not minimal — a spurious control latch
     can keep a whole memory module alive (see Table 2: the quicksort
     array must drop out for P2).
+
+    A counterexample counts as real only when the model it came from is
+    concrete (:meth:`EncodingSession.is_concrete`); otherwise the status
+    is ``abstract-cex``.
     """
-    phase = run_pba_phase(design, property_name, stability_depth,
-                          abstraction_max_depth, options)
-    if phase.cex_result is not None:
-        return PbaVerification(phase=phase, proof_result=phase.cex_result,
-                               status=CEX)
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     base = options or BmcOptions()
+    round_opts = base
+    rounds: list[PbaPhase] = []
+    converged = False
+    phase = None
+    for __ in range(max_rounds):
+        current = run_pba_phase(design, property_name, stability_depth,
+                                abstraction_max_depth, round_opts)
+        rounds.append(current)
+        if current.cex_result is not None:
+            return PbaVerification(
+                phase=current, proof_result=current.cex_result,
+                status=CEX if current.concrete else "abstract-cex",
+                rounds=rounds)
+        if phase is not None:
+            if current.core_unlabeled:
+                break
+            if current.latch_reasons == phase.latch_reasons:
+                converged = True
+                break
+        phase = current
+        round_opts = replace(base, kept_latches=phase.latch_reasons,
+                             kept_memories=phase.kept_memories,
+                             kept_read_ports=phase.kept_read_ports,
+                             validate_cex=False)
     minimization = None
     if minimize != "off":
         from repro.pba.minimize import minimize_reasons
@@ -219,15 +259,11 @@ def verify_with_pba(design: Design, property_name: str,
         # trustworthy, so replay-validation is pointless.
         validate_cex=False,
     )
-    result = BmcEngine(design, property_name, proof_opts).run()
-    if result.status == PROOF:
-        status = PROOF
-    elif result.status == CEX:
-        # Spurious unless the model happens to be concrete.
-        concrete = (phase.latch_reasons == frozenset(design.latches)
-                    and phase.kept_memories == frozenset(design.memories))
-        status = CEX if concrete else "abstract-cex"
-    else:
-        status = result.status
+    engine = BmcEngine(design, property_name, proof_opts)
+    result = engine.run()
+    status = result.status
+    if status == CEX and not engine.session.is_concrete():
+        status = "abstract-cex"
     return PbaVerification(phase=phase, proof_result=result, status=status,
-                           minimization=minimization)
+                           minimization=minimization, rounds=rounds,
+                           converged=converged)

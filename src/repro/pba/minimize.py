@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.bmc.engine import BmcEngine, BmcOptions
-from repro.bmc.results import CEX
+from repro.bmc.results import BOUNDED
 from repro.design.cone import memory_control_latches
 from repro.design.netlist import Design
 
@@ -50,18 +50,19 @@ class MinimizationResult:
 
 def holds_up_to(design: Design, property_name: str, depth: int,
                 options: BmcOptions) -> bool:
-    """True when the property has no counterexample at any depth <= depth.
+    """True when the property was checked to have no counterexample at
+    any depth <= depth.
 
     Runs plain bounded falsification (no proof or PBA machinery) under the
     abstraction encoded in ``options``; abstract models over-approximate,
     so a True answer transfers to the concrete design up to ``depth``.
+    Anything short of BOUNDED at ``depth`` (a CEX, a timeout, a degraded
+    run) is no evidence, so the deletion is refused.
     """
     opts = replace(options, find_proof=False, pba=False, max_depth=depth,
                    validate_cex=False)
     result = BmcEngine(design, property_name, opts).run()
-    if result.status == "timeout":
-        return False  # inconclusive: treat as "cannot delete"
-    return result.status != CEX
+    return result.status == BOUNDED and result.depth == depth
 
 
 def minimize_reasons(design: Design, property_name: str,

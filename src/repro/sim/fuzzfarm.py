@@ -41,10 +41,9 @@ from typing import Callable, Optional
 from repro.bmc import BmcOptions
 from repro.design import Design, expand_memories
 from repro.service import RetryPolicy, VerificationService
-from repro.sim.oracle import (ExplicitOracle, Oracle, SimulatorOracle,
+from repro.sim.oracle import (ExplicitOracle, SimulatorOracle,
                               Stimulus, default_oracle)
 from repro.sim.trace import Trace
-from repro.sim.vector import have_numpy
 
 #: The EMM encodings the farm checks, each at its default options.
 #: Mirrors the differential matrix in
@@ -169,8 +168,6 @@ class FarmConfig:
     retries: int = 2
     #: Per-job hang deadline for pooled service runs (None: no watchdog).
     job_timeout_s: Optional[float] = None
-    #: Minimize reproducer stimuli before reporting.
-    shrink: bool = True
     #: Directory for divergence reproducer JSON files.
     out_dir: Optional[str] = None
 
@@ -223,9 +220,12 @@ class FarmReport:
 # -- generic divergence shrinking ------------------------------------------
 
 
+#: Passes of the value-halving loop of :func:`shrink_stimulus`.
+_SHRINK_ROUNDS = 3
+
+
 def shrink_stimulus(stimulus: Stimulus,
-                    diverges: Callable[[Stimulus], bool],
-                    rounds: int = 3) -> Stimulus:
+                    diverges: Callable[[Stimulus], bool]) -> Stimulus:
     """Greedy minimization of a stimulus under an arbitrary predicate.
 
     The analogue of :class:`repro.bmc.shrink.TraceShrinker` for
@@ -240,7 +240,7 @@ def shrink_stimulus(stimulus: Stimulus,
         if not diverges(cand):
             break
         cur = cand
-    for _ in range(rounds):
+    for _ in range(_SHRINK_ROUNDS):
         changed = False
         for k in range(len(cur.inputs)):
             for name in sorted(cur.inputs[k]):
@@ -321,7 +321,7 @@ def _run_round(config: FarmConfig, seed: int, report: FarmReport) -> None:
     stimuli = [random_stimulus(design, rng, config.depth)
                for _ in range(config.batch)]
     scalar = SimulatorOracle(design)
-    fast: Oracle = default_oracle(design) if have_numpy() else scalar
+    fast = default_oracle(design)
     traces = fast.replay_batch(stimuli)
     report.sim_trials += len(stimuli)
     report.trials += len(stimuli)
@@ -371,11 +371,10 @@ def _sim_divergence(kind: str, seed: int, design: Design, stimulus: Stimulus,
                     config: FarmConfig, diverges, prop: Optional[str] = None,
                     detail: str = "") -> Divergence:
     shrunk = stimulus
-    if config.shrink:
-        try:
-            shrunk = shrink_stimulus(stimulus, diverges)
-        except Exception as exc:  # keep the unshrunk reproducer
-            detail = f"{detail} (shrink failed: {exc})".strip()
+    try:
+        shrunk = shrink_stimulus(stimulus, diverges)
+    except Exception as exc:  # keep the unshrunk reproducer
+        detail = f"{detail} (shrink failed: {exc})".strip()
     return Divergence(kind=kind, seed=seed, prop=prop,
                       detail=detail or kind, stimulus=shrunk.to_dict())
 
@@ -384,8 +383,7 @@ def _run_bmc_matrix(config: FarmConfig, seed: int, design: Design,
                     traces: list[Trace], report: FarmReport) -> None:
     """Every encoding must match the explicit model — and no symbolic
     engine may miss a violation a random lane already found."""
-    fast = default_oracle(design) if have_numpy() else \
-        SimulatorOracle(design)
+    fast = default_oracle(design)
     depth = config.bmc_depth
     sim_first: dict[str, Optional[int]] = {}
     for prop in design.properties:

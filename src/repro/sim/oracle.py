@@ -281,9 +281,7 @@ class ExplicitOracle(Oracle):
     def __init__(self, design: Design, max_batch: int = 1024) -> None:
         super().__init__(design)
         self.expanded = expand_memories(design)
-        inner_cls = VectorOracle if have_numpy() else SimulatorOracle
-        kwargs = {"max_batch": max_batch} if inner_cls is VectorOracle else {}
-        self._inner = inner_cls(self.expanded, **kwargs)
+        self._inner = default_oracle(self.expanded, max_batch=max_batch)
 
     def _translate(self, stimulus: Stimulus) -> Stimulus:
         init_latches = dict(stimulus.init_latches)

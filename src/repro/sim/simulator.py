@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.design.netlist import Design, Expr
+from repro.design.netlist import Design, Expr, postorder
 from repro.sim.trace import Trace
 
 
@@ -86,17 +86,7 @@ class Simulator:
         got = values.get(expr._id)
         if got is not None:
             return got
-        stack = [expr]
-        while stack:
-            e = stack[-1]
-            if e._id in values:
-                stack.pop()
-                continue
-            missing = [a for a in e.args if a._id not in values]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
+        for e in postorder((expr,), values):
             values[e._id] = self._eval_node(e)
         return values[expr._id]
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.design import Design, latch_support, memory_control_latches
-from repro.design.netlist import memread_support
+from repro.design.netlist import leaf_support
 
 
 def small_design():
@@ -199,7 +199,7 @@ class TestCones:
         # expression using rd must not leak through the read port.
         expr = rd.eq(1)
         assert latch_support(expr) == set()
-        assert memread_support(expr) == {("m", 0)}
+        assert leaf_support((expr,), "memread") == {("m", 0)}
 
     def test_memory_control_latches(self):
         d = Design("t")

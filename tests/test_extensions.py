@@ -5,7 +5,7 @@ abstraction, iterative abstraction."""
 from repro.bmc import BmcOptions, verify
 from repro.design import Design
 from repro.emm import find_data_race
-from repro.pba import iterative_abstraction, run_pba_phase
+from repro.pba import run_pba_phase, verify_with_pba
 
 
 def racy_design(guarded: bool):
@@ -117,17 +117,17 @@ class TestIterativeAbstraction:
         return d
 
     def test_reaches_fixpoint(self):
-        out = iterative_abstraction(self.layered_design(), "mono",
-                                    stability_depth=3, max_depth=16,
-                                    max_rounds=4)
+        out = verify_with_pba(self.layered_design(), "mono",
+                              stability_depth=3, abstraction_max_depth=16,
+                              max_rounds=4)
         assert out.converged
         assert out.status == "proof"
-        assert "c" not in out.final_latches
+        assert "c" not in out.phase.latch_reasons
 
     def test_monotone_shrinking(self):
-        out = iterative_abstraction(self.layered_design(), "mono",
-                                    stability_depth=3, max_depth=16,
-                                    max_rounds=4)
+        out = verify_with_pba(self.layered_design(), "mono",
+                              stability_depth=3, abstraction_max_depth=16,
+                              max_rounds=4)
         sizes = [len(ph.latch_reasons) for ph in out.rounds]
         assert all(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:]))
 
@@ -136,8 +136,8 @@ class TestIterativeAbstraction:
         cnt = d.latch("cnt", 3, init=0)
         cnt.next = cnt.expr + 1
         d.invariant("lt3", cnt.expr.ult(3))
-        out = iterative_abstraction(d, "lt3", stability_depth=3,
-                                    max_depth=10, max_rounds=3)
+        out = verify_with_pba(d, "lt3", stability_depth=3,
+                              abstraction_max_depth=10, max_rounds=3)
         assert out.status == "cex"
         assert out.proof_result is not None
         assert out.proof_result.depth == 3

@@ -1,8 +1,10 @@
 """Tests for deletion-based reason minimization (repro.pba.minimize)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bmc import BmcOptions
+from repro.bmc import BmcEngine, BmcOptions
 from repro.casestudies.quicksort import QuicksortParams, build_quicksort
 from repro.design import Design
 from repro.design.cone import memory_control_latches
@@ -45,6 +47,22 @@ class TestHoldsUpTo:
         d = two_memory_design()
         opts = BmcOptions(kept_memories=frozenset({"a"}))
         assert holds_up_to(d, "p", 6, opts)
+
+    def test_unchecked_run_is_not_evidence(self):
+        """A run that degraded before checking any depth says nothing:
+        the counter has a CEX at depth 3, yet a quota of one
+        clause+variable stops the run at depth -1."""
+        d = Design("bad")
+        cnt = d.latch("cnt", 3, init=0)
+        cnt.next = cnt.expr + 1
+        d.invariant("lt3", cnt.expr.ult(3))
+        quota = BmcOptions(clause_var_quota=1)
+        result = BmcEngine(d, "lt3", replace(quota, max_depth=6,
+                                             find_proof=False)).run()
+        assert (result.status, result.depth) == ("degraded", -1)
+        assert not holds_up_to(d, "lt3", 6, quota)
+        assert holds_up_to(d, "lt3", 2, BmcOptions())
+        assert not holds_up_to(d, "lt3", 6, BmcOptions())
 
     def test_bad_granularity_rejected(self):
         d = two_memory_design()

@@ -7,6 +7,7 @@ import pytest
 from repro.bmc import BmcOptions, EncodingSession, bmc2, bmc3, verify
 from repro.casestudies.multiport_soc import (MultiportSocParams,
                                              build_multiport_soc)
+from repro.pba import verify_with_pba
 from repro.props import free_memory_reads, prove_with_memory_invariant
 from repro.sim import Simulator
 
@@ -110,6 +111,19 @@ class TestPortAbstraction:
         assert (abstract.status, abstract.depth) == ("cex", 4)
         assert abstract.trace_validated is None
         assert (concrete.status, concrete.depth) == ("bounded", 6)
+
+    @pytest.mark.parametrize("max_rounds", [1, 3])
+    def test_pba_cex_on_dropped_read_ports_is_abstract(self, max_rounds):
+        """The PBA flow's verdict on the same abstract model: its CEX is
+        the spurious one above, so the status is ``abstract-cex``."""
+        out = verify_with_pba(
+            build_multiport_soc(self.SMALL), "alarm_mode_0",
+            stability_depth=2, abstraction_max_depth=6, proof_max_depth=8,
+            options=BmcOptions(kept_read_ports={"table": frozenset()}),
+            max_rounds=max_rounds)
+        assert out.status == "abstract-cex"
+        assert out.proof_result.depth == 4
+        assert not out.rounds[-1].concrete
 
     @pytest.mark.parametrize("ports,concrete", [
         (None, True), ({0, 1, 2}, True), ({0, 2}, False), (set(), False)])
