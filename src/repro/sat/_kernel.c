@@ -12,13 +12,13 @@
  *       heap_pos, activity).
  *   pick(ctx) -> decision literal or -1
  *       the heap pop of Solver._pick_branch; ctx = (heap, heap_pos,
- *       activity, vals, saved_phase).
+ *       activity, vals, saved_phase, lit_objs).
  *   intake(ctx, lits, proof) -> clause id, -1 (absorbed) or None
  *       the one-pass simplify of Solver.add_clause plus the clause append
  *       and watch attach, for a list or tuple of ints that leaves at
  *       least two literals not false; None (nothing changed) sends every
  *       other clause down the Python path; ctx = (vals, levels, clauses,
- *       watches, bin_watches).
+ *       watches, bin_watches, lit_objs).
  *   analyze(ctx, confl, level, var_inc, proof)
  *           -> (learnt, bt, used, lbd, bumps, var_inc)
  *       Solver._analyze: the 1UIP walk with its VSIDS bumps, the
@@ -34,7 +34,14 @@
  *   new_var(ctx) -> the new variable
  *       the body of Solver.new_var; ctx = (vals, levels, reasons,
  *       activity, saved_phase, watches, bin_watches, heap, heap_pos,
- *       seen).
+ *       seen, lit_objs).
+ *
+ * A literal is stored as the solver's one int object for it,
+ * lit_objs[lit]: intake fills new clauses with those objects and pick
+ * returns one, and new_var appends the two objects of the new variable.
+ * Everything else a function stores it took from a clause, a watch or
+ * the trail, so it is shared already.  The asserting literal analyze
+ * returns is a new int; Solver._record_learnt stores the shared one.
  *
  * The solver's storage stays out of the cyclic garbage collector: every
  * list or tuple the functions above store in the solver (clauses,
@@ -408,13 +415,14 @@ k_unassign(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 k_pick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *c[5];
-    if (unpack(args, nargs, 1, "lllll", c) < 0)
+    PyObject *c[6];
+    if (unpack(args, nargs, 1, "llllll", c) < 0)
         return NULL;
     PyObject *heap = c[0], *pos = c[1], *act = c[2], *vals = c[3],
-             *saved = c[4];
+             *saved = c[4], *lit_objs = c[5];
     Py_ssize_t nvar = LEN(pos);
-    if (LEN(act) < nvar || LEN(vals) < 2 * nvar || LEN(saved) < nvar) {
+    if (LEN(act) < nvar || LEN(vals) < 2 * nvar || LEN(saved) < nvar
+            || LEN(lit_objs) < 2 * nvar) {
         PyErr_SetString(PyExc_ValueError, "solver lists out of step");
         return NULL;
     }
@@ -465,10 +473,10 @@ k_pick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         if (PyErr_Occurred())
             return NULL;
         if (val_of(ITEMS(vals)[var << 1]) == -1) {
-            Py_ssize_t sign = PyLong_AsSsize_t(ITEMS(saved)[var]);
-            if (sign == -1 && PyErr_Occurred())
+            Py_ssize_t sign = index_of(ITEMS(saved)[var], 2);
+            if (sign < 0)
                 return NULL;
-            return PyLong_FromSsize_t(var << 1 | sign);
+            return Py_NewRef(ITEMS(lit_objs)[var << 1 | sign]);
         }
     }
     return PyLong_FromLong(-1);
@@ -598,11 +606,11 @@ literal_of(PyObject *x, Py_ssize_t maxvar)
 static PyObject *
 k_intake(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *c[5];
-    if (unpack(args, nargs, 3, "lllll", c) < 0)
+    PyObject *c[6];
+    if (unpack(args, nargs, 3, "llllll", c) < 0)
         return NULL;
     PyObject *vals = c[0], *levels = c[1], *clauses = c[2], *watches = c[3],
-             *bins = c[4];
+             *bins = c[4], *lit_objs = c[5];
     PyObject *seq = args[1];
     int proof = PyObject_IsTrue(args[2]);
     if (proof < 0)
@@ -611,7 +619,7 @@ k_intake(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         Py_RETURN_NONE;
     Py_ssize_t nlit = LEN(vals), maxvar = nlit / 2 - 1;
     if (nlit % 2 || 2 * LEN(levels) < nlit || LEN(watches) < nlit
-            || LEN(bins) < nlit) {
+            || LEN(bins) < nlit || LEN(lit_objs) < nlit) {
         PyErr_SetString(PyExc_ValueError, "solver lists out of step");
         return NULL;
     }
@@ -677,15 +685,9 @@ k_intake(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     PyObject *cl = untracked_list(total);
     if (cl == NULL)
         goto done;
-    for (i = 0; i < total; i++) {
-        PyObject *o = PyLong_FromSsize_t(i < out.n ? out.a[i]
-                                                   : late.a[i - out.n]);
-        if (o == NULL) {
-            Py_DECREF(cl);
-            goto done;
-        }
-        PyList_SET_ITEM(cl, i, o);
-    }
+    for (i = 0; i < total; i++)
+        PyList_SET_ITEM(cl, i, Py_NewRef(ITEMS(lit_objs)[
+            i < out.n ? out.a[i] : late.a[i - out.n]]));
     PyObject *cid = PyLong_FromSsize_t(LEN(clauses));
     if (cid == NULL || PyList_Append(clauses, cl) < 0) {
         Py_XDECREF(cid);
@@ -1207,26 +1209,31 @@ done:
 static PyObject *
 k_new_var(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *c[10];
-    if (unpack(args, nargs, 1, "lllllllllb", c) < 0)
+    PyObject *c[11];
+    if (unpack(args, nargs, 1, "lllllllllbl", c) < 0)
         return NULL;
     PyObject *vals = c[0], *levels = c[1], *reasons = c[2], *act = c[3],
              *saved = c[4], *watches = c[5], *bins = c[6], *heap = c[7],
-             *pos = c[8], *seen = c[9];
+             *pos = c[8], *seen = c[9], *lit_objs = c[10];
     Py_ssize_t nvar = LEN(levels);
     if (LEN(vals) != 2 * nvar || LEN(reasons) != nvar || LEN(act) != nvar
             || LEN(saved) != nvar || LEN(watches) != 2 * nvar
             || LEN(bins) != 2 * nvar || LEN(pos) != nvar
-            || PyByteArray_GET_SIZE(seen) != nvar) {
+            || PyByteArray_GET_SIZE(seen) != nvar
+            || LEN(lit_objs) != 2 * nvar) {
         PyErr_SetString(PyExc_ValueError, "solver lists out of step");
         return NULL;
     }
     PyObject *var = PyLong_FromSsize_t(nvar);
     PyObject *at = PyLong_FromSsize_t(LEN(heap));
+    PyObject *pos_lit = PyLong_FromSsize_t(2 * nvar);
+    PyObject *neg_lit = PyLong_FromSsize_t(2 * nvar + 1);
     PyObject *w[4] = {untracked_list(0), untracked_list(0),
                       untracked_list(0), untracked_list(0)};
     int err = var == NULL || at == NULL || w[0] == NULL || w[1] == NULL
-        || w[2] == NULL || w[3] == NULL
+        || w[2] == NULL || w[3] == NULL || pos_lit == NULL || neg_lit == NULL
+        || PyList_Append(lit_objs, pos_lit) < 0
+        || PyList_Append(lit_objs, neg_lit) < 0
         || PyList_Append(vals, V_UNDEF) < 0 || PyList_Append(vals, V_UNDEF) < 0
         || PyList_Append(levels, V_FALSE) < 0
         || PyList_Append(reasons, V_UNDEF) < 0
@@ -1242,6 +1249,8 @@ k_new_var(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     }
     for (int i = 0; i < 4; i++)
         Py_XDECREF(w[i]);
+    Py_XDECREF(pos_lit);
+    Py_XDECREF(neg_lit);
     Py_XDECREF(at);
     if (err) {
         Py_XDECREF(var);

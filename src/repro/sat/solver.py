@@ -61,20 +61,33 @@ says why, and the pure-Python loops run: the package needs nothing
 beyond the standard library.  Both give the same search, so setting
 ``_kernel`` to None only makes the solver slower.
 
+The clause store is most of a large session's memory, so it is kept
+compact.  ``_lit_objs`` holds one int object per internal literal
+(``new_var`` appends the variable's two), and every literal the solver
+stores — in a clause, original or learned, a watch entry or the trail —
+is that object: the intake paths and decisions look it up, and
+everything else is copied from a clause, a watch or the trail.  A
+literal met in a thousand clauses costs one int, not a thousand.
+Clause labels are stored as runs: ``_label_starts`` holds the first cid
+of each run of consecutive clauses with equal labels (ascending) and
+``_label_vals`` the run's label, None for unlabelled originals and
+learned clauses; :meth:`Solver.clause_label` bisects the starts.
+
 With the kernel loaded, the solver's storage is also kept out of
 CPython's cyclic garbage collector, whose passes would otherwise walk
 every clause and watch list of a large session again and again.
 ``__init__`` untracks the outer lists (``_vals``, ``_levels``,
 ``_reasons``, ``_activity``, ``_saved_phase``, ``_watches``,
 ``_bin_watches``, ``_clauses``, ``_trail``, ``_trail_lim``,
-``_assump_levels``, ``_heap``, ``_heap_pos``); the kernel's ``new_var``,
+``_assump_levels``, ``_heap``, ``_heap_pos``, ``_lit_objs``,
+``_label_starts``); the kernel's ``new_var``,
 ``intake`` and ``analyze`` create the watch lists, clause lists,
 binary-watch pairs and learnt clauses untracked, and the Python side
 untracks the clause lists it builds itself (CPython untracks the int
 pairs it builds at their first collection).  All of them hold only ints
 or lists of ints, so none can be part of a reference cycle,
 and untracking frees nothing early: what an untracked container holds
-still counts as referenced.  ``_labels`` holds the caller's objects,
+still counts as referenced.  ``_label_vals`` holds the caller's objects,
 which may refer back to the solver, so it stays tracked and a solver
 caught in a cycle is still reclaimed.  No process-wide GC setting is
 touched, and with ``_kernel`` None nothing is untracked.
@@ -82,6 +95,7 @@ touched, and with ``_kernel`` None nothing is untracked.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -274,6 +288,10 @@ class Solver:
         # 2-literal clauses live here as ``(cid, other_lit)`` and are
         # propagated without touching the clause object.
         self._bin_watches: list[list[tuple[int, int]]] = [[], []]
+        #: One int object per internal literal (``_lit_objs[lit] == lit``):
+        #: every literal stored in a clause, a watch or the trail is this
+        #: object, so a literal met a thousand times costs one int.
+        self._lit_objs: list[int] = [0, 1]
         # Clause database: list of literal-lists (None when deleted).
         self._clauses: list[Optional[list[int]]] = []
         self._learned_ids: list[int] = []
@@ -283,7 +301,11 @@ class Solver:
         self._clause_lbd: dict[int, int] = {}
         #: Learned cids used in an analysis since the last _reduce_db.
         self._clause_used: set[int] = set()
-        self._labels: dict[int, Hashable] = {}
+        #: Clause labels as runs of consecutive cids with equal labels:
+        #: ``_label_vals[i]`` is the label of every cid from
+        #: ``_label_starts[i]`` up to the next start.
+        self._label_starts: list[int] = []
+        self._label_vals: list[Hashable] = []
         self._n_original = 0
         # Proof bookkeeping: learned cid -> tuple of antecedent cids.
         self._derivations: dict[int, tuple[int, ...]] = {}
@@ -332,9 +354,9 @@ class Solver:
                               self._reasons, self._levels, self._heap,
                               self._heap_pos, self._activity)
         self._pick_ctx = (self._heap, self._heap_pos, self._activity,
-                          self._vals, self._saved_phase)
+                          self._vals, self._saved_phase, self._lit_objs)
         self._intake_ctx = (self._vals, self._levels, self._clauses,
-                            self._watches, self._bin_watches)
+                            self._watches, self._bin_watches, self._lit_objs)
         self._analyze_ctx = (self._clauses, self._trail, self._levels,
                              self._reasons, self._activity, self._heap,
                              self._heap_pos, self._seen, self._l0_memo,
@@ -344,7 +366,7 @@ class Solver:
         self._new_var_ctx = (self._vals, self._levels, self._reasons,
                              self._activity, self._saved_phase,
                              self._watches, self._bin_watches, self._heap,
-                             self._heap_pos, self._seen)
+                             self._heap_pos, self._seen, self._lit_objs)
         if _kernel is not None:
             # Out of the cycle collector (see the module docstring),
             # with the watch lists of variable 0.
@@ -352,7 +374,8 @@ class Solver:
                         self._activity, self._saved_phase, self._watches,
                         self._bin_watches, self._clauses, self._trail,
                         self._trail_lim, self._assump_levels, self._heap,
-                        self._heap_pos, *self._watches, *self._bin_watches):
+                        self._heap_pos, self._lit_objs, self._label_starts,
+                        *self._watches, *self._bin_watches):
                 _kernel.untrack(lst)
 
     # ------------------------------------------------------------------
@@ -375,6 +398,8 @@ class Solver:
         self._bin_watches.append([])
         self._seen.append(0)
         var = len(self._levels) - 1
+        self._lit_objs.append(var << 1)
+        self._lit_objs.append(var << 1 | 1)
         # Activity 0.0 never outranks a parent: the new leaf stays put.
         self._heap_pos.append(len(self._heap))
         self._heap.append(var)
@@ -435,8 +460,11 @@ class Solver:
             cid = _kernel.intake(self._intake_ctx, lits, self.proof_logging)
             if cid is not None:
                 if cid >= 0:
-                    if label is not None:
-                        self._labels[cid] = label
+                    # _note_label, inlined on the hot path.
+                    runs = self._label_vals
+                    if not runs or runs[-1] != label:
+                        self._label_starts.append(cid)
+                        runs.append(label)
                     self._n_original += 1
                 return cid
         # One pass: convert, range-check, deduplicate and simplify
@@ -451,6 +479,7 @@ class Solver:
         # of a sequence (checked twice, harmlessly).
         vals = self._vals
         levels = self._levels
+        lit_objs = self._lit_objs
         top = len(vals) - 1
         out: list[int] = []
         late: list[int] = []
@@ -460,6 +489,7 @@ class Solver:
             lt = x << 1 if x > 0 else (-x) << 1 | 1
             if not 2 <= lt <= top:
                 raise ValueError(f"literal {x} references unknown variable")
+            lt = lit_objs[lt]
             v = vals[lt]
             if v == UNASSIGNED:
                 if lt in out:
@@ -496,8 +526,7 @@ class Solver:
         if _kernel is not None:
             _kernel.untrack(stored)
         clauses.append(stored)
-        if label is not None:
-            self._labels[cid] = label
+        self._note_label(cid, label)
         self._n_original += 1
         if not out:
             core = {cid}
@@ -535,6 +564,14 @@ class Solver:
             w.append(cid)
             w.append(l0)
         return cid
+
+    def _note_label(self, cid: int, label: Hashable) -> None:
+        """Record the label of the newly stored clause ``cid``: it extends
+        the last run when equal to that run's label, else starts one."""
+        runs = self._label_vals
+        if not runs or runs[-1] != label:
+            self._label_starts.append(cid)
+            runs.append(label)
 
     def _absorb(self, rest: Iterable[int]) -> int:
         """Range-check the literals of an absorbed clause; returns -1."""
@@ -600,6 +637,8 @@ class Solver:
         for lt in iassumps:
             if not 1 <= (lt >> 1) <= self.num_vars:
                 raise ValueError(f"assumption {_to_external(lt)} references unknown variable")
+        lit_objs = self._lit_objs
+        iassumps = [lit_objs[lt] for lt in iassumps]
         # Assumption-trail reuse: keep the longest decision-level prefix
         # whose assumption literals match this call's.
         al = self._assump_levels
@@ -770,14 +809,15 @@ class Solver:
         return self._unsat_core_cids
 
     def core_labels(self) -> set[Hashable]:
-        """Provenance labels of the core clauses.
+        """Provenance labels of the core clauses (:meth:`clause_label`
+        of each core clause id).
 
         Unlabelled (``None``) clauses contribute nothing here and are
         counted by :meth:`core_unlabeled_count` instead, so a consumer
         that needs the label set to be *exhaustive* can tell a
         fully-attributed core from one with anonymous clauses.
         """
-        labels = {self._labels.get(cid) for cid in self.core_clause_ids()}
+        labels = {self.clause_label(cid) for cid in self.core_clause_ids()}
         labels.discard(None)
         return labels
 
@@ -791,11 +831,20 @@ class Solver:
         this count instead of assuming it is zero.
         """
         return sum(1 for cid in self.core_clause_ids()
-                   if self._labels.get(cid) is None)
+                   if self.clause_label(cid) is None)
 
     def clause_label(self, cid: int) -> Hashable:
-        """Stored label of clause ``cid``, or None."""
-        return self._labels.get(cid)
+        """Stored label of clause ``cid``, or None.
+
+        None for learned clauses, for originals added without a label and
+        for ids no clause has.  Labels are stored per run of consecutive
+        clauses with equal labels, so a clause reads back the label of
+        the first clause of its run: equal to the one it was added with,
+        not always the same object.
+        """
+        if not 0 <= cid < len(self._clauses):
+            return None
+        return self._label_vals[bisect.bisect_right(self._label_starts, cid) - 1]
 
     def failed_assumptions(self) -> tuple[int, ...]:
         """Assumptions involved in the last UNSAT answer (external lits)."""
@@ -1015,9 +1064,10 @@ class Solver:
                     continue  # deleted clause; watcher dropped
                 first = lits[0]
                 if first == false_lit:
+                    # Swap the stored objects: false_lit is a new int.
                     first = lits[1]
+                    lits[1] = lits[0]
                     lits[0] = first
-                    lits[1] = false_lit
                 a0 = vals[first]
                 if a0 == _TRUE:
                     wl[j] = cid
@@ -1192,8 +1242,11 @@ class Solver:
                        lbd: int) -> None:
         cid = len(self._clauses)
         # Both analyze paths return a fresh list the solver alone owns
-        # (the kernel's is created untracked).
+        # (the kernel's is created untracked).  Its literals come from
+        # clauses already stored, but for the asserting one.
+        learnt[0] = self._lit_objs[learnt[0]]
         self._clauses.append(learnt)
+        self._note_label(cid, None)
         self.stats.learned += 1
         if self.proof_logging:
             self._derivations[cid] = tuple(set(used))
@@ -1556,7 +1609,7 @@ class Solver:
                 heap[i] = last
                 pos[last] = i
             if vals[var << 1] == UNASSIGNED:
-                return var << 1 | self._saved_phase[var]
+                return self._lit_objs[var << 1 | self._saved_phase[var]]
         return -1
 
     def _reduce_db(self) -> None:

@@ -119,16 +119,21 @@ def test_kernel_leaks_no_references():
 
 def _check_untracked(s):
     """The solver's storage is out of the cycle collector and holds
-    nothing but ints: the outer lists, every clause, watch list and
-    binary-watch list, and the binary-watch ``(cid, other)`` pairs (the
-    ones built in Python once a collection has untracked them)."""
+    nothing but ints: the outer lists, the literal objects, the label
+    run starts, every clause, watch list and binary-watch list, and the
+    binary-watch ``(cid, other)`` pairs (the ones built in Python once a
+    collection has untracked them).  The label values hold the caller's
+    objects and stay tracked."""
     gc.collect()
     outer = (s._vals, s._levels, s._reasons, s._activity, s._saved_phase,
              s._watches, s._bin_watches, s._clauses, s._trail, s._trail_lim,
-             s._assump_levels, s._heap, s._heap_pos)
+             s._assump_levels, s._heap, s._heap_pos, s._lit_objs,
+             s._label_starts)
     assert not any(gc.is_tracked(lst) for lst in outer)
+    assert gc.is_tracked(s._label_vals)
     ints = (s._vals, s._levels, s._reasons, s._saved_phase, s._trail,
-            s._trail_lim, s._assump_levels, s._heap, s._heap_pos)
+            s._trail_lim, s._assump_levels, s._heap, s._heap_pos,
+            s._lit_objs, s._label_starts)
     assert all(type(x) is int for lst in ints for x in lst)
     assert all(type(a) is float for a in s._activity)
     for lists in (s._watches, [c for c in s._clauses if c is not None]):
@@ -146,15 +151,16 @@ def test_solver_storage_is_untracked():
     """With the kernel loaded, the cpu memcpy sessions (with and without
     proof logging) and kept-trail sessions, whose clauses take the Python
     intake body and ``_place_under_trail``, leave all solver storage
-    untracked; ``_labels`` holds caller objects and stays tracked."""
+    untracked; ``_label_vals`` holds caller objects and stays tracked."""
     if solver_mod._kernel is None:
         pytest.skip(f"no compiled solver kernel: {solver_mod._kernel_error}")
     for pba in (False, True):
         s = _cpu_memcpy_session(pba)
         _check_untracked(s)
-        # A label that holds a tracked object keeps ``_labels`` tracked.
+        # A label that holds a tracked object keeps ``_label_vals``
+        # tracked.
         s.add_clause([s.new_var(), s.new_var()], ("tag", _Tag()))
-        assert gc.is_tracked(s._labels)
+        assert gc.is_tracked(s._label_vals)
     solvers = []
     for seed in range(12):
         for proof in (False, True):

@@ -42,18 +42,29 @@ def check_layout(s):
                                s._reasons, s._levels, s._heap, s._heap_pos,
                                s._activity)),
             (s._pick_ctx, (s._heap, s._heap_pos, s._activity, s._vals,
-                           s._saved_phase)),
+                           s._saved_phase, s._lit_objs)),
             (s._intake_ctx, (s._vals, s._levels, s._clauses, s._watches,
-                             s._bin_watches)),
+                             s._bin_watches, s._lit_objs)),
             (s._analyze_ctx, (s._clauses, s._trail, s._levels, s._reasons,
                               s._activity, s._heap, s._heap_pos, s._seen,
                               s._l0_memo, s._clause_act)),
             (s._final_ctx, (s._clauses, s._levels, s._reasons, s._vals,
-                            s._seen))):
+                            s._seen)),
+            (s._new_var_ctx, (s._vals, s._levels, s._reasons, s._activity,
+                              s._saved_phase, s._watches, s._bin_watches,
+                              s._heap, s._heap_pos, s._seen, s._lit_objs))):
         assert len(ctx) == len(live)
         assert all(a is b for a, b in zip(ctx, live))
     # Conflict analysis leaves its scratch flags clear.
     assert len(s._seen) == len(s._levels) and not any(s._seen)
+    # One literal object per internal literal.
+    assert s._lit_objs == list(range(len(s._vals)))
+    # One label per run, the runs' first cids strictly ascending from 0.
+    starts = s._label_starts
+    assert len(s._label_vals) == len(starts)
+    assert starts == sorted(set(starts))
+    if s._clauses:
+        assert starts[0] == 0 and starts[-1] < len(s._clauses)
     vals = s._vals
     for v in range(1, s.num_vars + 1):
         pos, neg = vals[2 * v], vals[2 * v + 1]
@@ -190,7 +201,8 @@ def search_state(s):
         "clause_act": s._clause_act, "clause_lbd": s._clause_lbd,
         "clause_used": s._clause_used, "learned_ids": s._learned_ids,
         "derivations": s._derivations, "simplify_deps": s._simplify_deps,
-        "proof_lits": s._proof_lits, "labels": s._labels,
+        "proof_lits": s._proof_lits, "label_starts": s._label_starts,
+        "label_vals": s._label_vals, "lit_objs": s._lit_objs,
         "n_original": s._n_original, "l0_memo": s._l0_memo,
         "seen": s._seen, "broken": s._broken,
         "core": s._unsat_core_cids, "failed": s._last_failed,
