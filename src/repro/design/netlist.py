@@ -8,8 +8,9 @@ a malformed design fails fast, not inside the SAT solver.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Container, Iterable, Mapping, Optional, Union
+
+from repro.utils.digest import sha256
 
 ExprLike = Union["Expr", int]
 
@@ -492,7 +493,9 @@ class Design:
         ``id()``-based keys), but changes whenever any semantic detail
         does.  This is the session-cache key
         (:class:`repro.bmc.session.SessionCache`): equal fingerprints
-        mean the same verification problem.
+        mean the same verification problem.  The SHA-256 comes from
+        :mod:`repro.utils.digest` (CPython's built-in module, not
+        OpenSSL's); the digest is the same value either way.
         """
         # Per-node digests, memoized on the hash-consed node id: shared
         # sub-DAGs are hashed once, so the walk is linear in unique nodes
@@ -505,7 +508,7 @@ class Design:
             if e._id in memo:
                 return memo[e._id]
             for n in postorder((e,), memo):
-                h = hashlib.sha256(repr(
+                h = sha256(repr(
                     (n.kind, n.width, n.payload,
                      tuple(memo[a._id] for a in n.args))).encode())
                 memo[n._id] = h.hexdigest()
@@ -533,7 +536,7 @@ class Design:
         for name in sorted(self.properties):
             prop = self.properties[name]
             parts.append(f"property {name} {prop.kind} {digest(prop.expr)}")
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        return sha256("\n".join(parts).encode()).hexdigest()
 
     # -- metrics -----------------------------------------------------------
 

@@ -43,13 +43,19 @@
  * the trail, so it is shared already.  The asserting literal analyze
  * returns is a new int; Solver._record_learnt stores the shared one.
  *
+ * Both kinds of watch list, watches and bin_watches, are flat lists of
+ * `cid, literal` slot pairs (the blocker of a long clause, the other
+ * literal of a 2-literal one).  A literal's slot holds None until the
+ * first watch on it: new_var appends None, and intake and propagate
+ * create the list when they attach a watch to a None slot.
+ *
  * The solver's storage stays out of the cyclic garbage collector: every
- * list or tuple the functions above store in the solver (clauses,
- * learnt clauses, watch lists, binary-watch pairs) is created untracked,
- * and untrack(lst) -> None untracks a list built in Python.
- * Such containers hold only ints, or lists of ints, so they can never
- * be part of a reference cycle; whatever they hold still counts as
- * referenced, so untracking never frees anything early.
+ * list the functions above store in the solver (clauses, learnt
+ * clauses, watch lists) is created untracked, and untrack(lst) -> None
+ * untracks a list built in Python.  Such containers hold only ints, or
+ * lists of ints, so they can never be part of a reference cycle;
+ * whatever they hold still counts as referenced, so untracking never
+ * frees anything early.
  *
  * They read and write the solver's own lists in place through the list
  * item arrays, with the reference counting the Python statements they
@@ -127,8 +133,7 @@ swap_items(PyObject *list, Py_ssize_t a, Py_ssize_t b)
     ITEMS(list)[b] = t;
 }
 
-/* A new list of n (unfilled) slots, and a new pair, both untracked by
- * the cycle collector. */
+/* A new list of n (unfilled) slots, untracked by the cycle collector. */
 static inline PyObject *
 untracked_list(Py_ssize_t n)
 {
@@ -138,13 +143,24 @@ untracked_list(Py_ssize_t n)
     return list;
 }
 
-static inline PyObject *
-untracked_pair(PyObject *a, PyObject *b)
+/* The watch list of literal `lit` in `lists` (watches or bin_watches),
+ * created untracked when the slot still holds None; NULL with an
+ * exception set when the slot holds anything else. */
+static PyObject *
+watch_list(PyObject *lists, Py_ssize_t lit)
 {
-    PyObject *pair = PyTuple_Pack(2, a, b);
-    if (pair != NULL)
-        PyObject_GC_UnTrack(pair);
-    return pair;
+    PyObject *w = ITEMS(lists)[lit];
+    if (w == Py_None) {
+        if ((w = untracked_list(0)) == NULL)
+            return NULL;
+        set_item(lists, lit, w);
+        Py_DECREF(w);
+    }
+    else if (!PyList_CheckExact(w)) {
+        PyErr_SetString(PyExc_TypeError, "malformed watch list");
+        return NULL;
+    }
+    return w;
 }
 
 static inline double
@@ -217,16 +233,14 @@ k_propagate(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         qhead++;
         nprops++;
         Py_ssize_t false_lit = p ^ 1;
-        /* Binary implications: no clause-object access at all. */
+        /* Binary implications: `cid, other` slot pairs, no clause-object
+         * access at all.  A None slot watches nothing. */
         PyObject *bl = ITEMS(bins)[false_lit];
-        if (!PyList_CheckExact(bl))
+        if (bl != Py_None && (!PyList_CheckExact(bl) || LEN(bl) % 2))
             goto bad_watch;
-        for (Py_ssize_t b = 0; b < LEN(bl); b++) {
-            PyObject *pair = ITEMS(bl)[b];
-            if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2)
-                goto bad_watch;
-            PyObject *cid = PyTuple_GET_ITEM(pair, 0);
-            PyObject *oo = PyTuple_GET_ITEM(pair, 1);
+        for (Py_ssize_t b = 0; bl != Py_None && b < LEN(bl); b += 2) {
+            PyObject *cid = ITEMS(bl)[b];
+            PyObject *oo = ITEMS(bl)[b + 1];
             Py_ssize_t other = index_of(oo, nlit);
             if (other < 0)
                 return NULL;
@@ -247,6 +261,8 @@ k_propagate(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
          * (j trails i) as watches move to other literals.  Kept slots are
          * swapped forward, so the dropped ones end up in [j, n). */
         PyObject *wl = ITEMS(watches)[false_lit];
+        if (wl == Py_None)
+            continue;
         if (!PyList_CheckExact(wl) || LEN(wl) % 2)
             goto bad_watch;
         Py_ssize_t n = LEN(wl), i = 0, j = 0;
@@ -289,10 +305,8 @@ k_propagate(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
                         return NULL;
                     if (val_of(ITEMS(vals)[lk]) != 0) {
                         swap_items(lits, 1, k);
-                        PyObject *w = ITEMS(watches)[lk];
-                        if (!PyList_CheckExact(w))
-                            goto bad_watch;
-                        if (PyList_Append(w, cid) < 0
+                        PyObject *w = watch_list(watches, lk);
+                        if (w == NULL || PyList_Append(w, cid) < 0
                                 || PyList_Append(w, fo) < 0)
                             return NULL;
                         moved = 1;
@@ -677,11 +691,10 @@ k_intake(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         goto defer;
     Py_ssize_t total = out.n + late.n;
     PyObject *wl = total == 2 ? bins : watches;
-    PyObject *w0 = ITEMS(wl)[out.a[0]], *w1 = ITEMS(wl)[out.a[1]];
-    if (!PyList_CheckExact(w0) || !PyList_CheckExact(w1)) {
-        PyErr_SetString(PyExc_TypeError, "malformed watch list");
+    PyObject *w0 = watch_list(wl, out.a[0]);
+    PyObject *w1 = w0 == NULL ? NULL : watch_list(wl, out.a[1]);
+    if (w1 == NULL)
         goto done;
-    }
     PyObject *cl = untracked_list(total);
     if (cl == NULL)
         goto done;
@@ -695,21 +708,11 @@ k_intake(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
     Py_DECREF(cl);
-    /* Watch the first two literals: a 2-literal clause as `(cid, other)`
-     * implications, a longer one as `cid, blocker` slot pairs. */
+    /* Watch the first two literals as `cid, literal` slot pairs: the
+     * other literal of a 2-literal clause, a blocker of a longer one. */
     PyObject *l0 = ITEMS(cl)[0], *l1 = ITEMS(cl)[1];
-    int err;
-    if (total == 2) {
-        PyObject *t0 = untracked_pair(cid, l1), *t1 = untracked_pair(cid, l0);
-        err = t0 == NULL || t1 == NULL || PyList_Append(w0, t0) < 0
-            || PyList_Append(w1, t1) < 0;
-        Py_XDECREF(t0);
-        Py_XDECREF(t1);
-    }
-    else
-        err = PyList_Append(w0, cid) < 0 || PyList_Append(w0, l1) < 0
-            || PyList_Append(w1, cid) < 0 || PyList_Append(w1, l0) < 0;
-    if (err)
+    if (PyList_Append(w0, cid) < 0 || PyList_Append(w0, l1) < 0
+            || PyList_Append(w1, cid) < 0 || PyList_Append(w1, l0) < 0)
         Py_DECREF(cid);
     else
         res = cid;
@@ -1228,10 +1231,8 @@ k_new_var(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     PyObject *at = PyLong_FromSsize_t(LEN(heap));
     PyObject *pos_lit = PyLong_FromSsize_t(2 * nvar);
     PyObject *neg_lit = PyLong_FromSsize_t(2 * nvar + 1);
-    PyObject *w[4] = {untracked_list(0), untracked_list(0),
-                      untracked_list(0), untracked_list(0)};
-    int err = var == NULL || at == NULL || w[0] == NULL || w[1] == NULL
-        || w[2] == NULL || w[3] == NULL || pos_lit == NULL || neg_lit == NULL
+    /* The four watch slots hold None until a watch creates the list. */
+    int err = var == NULL || at == NULL || pos_lit == NULL || neg_lit == NULL
         || PyList_Append(lit_objs, pos_lit) < 0
         || PyList_Append(lit_objs, neg_lit) < 0
         || PyList_Append(vals, V_UNDEF) < 0 || PyList_Append(vals, V_UNDEF) < 0
@@ -1239,16 +1240,15 @@ k_new_var(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         || PyList_Append(reasons, V_UNDEF) < 0
         || PyList_Append(act, ZERO_ACT) < 0
         || PyList_Append(saved, V_TRUE) < 0
-        || PyList_Append(watches, w[0]) < 0 || PyList_Append(watches, w[1]) < 0
-        || PyList_Append(bins, w[2]) < 0 || PyList_Append(bins, w[3]) < 0
+        || PyList_Append(watches, Py_None) < 0
+        || PyList_Append(watches, Py_None) < 0
+        || PyList_Append(bins, Py_None) < 0 || PyList_Append(bins, Py_None) < 0
         || PyByteArray_Resize(seen, nvar + 1) < 0;
     if (!err) {
         PyByteArray_AS_STRING(seen)[nvar] = 0;
         /* Activity 0.0 never outranks a parent: the new leaf stays put. */
         err = PyList_Append(pos, at) < 0 || PyList_Append(heap, var) < 0;
     }
-    for (int i = 0; i < 4; i++)
-        Py_XDECREF(w[i]);
     Py_XDECREF(pos_lit);
     Py_XDECREF(neg_lit);
     Py_XDECREF(at);

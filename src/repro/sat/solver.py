@@ -17,8 +17,9 @@ one flat list of ``cid, blocker`` slot pairs, so satisfied clauses are
 skipped on the blocker alone and propagation allocates nothing; the
 VSIDS order heap is sifted inline on decisions and backtracks.  The
 propagation machinery is MiniSat-2.2/Glucose-class: a dedicated
-binary-implication watch list that propagates 2-literal clauses (the
-EMM-dominant shape) without touching clause objects, LBD (glue)
+binary-implication watch list of flat ``cid, other`` slot pairs that
+propagates 2-literal clauses (the EMM-dominant shape) without touching
+clause objects, LBD (glue)
 scoring with a tiered clause-database
 reduction (glue <= 2 pinned), root-level shrinking of learned clauses
 against permanent level-0 units, and assumption-trail reuse — a solve
@@ -71,7 +72,13 @@ literal met in a thousand clauses costs one int, not a thousand.
 Clause labels are stored as runs: ``_label_starts`` holds the first cid
 of each run of consecutive clauses with equal labels (ascending) and
 ``_label_vals`` the run's label, None for unlabelled originals and
-learned clauses; :meth:`Solver.clause_label` bisects the starts.
+learned clauses; :meth:`Solver.clause_label` bisects the starts.  Watch
+entries cost no object of their own either: both kinds of watch list
+are flat lists of ``cid, literal`` slot pairs, binary ones included (no
+tuple per entry).  Many watch slots of a large session are never used
+(45% on the benchmark's SoC session), so ``new_var`` gives each of its
+literals None in ``_watches`` and ``_bin_watches``, and the first watch
+on a literal creates its list (every reader takes None as empty).
 
 With the kernel loaded, the solver's storage is also kept out of
 CPython's cyclic garbage collector, whose passes would otherwise walk
@@ -80,23 +87,21 @@ every clause and watch list of a large session again and again.
 ``_reasons``, ``_activity``, ``_saved_phase``, ``_watches``,
 ``_bin_watches``, ``_clauses``, ``_trail``, ``_trail_lim``,
 ``_assump_levels``, ``_heap``, ``_heap_pos``, ``_lit_objs``,
-``_label_starts``); the kernel's ``new_var``,
-``intake`` and ``analyze`` create the watch lists, clause lists,
-binary-watch pairs and learnt clauses untracked, and the Python side
-untracks the clause lists it builds itself (CPython untracks the int
-pairs it builds at their first collection).  All of them hold only ints
-or lists of ints, so none can be part of a reference cycle,
-and untracking frees nothing early: what an untracked container holds
-still counts as referenced.  ``_label_vals`` holds the caller's objects,
-which may refer back to the solver, so it stays tracked and a solver
-caught in a cycle is still reclaimed.  No process-wide GC setting is
-touched, and with ``_kernel`` None nothing is untracked.
+``_label_starts``); the kernel's ``intake``, ``propagate`` and
+``analyze`` create the watch lists, clause lists and learnt clauses
+untracked, and the Python side untracks the clause and watch lists it
+creates itself.  All of them hold only ints or lists of ints, so none
+can be part of a reference cycle, and untracking frees nothing early:
+what an untracked container holds still counts as referenced.
+``_label_vals`` holds the caller's objects, which may refer back to the
+solver, so it stays tracked and a solver caught in a cycle is still
+reclaimed.  No process-wide GC setting is touched, and with ``_kernel``
+None nothing is untracked.
 """
 
 from __future__ import annotations
 
 import bisect
-import hashlib
 import importlib.machinery
 import importlib.util
 import os
@@ -105,6 +110,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence
 
+from repro.utils.digest import sha1
 from repro.utils.luby import luby
 
 
@@ -117,7 +123,10 @@ def _load_kernel(here: Optional[str] = None):
     never another process's unfinished ``.tmp`` file.  Returns
     ``(module, None)``, or ``(None, reason)`` when the kernel cannot be
     had here: not CPython, no C compiler or ``Python.h``, or a package
-    directory that cannot be written.
+    directory that cannot be written.  The source hash is SHA-1 from
+    :mod:`repro.utils.digest` (no OpenSSL load), the same value
+    ``hashlib`` gives, so the name of a build does not depend on which
+    computed it.
     """
     try:
         if sys.implementation.name != "cpython":
@@ -126,7 +135,7 @@ def _load_kernel(here: Optional[str] = None):
             here = os.path.dirname(os.path.abspath(__file__))
         src = os.path.join(here, "_kernel.c")
         with open(src, "rb") as f:
-            digest = hashlib.sha1(f.read()).hexdigest()[:12]
+            digest = sha1(f.read()).hexdigest()[:12]
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
         cache = os.path.join(here, "__pycache__")
         path = os.path.join(cache, f"_kernel_{digest}{suffix}")
@@ -173,6 +182,15 @@ UNASSIGNED = -1
 
 _TRUE = 1
 _FALSE = 0
+
+
+def _watch_list() -> list:
+    """A new, empty watch list: untracked by the cycle collector when the
+    kernel is loaded, like the ones the kernel creates."""
+    wl: list = []
+    if _kernel is not None:
+        _kernel.untrack(wl)
+    return wl
 
 
 def _to_internal(lit: int) -> int:
@@ -283,11 +301,12 @@ class Solver:
         #: the initial phase), tried first when the search decides it.
         self._saved_phase: list[int] = [1]
         # Watches indexed by internal literal: the clauses (3+ literals)
-        # watching it, as flat ``cid, blocker`` slot pairs.
-        self._watches: list[list[int]] = [[], []]
-        # 2-literal clauses live here as ``(cid, other_lit)`` and are
-        # propagated without touching the clause object.
-        self._bin_watches: list[list[tuple[int, int]]] = [[], []]
+        # watching it, as flat ``cid, blocker`` slot pairs.  A slot holds
+        # None until the first watch on its literal creates the list.
+        self._watches: list[Optional[list[int]]] = [None, None]
+        # 2-literal clauses live here as flat ``cid, other`` slot pairs
+        # and are propagated without touching the clause object.
+        self._bin_watches: list[Optional[list[int]]] = [None, None]
         #: One int object per internal literal (``_lit_objs[lit] == lit``):
         #: every literal stored in a clause, a watch or the trail is this
         #: object, so a literal met a thousand times costs one int.
@@ -368,14 +387,12 @@ class Solver:
                              self._watches, self._bin_watches, self._heap,
                              self._heap_pos, self._seen, self._lit_objs)
         if _kernel is not None:
-            # Out of the cycle collector (see the module docstring),
-            # with the watch lists of variable 0.
+            # Out of the cycle collector (see the module docstring).
             for lst in (self._vals, self._levels, self._reasons,
                         self._activity, self._saved_phase, self._watches,
                         self._bin_watches, self._clauses, self._trail,
                         self._trail_lim, self._assump_levels, self._heap,
-                        self._heap_pos, self._lit_objs, self._label_starts,
-                        *self._watches, *self._bin_watches):
+                        self._heap_pos, self._lit_objs, self._label_starts):
                 _kernel.untrack(lst)
 
     # ------------------------------------------------------------------
@@ -392,10 +409,10 @@ class Solver:
         self._reasons.append(-1)
         self._activity.append(0.0)
         self._saved_phase.append(1)
-        self._watches.append([])
-        self._watches.append([])
-        self._bin_watches.append([])
-        self._bin_watches.append([])
+        self._watches.append(None)
+        self._watches.append(None)
+        self._bin_watches.append(None)
+        self._bin_watches.append(None)
         self._seen.append(0)
         var = len(self._levels) - 1
         self._lit_objs.append(var << 1)
@@ -541,8 +558,7 @@ class Solver:
             self._simplify_deps[cid] = tuple(set(simplify_deps))
         if self._trail_lim and open_lits < 2 and self._place_under_trail(cid):
             return cid
-        n = len(out)
-        if n == 1:
+        if len(out) == 1:
             if not self._enqueue(out[0], cid):
                 raise AssertionError("unit enqueue cannot conflict after simplification")
             confl = self._propagate()
@@ -550,19 +566,7 @@ class Solver:
                 core = self._conflict_core_at_level0(confl)
                 self._mark_broken(core)
             return cid
-        l0 = out[0]
-        l1 = out[1]
-        if n == 2:
-            bins = self._bin_watches
-            bins[l0].append((cid, l1))
-            bins[l1].append((cid, l0))
-        else:
-            w = self._watches[l0]
-            w.append(cid)
-            w.append(l1)
-            w = self._watches[l1]
-            w.append(cid)
-            w.append(l0)
+        self._attach(cid)
         return cid
 
     def _note_label(self, cid: int, label: Hashable) -> None:
@@ -900,22 +904,23 @@ class Solver:
     def _attach(self, cid: int) -> None:
         # watches[L] holds the clauses currently watching literal L; they
         # are revisited when L becomes false.  2-literal clauses go to the
-        # binary implication lists, longer clauses carry a blocker literal
-        # in the watch entry.
+        # binary implication lists with the other literal, longer clauses
+        # with a blocker literal; both as ``cid, literal`` slot pairs.
         lits = self._clauses[cid]
         assert lits is not None and len(lits) >= 2
         l0 = lits[0]
         l1 = lits[1]
-        if len(lits) == 2:
-            self._bin_watches[l0].append((cid, l1))
-            self._bin_watches[l1].append((cid, l0))
-        else:
-            w = self._watches[l0]
-            w.append(cid)
-            w.append(l1)
-            w = self._watches[l1]
-            w.append(cid)
-            w.append(l0)
+        lists = self._bin_watches if len(lits) == 2 else self._watches
+        w = lists[l0]
+        if w is None:
+            w = lists[l0] = _watch_list()
+        w.append(cid)
+        w.append(l1)
+        w = lists[l1]
+        if w is None:
+            w = lists[l1] = _watch_list()
+        w.append(cid)
+        w.append(l0)
 
     def _enqueue(self, ilit: int, reason: int) -> bool:
         vals = self._vals
@@ -1029,23 +1034,29 @@ class Solver:
             qhead += 1
             nprops += 1
             false_lit = p ^ 1
-            # Binary implications: no clause-object access at all.
-            for cid, other in bins[false_lit]:
-                a = vals[other]
-                if a == UNASSIGNED:
-                    vals[other] = _TRUE
-                    vals[other ^ 1] = _FALSE
-                    var = other >> 1
-                    levels[var] = lvl
-                    reasons[var] = cid
-                    trail.append(other)
-                elif a == _FALSE:
-                    self._qhead = len(trail)
-                    self.stats.propagations += nprops
-                    return cid
+            # Binary implications: ``cid, other`` slot pairs, no
+            # clause-object access at all.
+            bl = bins[false_lit]
+            if bl is not None:
+                it = iter(bl)
+                for cid, other in zip(it, it):
+                    a = vals[other]
+                    if a == UNASSIGNED:
+                        vals[other] = _TRUE
+                        vals[other ^ 1] = _FALSE
+                        var = other >> 1
+                        levels[var] = lvl
+                        reasons[var] = cid
+                        trail.append(other)
+                    elif a == _FALSE:
+                        self._qhead = len(trail)
+                        self.stats.propagations += nprops
+                        return cid
             # Long clauses: ``cid, blocker`` slot pairs, compacted in
             # place (j trails i) as watches move to other literals.
             wl = watches[false_lit]
+            if wl is None:
+                continue
             i = 0
             j = 0
             n = len(wl)
@@ -1080,6 +1091,8 @@ class Solver:
                         lits[k] = lits[1]
                         lits[1] = lk
                         w = watches[lk]
+                        if w is None:
+                            w = watches[lk] = _watch_list()
                         w.append(cid)
                         w.append(first)
                         break

@@ -9,6 +9,12 @@ because this process has long since imported everything.
 
 The numpy-free install is covered the same way: a child hides numpy
 behind a meta-path finder and drives every consumer's fallback.
+
+Nor does the verification path load OpenSSL: the two digests it needs
+(the kernel's source hash and ``Design.fingerprint``) come from
+CPython's built-in SHA modules through :mod:`repro.utils.digest`, so
+``_hashlib`` (which maps libcrypto) stays out of the service's process
+and its pooled workers.
 """
 
 import json
@@ -28,12 +34,21 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 LAZY = ("numpy", "repro.design.verilog_parser")
 
 
-def run_child(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter; its last stdout line is JSON."""
+def run_child(code: str, script=None) -> dict:
+    """Run ``code`` in a fresh interpreter; its last stdout line is JSON.
+
+    With ``script`` (a path) the code is written there and run as a
+    file, so that pooled workers can import what it defines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+    code = textwrap.dedent(code)
+    argv = ["-c", code]
+    if script is not None:
+        with open(script, "w") as f:
+            f.write(code)
+        argv = [str(script)]
+    proc = subprocess.run([sys.executable, *argv],
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -189,3 +204,75 @@ def test_numpy_free_fallback():
     assert "requires numpy" in got["vector_error"]
     assert got["status"] == "cex" and got["validated"]
     assert got["shrunk_ok"]
+
+
+def test_verification_path_loads_no_openssl(tmp_path):
+    """A memory design's ``verify``, its fingerprint and a two-worker
+    service run leave ``_hashlib`` unloaded, in the parent and in every
+    pooled worker: a fault plan checks the worker at the end of each
+    job and fails the job if it is loaded."""
+    got = run_child("""
+        import json, sys
+        from functools import partial
+
+        import repro
+        from repro.bmc import BmcOptions, verify
+        from repro.casestudies.fifo import FifoParams, build_fifo
+        from repro.service import FaultPlan, RetryPolicy, VerificationService
+        from repro.service.faults import POINT_EXIT
+
+
+        class NoOpenSsl(FaultPlan):
+            def fire(self, point, prop, window, attempt, inline=False):
+                if point == POINT_EXIT and "_hashlib" in sys.modules:
+                    raise RuntimeError("_hashlib loaded in a worker")
+
+
+        if __name__ == "__main__":
+            factory = partial(build_fifo, FifoParams(addr_width=2, data_width=2))
+            design = factory()
+            assert design.memories
+            cex = verify(design, "can_fill", BmcOptions(max_depth=6))
+            fingerprint = design.fingerprint()
+            with VerificationService(factory, BmcOptions(max_depth=4), jobs=2,
+                                     retry=RetryPolicy(max_retries=0),
+                                     fault_plan=NoOpenSsl()) as svc:
+                streamed = [(r.status, r.detail) for r in svc.stream()]
+            print(json.dumps({
+                "status": cex.status, "fingerprint": fingerprint,
+                "streamed": streamed,
+                "parent": "_hashlib" in sys.modules}))
+    """, script=tmp_path / "no_openssl.py")
+    assert got["status"] == "cex"
+    assert len(got["fingerprint"]) == 64
+    statuses = [status for status, _ in got["streamed"]]
+    assert statuses.count("failed") == statuses.count("retry") == 0, got
+    assert len(statuses) - statuses.count("cancelled") >= 2, got
+    assert not got["parent"]
+
+
+def test_builtin_digests_equal_hashlib(monkeypatch):
+    """The built-in digests are ``hashlib``'s values: the loaded kernel
+    build is named by the SHA-1 of its source, and a fingerprint does
+    not change when ``hashlib`` computes it."""
+    import hashlib
+
+    import repro.design.netlist as netlist
+    import repro.sat.solver as solver_mod
+    from repro.casestudies.multiport_soc import (MultiportSocParams,
+                                                 build_multiport_soc)
+    from repro.utils import digest
+
+    assert "_hashlib" not in (digest.sha1.__module__, digest.sha256.__module__)
+    with open(os.path.join(os.path.dirname(solver_mod.__file__),
+                           "_kernel.c"), "rb") as f:
+        source = f.read()
+    want = hashlib.sha1(source).hexdigest()
+    assert digest.sha1(source).hexdigest() == want
+    if solver_mod._kernel is not None:
+        name = os.path.basename(solver_mod._kernel.__file__)
+        assert name.startswith(f"_kernel_{want[:12]}."), name
+    design = build_multiport_soc(MultiportSocParams(3, 4))
+    fingerprint = design.fingerprint()
+    monkeypatch.setattr(netlist, "sha256", hashlib.sha256)
+    assert design.fingerprint() == fingerprint

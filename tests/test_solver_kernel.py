@@ -120,10 +120,9 @@ def test_kernel_leaks_no_references():
 def _check_untracked(s):
     """The solver's storage is out of the cycle collector and holds
     nothing but ints: the outer lists, the literal objects, the label
-    run starts, every clause, watch list and binary-watch list, and the
-    binary-watch ``(cid, other)`` pairs (the ones built in Python once a
-    collection has untracked them).  The label values hold the caller's
-    objects and stay tracked."""
+    run starts, every clause, and every watch list and binary-watch list
+    created so far (a slot with no watch yet holds None).  The label
+    values hold the caller's objects and stay tracked."""
     gc.collect()
     outer = (s._vals, s._levels, s._reasons, s._activity, s._saved_phase,
              s._watches, s._bin_watches, s._clauses, s._trail, s._trail_lim,
@@ -136,15 +135,12 @@ def _check_untracked(s):
             s._lit_objs, s._label_starts)
     assert all(type(x) is int for lst in ints for x in lst)
     assert all(type(a) is float for a in s._activity)
-    for lists in (s._watches, [c for c in s._clauses if c is not None]):
+    created = [wl for wl in (*s._watches, *s._bin_watches) if wl is not None]
+    assert created
+    for lists in (created, [c for c in s._clauses if c is not None]):
+        assert all(type(lst) is list for lst in lists)
         assert not any(gc.is_tracked(lst) for lst in lists)
         assert all(type(x) is int for lst in lists for x in lst)
-    for lst in s._bin_watches:
-        assert not gc.is_tracked(lst)
-        for pair in lst:
-            assert type(pair) is tuple and len(pair) == 2
-            assert not gc.is_tracked(pair)
-            assert type(pair[0]) is int and type(pair[1]) is int
 
 
 def test_solver_storage_is_untracked():

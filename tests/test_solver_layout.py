@@ -2,9 +2,11 @@
 
 The solver keeps truth values per internal literal, long-clause watches
 as flat ``cid, blocker`` slot pairs that deleted clauses leave behind
-until the next visit, and a VSIDS heap sifted inline.  These tests run
-randomized incremental sessions that exercise every path that rewrites
-those structures: kept assumption trails across ``add_clause``,
+until the next visit, binary watches as flat ``cid, other`` slot pairs
+(a watch slot holds None until its first watch), and a VSIDS heap
+sifted inline.  These tests run randomized incremental sessions that
+exercise every path that rewrites those structures: kept assumption
+trails across ``add_clause``,
 restarts (forced every few conflicts), clause-database reductions
 (forced between solves, with a tiny ``_max_learnts`` during them and
 no glue tier pinned) and
@@ -69,23 +71,40 @@ def check_layout(s):
     for v in range(1, s.num_vars + 1):
         pos, neg = vals[2 * v], vals[2 * v + 1]
         assert (pos, neg) in ((UNASSIGNED, UNASSIGNED), (1, 0), (0, 1)), v
+    # Both kinds of watch list hold flat ``cid, literal`` slot pairs; a
+    # slot is None until the first watch on its literal.  Each live
+    # clause is watched once on each of its first two literals, all in
+    # one kind of list: the binary lists hold 2-literal clauses with the
+    # other literal, the long lists clauses stored with 3+ literals (a
+    # learned one may have shrunk to two since) with a blocker.
     stale = 0
     watched = {}
-    for lit, wl in enumerate(s._watches):
-        assert len(wl) % 2 == 0, lit
-        for cid in wl[0::2]:
-            if s._clauses[cid] is None:
-                stale += 1
-            else:
-                watched.setdefault(cid, set()).add(lit)
-    for lit, bl in enumerate(s._bin_watches):
-        for cid, _other in bl:
-            watched.setdefault(cid, set()).add(lit)
+    for kind, lists in (("long", s._watches), ("binary", s._bin_watches)):
+        assert len(lists) == len(vals)
+        for lit, wl in enumerate(lists):
+            if wl is None:
+                continue
+            assert type(wl) is list and len(wl) % 2 == 0, (kind, lit)
+            for cid, other in zip(wl[0::2], wl[1::2]):
+                lits = s._clauses[cid]
+                if lits is None:
+                    assert kind == "long", (lit, cid)
+                    stale += 1
+                    continue
+                if kind == "binary":
+                    assert len(lits) == 2 and other is s._lit_objs[other]
+                    assert {lit, other} == set(lits), (lit, cid, lits)
+                watched.setdefault(cid, []).append((kind, lit))
     # A clause found false at level 0 breaks the solver and is stored
     # unwatched.
     for cid, lits in enumerate(s._clauses):
         if lits is not None and len(lits) >= 2 and not s.is_broken:
-            assert {lits[0], lits[1]} <= watched.get(cid, set()), (cid, lits)
+            got = watched.pop(cid, [])
+            kind = "binary" if got and got[0][0] == "binary" else "long"
+            want = [(kind, lits[0]), (kind, lits[1])]
+            assert sorted(got) == sorted(want), (cid, lits, got)
+    # Every watch names a live clause of two or more literals.
+    assert s.is_broken or not watched, watched
     heap, pos, act = s._heap, s._heap_pos, s._activity
     for i, var in enumerate(heap):
         assert pos[var] == i

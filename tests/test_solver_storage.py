@@ -32,11 +32,9 @@ def _stored_literals(s):
             yield from lits
     for lits in s._proof_lits.values():
         yield from lits
-    for wl in s._watches:
-        yield from wl[1::2]
-    for bl in s._bin_watches:
-        for _cid, other in bl:
-            yield other
+    for wl in (*s._watches, *s._bin_watches):
+        if wl is not None:
+            yield from wl[1::2]
     yield from s._trail
     yield from (p for p in s._assump_levels if p)
 
@@ -132,14 +130,31 @@ def test_soc_session_stores_shared_literals_and_label_runs(
 
 #: tracemalloc blocks allocated from ``sat/solver.py`` (the kernel's
 #: allocations included) per stored clause of the encode below:
-#: measured 5.27 on CPython 3.11, plus 10% headroom.  The layout with a
-#: new int per stored literal and a dict entry per label read 8.28.
-BLOCKS_PER_CLAUSE = 5.8
+#: measured 4.60 on CPython 3.11, plus 10% headroom.  The layout with a
+#: ``(cid, other)`` tuple per binary watch and a list per watch slot,
+#: empty or not, read 5.27; with a new int per stored literal and a dict
+#: entry per label too, 8.28.
+BLOCKS_PER_CLAUSE = 5.1
+
+
+def test_fresh_variable_has_no_watch_lists(solver_mode):
+    """``new_var`` leaves the variable's four watch slots None; the first
+    watch on a literal creates its list."""
+    s = Solver()
+    a, b, c = s.new_var(), s.new_var(), s.new_var()
+    slots = [lists[lit] for lists in (s._watches, s._bin_watches)
+             for v in (a, b, c) for lit in (2 * v, 2 * v + 1)]
+    assert slots == [None] * 12
+    s.add_clause([a, -b])
+    assert s._bin_watches[2 * a] == [0, 2 * b + 1]
+    assert s._bin_watches[2 * b + 1] == [0, 2 * a]
+    assert s._watches[2 * a] is None and s._bin_watches[2 * c] is None
 
 
 def test_soc_encode_footprint():
     """A 20-frame multiport-SoC encode stores one int object per
-    literal and allocates few blocks per clause.  Block counts, not
+    literal, keeps its binary watches as flat int pairs with no list
+    left empty, and allocates few blocks per clause.  Block counts, not
     bytes: object sizes differ across Python versions."""
     design = build_multiport_soc(MultiportSocParams(5, 8))
     tracemalloc.start()
@@ -153,7 +168,10 @@ def test_soc_encode_footprint():
     distinct = {id(lit) for lits in s._clauses if lits is not None
                 for lit in lits}
     assert len(distinct) <= 2 * s.num_vars + 2
+    bins = [bl for bl in s._bin_watches if bl is not None]
+    assert bins and all(bins), "an empty binary watch list"
+    assert all(type(x) is int for bl in bins for x in bl)
     here = os.path.join("sat", "solver.py")
     blocks = sum(stat.count for stat in snapshot.statistics("filename")
                  if stat.traceback[0].filename.endswith(here))
-    assert blocks / len(s._clauses) < BLOCKS_PER_CLAUSE, blocks
+    assert blocks / len(s._clauses) < BLOCKS_PER_CLAUSE, blocks / len(s._clauses)
